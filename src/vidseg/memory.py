@@ -34,10 +34,16 @@ class MemoryBank:
         bad = np.flatnonzero(np.abs(norms - 1.0) > _UNIT_TOL)
         if bad.size:
             raise ValueError(f"row {bad[0]} is not unit-norm (norm {norms[bad[0]]:.6g})")
-        for row in rows:
-            self.storage[self.cursor] = row
-            self.cursor = (self.cursor + 1) % self.capacity
-        self.fill = min(self.capacity, self.fill + rows.shape[0])
+        n = rows.shape[0]
+        # only the last `capacity` rows survive; they start where the
+        # row-by-row writes would have put them
+        kept = rows[-self.capacity:]
+        start = (self.cursor + n - kept.shape[0]) % self.capacity
+        head = min(kept.shape[0], self.capacity - start)
+        self.storage[start:start + head] = kept[:head]
+        self.storage[:kept.shape[0] - head] = kept[head:]
+        self.cursor = (self.cursor + n) % self.capacity
+        self.fill = min(self.capacity, self.fill + n)
         return self
 
     def negatives_view(self):

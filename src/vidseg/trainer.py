@@ -169,6 +169,52 @@ def init_state(cfg: TrainConfig, total_steps=1):
     )
 
 
+def _draw_item(video: synth.Video, cfg: TrainConfig, seed_seq):
+    """Every random choice of one batch item, in the order the item's streams
+    are consumed: the tuple pair, then the frame-level views.
+
+    Returns the drawn pair, the item's raw frames and aug records as one
+    block (anchor tuple, positive tuple, frame-level views in draw order,
+    ending with the frame anchor and frame positive) and the block rows that
+    become frame_others.
+    """
+    pair_rng, frame_rng = [np.random.default_rng(s) for s in seed_seq.spawn(2)]
+    pair = sampling.draw_tuple_pair(video, cfg.segments, pair_rng,
+                                    share_augment=cfg.share_tuple_augment)
+    k = cfg.segments
+    if cfg.frame_source == "uniform":
+        picks = frame_rng.integers(0, video.frames.shape[0], size=3)
+        view_indices = [picks[1], picks[2], picks[0], picks[0]]
+        others_rows = [2 * k, 2 * k + 1]
+    else:
+        segment_order = np.argsort(pair.anchor_indices)
+        first = pair.anchor_indices[segment_order[0]]
+        view_indices = [first, first]
+        others_rows = [segment_order[1 % k], segment_order[2 % k]]
+    height, width = video.frames.shape[1:]
+    view_aug = [sampling.draw_aug_params(height, width, frame_rng) for _ in view_indices]
+    frames = np.concatenate([pair.anchor_frames, pair.positive_frames,
+                             sampling.frame_at(video, view_indices)])
+    return pair, frames, [*pair.anchor_aug, *pair.positive_aug, *view_aug], others_rows
+
+
+def _augment_items(drawn, cfg: TrainConfig):
+    """BatchItems from drawn items, augmenting all their frames in one
+    augment_frames call."""
+    out = sampling.augment_frames(np.concatenate([frames for _, frames, _, _ in drawn]),
+                                  [aug for _, _, params, _ in drawn for aug in params])
+    k = cfg.segments
+    items = []
+    start = 0
+    for pair, frames, _, others_rows in drawn:
+        block = out[start:start + len(frames)]
+        start += len(frames)
+        items.append(BatchItem(
+            pair=replace(pair, anchor_frames=block[:k], positive_frames=block[k:2 * k]),
+            frame_anchor=block[-2], frame_positive=block[-1], frame_others=block[others_rows]))
+    return items
+
+
 def make_batch_item(video: synth.Video, cfg: TrainConfig, seed_seq) -> BatchItem:
     """Sample the tuple pair and the frame-level views for one video.
 
@@ -179,42 +225,20 @@ def make_batch_item(video: synth.Video, cfg: TrainConfig, seed_seq) -> BatchItem
     frame_source="uniform" all three frame slots are drawn uniformly from the
     whole timeline instead.
     """
-    pair_rng, frame_rng = [np.random.default_rng(s) for s in seed_seq.spawn(2)]
-    pair = sampling.sample_tuple_pair(video, cfg.segments, pair_rng,
-                                      share_augment=cfg.share_tuple_augment)
-    height, width = video.frames.shape[1:]
-    if cfg.frame_source == "uniform":
-        t_count = video.frames.shape[0]
-        picks = frame_rng.integers(0, t_count, size=3)
-        base = video.frames[picks[0]]
-        others = np.stack([
-            sampling.augment_frame(video.frames[picks[1]],
-                                   sampling.draw_aug_params(height, width, frame_rng)),
-            sampling.augment_frame(video.frames[picks[2]],
-                                   sampling.draw_aug_params(height, width, frame_rng)),
-        ])
-    else:
-        segment_order = np.argsort(pair.anchor_indices)
-        base = sampling.frame_at(video, pair.anchor_indices[segment_order[0]])
-        k = cfg.segments
-        others = np.stack([
-            pair.anchor_frames[segment_order[1 % k]],
-            pair.anchor_frames[segment_order[2 % k]],
-        ])
-    frame_anchor = sampling.augment_frame(base, sampling.draw_aug_params(height, width, frame_rng))
-    frame_positive = sampling.augment_frame(base, sampling.draw_aug_params(height, width, frame_rng))
-    return BatchItem(pair=pair, frame_anchor=frame_anchor,
-                     frame_positive=frame_positive, frame_others=others)
+    return _augment_items([_draw_item(video, cfg, seed_seq)], cfg)[0]
 
 
 def assemble_batch(videos, indices, cfg: TrainConfig, epoch, step_in_epoch):
-    """Deterministic batch: every sample owns a stream derived from its slot."""
-    return [
-        make_batch_item(videos[int(v)], cfg,
-                        np.random.SeedSequence([cfg.seed, STREAM_SAMPLE, epoch,
-                                                step_in_epoch, slot]))
+    """Deterministic batch: every sample owns a stream derived from its slot.
+
+    All slots are drawn first, then augmented together in one pass; the
+    result equals make_batch_item per slot.
+    """
+    return _augment_items([
+        _draw_item(videos[int(v)], cfg,
+                   np.random.SeedSequence([cfg.seed, STREAM_SAMPLE, epoch, step_in_epoch, slot]))
         for slot, v in enumerate(indices)
-    ]
+    ], cfg)
 
 
 def sample_losses(query_params, key_params, item: BatchItem, inter_negatives,

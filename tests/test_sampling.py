@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vidseg import sampling, synth
 
@@ -8,6 +11,62 @@ def make_video(t=12, h=16, w=16, seed=0):
     spec = synth.DatasetSpec(classes=8, videos_per_class=2, frames=t, height=h, width=w,
                              untrimmed=False, seed=seed)
     return synth.generate_video(spec, 0, 0)
+
+
+def _resize_grid(in_extent, out_extent):
+    centers = np.clip((np.arange(out_extent) + 0.5) * in_extent / out_extent - 0.5,
+                      0.0, in_extent - 1.0)
+    lo = np.floor(centers).astype(int)
+    hi = np.minimum(lo + 1, in_extent - 1)
+    return lo, hi, centers - lo
+
+
+def _resize_bilinear(img, out_h, out_w):
+    in_h, in_w = img.shape
+    if (in_h, in_w) == (out_h, out_w):
+        return img.copy()
+    y0, y1, wy = _resize_grid(in_h, out_h)
+    x0, x1, wx = _resize_grid(in_w, out_w)
+    wy = wy[:, None]
+    wx = wx[None, :]
+    top = img[np.ix_(y0, x0)] * (1 - wx) + img[np.ix_(y0, x1)] * wx
+    bottom = img[np.ix_(y1, x0)] * (1 - wx) + img[np.ix_(y1, x1)] * wx
+    return top * (1 - wy) + bottom * wy
+
+
+def _box_blur(img):
+    padded = np.pad(img, 1, mode="edge")
+    out = np.zeros_like(img)
+    for dy in (0, 1, 2):
+        for dx in (0, 1, 2):
+            out += padded[dy:dy + img.shape[0], dx:dx + img.shape[1]]
+    return out / 9.0
+
+
+def reference_augment_frame(frame, params):
+    """One frame at a time: the reference augment_frames must match bytewise."""
+    height, width = frame.shape
+    if params.crop_h < 2 or params.crop_w < 2:
+        raise ValueError(f"degenerate crop {params.crop_h}x{params.crop_w}")
+    if params.crop_top + params.crop_h > height or params.crop_left + params.crop_w > width:
+        raise ValueError("crop rectangle outside the frame")
+    out = frame[params.crop_top:params.crop_top + params.crop_h,
+                params.crop_left:params.crop_left + params.crop_w]
+    out = _resize_bilinear(out, height, width)
+    if params.flip:
+        out = out[:, ::-1].copy()
+    if params.brightness != 0.0:
+        out = out + params.brightness
+    if params.contrast != 1.0:
+        mean = out.mean()
+        out = mean + (out - mean) * params.contrast
+    if params.blur:
+        out = _box_blur(out)
+    return np.clip(out, 0.0, 1.0)
+
+
+def reference_augment_frames(frames, params):
+    return np.stack([reference_augment_frame(f, p) for f, p in zip(frames, params)])
 
 
 def test_segment_bounds_even_partition():
@@ -116,7 +175,8 @@ def test_anchor_positive_exchangeable_under_stream_swap():
 def test_identity_augmentation_is_identity():
     video = make_video()
     frame = video.frames[0]
-    out = sampling.augment_frame(frame, sampling.AugParams.identity(16, 16))
+    identity = sampling.AugParams(0, 0, 16, 16, False, 0.0, 1.0, False)
+    out = sampling.augment_frame(frame, identity)
     assert np.array_equal(out, frame)
 
 
@@ -137,8 +197,16 @@ def test_brightness_shift_on_constant_frame():
 
 def test_degenerate_crop_rejected():
     frame = np.zeros((16, 16))
-    with pytest.raises(ValueError):
-        sampling.augment_frame(frame, sampling.AugParams(0, 0, 1, 16, False, 0.0, 1.0, False))
+    for top, left, crop_h, crop_w in ((0, 0, 1, 16), (-1, 0, 16, 16), (0, -1, 16, 16),
+                                      (-3, -2, 8, 8), (9, 0, 8, 8)):
+        params = sampling.AugParams(top, left, crop_h, crop_w, False, 0.0, 1.0, False)
+        with pytest.raises(ValueError):
+            sampling.augment_frame(frame, params)
+        # a bad draw anywhere in a stack rejects the whole stack
+        with pytest.raises(ValueError):
+            sampling.augment_frames(np.zeros((3, 16, 16)),
+                                    [sampling.AugParams(0, 0, 16, 16, False, 0.0, 1.0, False),
+                                     params, params])
 
 
 def test_augmented_frames_clamped_and_shaped():
@@ -165,3 +233,78 @@ def test_pair_sampling_deterministic():
     assert np.array_equal(p1.anchor_indices, p2.anchor_indices)
     assert p1.anchor_frames.tobytes() == p2.anchor_frames.tobytes()
     assert p1.order_label == p2.order_label
+
+
+@st.composite
+def frame_stacks(draw):
+    """An (N, H, W) stack and one valid AugParams per frame, leaning on the
+    edge cases: 2-pixel and full-frame crops, zero brightness, unit contrast."""
+    n = draw(st.integers(1, 6))
+    height = draw(st.integers(2, 12))
+    width = draw(st.integers(2, 12))
+    pixels = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 0.0, 1.0]),
+                       st.floats(-0.5, 1.5))
+    frames = draw(hnp.arrays(np.float64, (n, height, width), elements=pixels))
+    params = []
+    for _ in range(n):
+        crop_h = draw(st.sampled_from([2, height]) | st.integers(2, height))
+        crop_w = draw(st.sampled_from([2, width]) | st.integers(2, width))
+        params.append(sampling.AugParams(
+            draw(st.integers(0, height - crop_h)), draw(st.integers(0, width - crop_w)),
+            crop_h, crop_w, draw(st.booleans()),
+            draw(st.just(0.0) | st.floats(-0.2, 0.2)),
+            draw(st.just(1.0) | st.floats(0.8, 1.2)),
+            draw(st.booleans())))
+    return frames, params
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(frame_stacks())
+def test_augment_frames_matches_per_frame_reference(stack):
+    frames, params = stack
+    out = sampling.augment_frames(frames, params)
+    assert out.shape == frames.shape
+    assert out.tobytes() == reference_augment_frames(frames, params).tobytes()
+
+
+def test_augment_frames_edge_cases_match_reference():
+    video = make_video()
+    frames = np.concatenate([video.frames[:4], video.frames[:4]])
+    P = sampling.AugParams
+    params = [
+        P(5, 7, 2, 2, False, 0.1, 0.9, False),  # 2x2 crop
+        P(0, 0, 16, 16, False, 0.0, 1.0, False),  # full frame, nothing else
+        P(0, 0, 16, 16, True, 0.0, 1.0, True),  # full frame, flip + blur
+        P(3, 1, 10, 12, True, 0.0, 1.1, True),  # zero brightness, flip + blur
+        P(2, 2, 12, 12, False, -0.15, 1.0, False),  # unit contrast
+        P(0, 4, 16, 12, True, 0.05, 0.85, False),  # full height only
+        P(1, 0, 14, 16, False, 0.0, 1.0, True),  # full width only, blur
+        P(6, 6, 9, 9, True, -0.2, 1.2, False),
+    ]
+    out = sampling.augment_frames(frames, params)
+    assert out.tobytes() == reference_augment_frames(frames, params).tobytes()
+    for frame, p, row in zip(frames, params, out):
+        assert sampling.augment_frame(frame, p).tobytes() == row.tobytes()
+
+
+def test_augment_frames_matches_reference_on_drawn_params():
+    video = make_video(t=32)
+    rng = np.random.default_rng(17)
+    frames = video.frames[rng.integers(0, 32, size=2000)]
+    params = [sampling.draw_aug_params(16, 16, rng) for _ in frames]
+    assert (sampling.augment_frames(frames, params).tobytes()
+            == reference_augment_frames(frames, params).tobytes())
+
+
+def test_sample_tuple_pair_is_drawn_pair_augmented():
+    video = make_video(t=5)
+    for seed in range(20):
+        pair = sampling.sample_tuple_pair(video, 4, np.random.default_rng(seed))
+        drawn = sampling.draw_tuple_pair(video, 4, np.random.default_rng(seed))
+        assert np.array_equal(pair.anchor_indices, drawn.anchor_indices)
+        assert pair.anchor_aug == drawn.anchor_aug and pair.positive_aug == drawn.positive_aug
+        for frames, indices, aug in ((pair.anchor_frames, drawn.anchor_indices, drawn.anchor_aug),
+                                     (pair.positive_frames, drawn.positive_indices,
+                                      drawn.positive_aug)):
+            raw = video.frames[indices % 5]
+            assert frames.tobytes() == reference_augment_frames(raw, aug).tobytes()

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from test_sampling import reference_augment_frame
 
-from vidseg import synth, trainer
+from vidseg import sampling, synth, trainer
 from vidseg.trainer import TrainConfig
 
 
@@ -168,3 +171,86 @@ def test_gradient_suite_passes_on_small_model():
     assert names == {"inter", "intra", "segment", "order", "total"}
     for name, seed, report in results:
         assert report.passed, f"{name} seed {seed}: {report}"
+
+
+def reference_view(video, k, rng, share_augment):
+    t_count = video.frames.shape[0]
+    indices = sampling.segment_indices(t_count, k, rng)
+    height, width = video.frames.shape[1:]
+    if share_augment:
+        shared = sampling.draw_aug_params(height, width, rng)
+        aug = tuple(shared for _ in range(k))
+    else:
+        aug = tuple(sampling.draw_aug_params(height, width, rng) for _ in range(k))
+    frames = np.stack([reference_augment_frame(sampling.frame_at(video, idx), aug[i])
+                       for i, idx in enumerate(indices)])
+    return indices, frames, aug
+
+
+def reference_batch_item(video, cfg, seed_seq):
+    """make_batch_item one frame at a time, drawing and augmenting interleaved."""
+    pair_rng, frame_rng = [np.random.default_rng(s) for s in seed_seq.spawn(2)]
+    k = cfg.segments
+    rng_anchor, rng_positive, rng_shuffle = pair_rng.spawn(3)
+    a_idx, a_frames, a_aug = reference_view(video, k, rng_anchor, cfg.share_tuple_augment)
+    p_idx, p_frames, p_aug = reference_view(video, k, rng_positive, cfg.share_tuple_augment)
+    shuffle_anchor, shuffle_positive, label = sampling.assign_order_label(rng_shuffle)
+    if shuffle_anchor:
+        perm = sampling.non_identity_permutation(k, rng_shuffle)
+        a_idx, a_frames, a_aug = a_idx[perm], a_frames[perm], tuple(a_aug[i] for i in perm)
+    if shuffle_positive:
+        perm = sampling.non_identity_permutation(k, rng_shuffle)
+        p_idx, p_frames, p_aug = p_idx[perm], p_frames[perm], tuple(p_aug[i] for i in perm)
+    pair = sampling.TuplePair(video.id, a_idx, a_frames, a_aug, p_idx, p_frames, p_aug,
+                              shuffle_anchor, shuffle_positive, label)
+    height, width = video.frames.shape[1:]
+
+    def fresh(frame):
+        return reference_augment_frame(frame, sampling.draw_aug_params(height, width, frame_rng))
+
+    if cfg.frame_source == "uniform":
+        picks = frame_rng.integers(0, video.frames.shape[0], size=3)
+        base = video.frames[picks[0]]
+        others = np.stack([fresh(video.frames[picks[1]]), fresh(video.frames[picks[2]])])
+    else:
+        segment_order = np.argsort(a_idx)
+        base = sampling.frame_at(video, a_idx[segment_order[0]])
+        others = np.stack([a_frames[segment_order[1 % k]], a_frames[segment_order[2 % k]]])
+    frame_anchor = fresh(base)
+    frame_positive = fresh(base)
+    return trainer.BatchItem(pair, frame_anchor, frame_positive, others)
+
+
+@pytest.mark.parametrize("variant", [{}, {"frame_source": "uniform"},
+                                     {"share_tuple_augment": True, "segments": 4}])
+def test_assemble_batch_matches_per_frame_reference(variant, monkeypatch):
+    spec = synth.DatasetSpec(classes=4, videos_per_class=6, frames=16, seed=11)
+    cfg = TrainConfig(dataset=spec, epochs=4, batch_size=8, bank_capacity=256,
+                      hidden_dim=32, feature_dim=16, embed_dim=8, seed=3, **variant)
+    train_videos, _ = synth.generate_dataset(spec)
+    calls = []
+    batched = sampling.augment_frames
+    monkeypatch.setattr(sampling, "augment_frames",
+                        lambda frames, params: calls.append(len(params)) or batched(frames, params))
+    for epoch, step in ((0, 0), (1, 1), (3, 0), (3, 1)):
+        perm = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, trainer.STREAM_ORDER, epoch])).permutation(
+                len(train_videos))
+        indices = perm[step * cfg.batch_size:(step + 1) * cfg.batch_size]
+        calls.clear()
+        batch = trainer.assemble_batch(train_videos, indices, cfg, epoch, step)
+        assert len(calls) == 1
+        assert len(batch) == len(indices)
+        for slot, (v, item) in enumerate(zip(indices, batch)):
+            expected = reference_batch_item(
+                train_videos[int(v)], cfg,
+                np.random.SeedSequence([cfg.seed, trainer.STREAM_SAMPLE, epoch, step, slot]))
+            for name in ("frame_anchor", "frame_positive", "frame_others"):
+                got, want = getattr(item, name), getattr(expected, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            for field in dataclasses.fields(sampling.TuplePair):
+                got, want = getattr(item.pair, field.name), getattr(expected.pair, field.name)
+                if isinstance(want, np.ndarray):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), field.name
+                else:
+                    assert got == want, field.name
