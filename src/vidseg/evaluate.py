@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import losses, model, sampling, synth, trainer
+from . import model, sampling, synth, trainer
 
 _EVAL_STREAM = 21
 
@@ -152,21 +152,18 @@ def retrieval_recall(queries: FeatureTable, gallery: FeatureTable, ks):
 
 def order_prediction_accuracy(query_params, key_params, videos, cfg: trainer.TrainConfig,
                               n_samples=200, seed=0):
-    """Accuracy of the trained order classifier on freshly sampled pairs."""
-    mcfg = cfg.model_config()
-    hits = 0
-    for i in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, _EVAL_STREAM, i]))
-        video = videos[i % len(videos)]
-        pair = sampling.sample_tuple_pair(video, cfg.segments, rng,
-                                          share_augment=cfg.share_tuple_augment)
-        k = cfg.segments
-        logits = model.order_logits(query_params, key_params,
-                                    pair.anchor_frames.reshape(k, -1),
-                                    pair.positive_frames.reshape(k, -1), mcfg)
-        if int(np.argmax(logits)) == pair.order_label:
-            hits += 1
-    return hits / n_samples
+    """Accuracy of the trained order classifier on freshly sampled pairs,
+    scored with one batched order_logits call."""
+    k = cfg.segments
+    pairs = [sampling.sample_tuple_pair(
+        videos[i % len(videos)], k,
+        np.random.default_rng(np.random.SeedSequence([seed, _EVAL_STREAM, i])),
+        share_augment=cfg.share_tuple_augment) for i in range(n_samples)]
+    anchors = np.stack([p.anchor_frames for p in pairs]).reshape(n_samples, k, -1)
+    positives = np.stack([p.positive_frames for p in pairs]).reshape(n_samples, k, -1)
+    logits = model.order_logits(query_params, key_params, anchors, positives, cfg.model_config())
+    labels = np.array([p.order_label for p in pairs])
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 def evaluate_encoder(query_params, key_params, train_videos, test_videos,

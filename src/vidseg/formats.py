@@ -106,8 +106,10 @@ def _split_header(blob, magic, path):
         raise ArtifactError(f"{path}: not a recognized artifact") from None
     if first.decode("utf-8", "replace") != magic:
         raise ArtifactError(f"{path}: version mismatch, expected '{magic}'")
-    marker = blob.index(b"#payload ")
-    newline = blob.index(b"\n", marker)
+    marker = blob.find(b"#payload ")
+    newline = blob.find(b"\n", marker) if marker >= 0 else -1
+    if newline < 0:
+        raise ArtifactError(f"{path}: no complete '#payload' line")
     lines = blob[:marker].decode("utf-8").splitlines()
     declared = int(blob[marker:newline].decode("utf-8").split()[1])
     body = blob[newline + 1:]
@@ -207,6 +209,8 @@ def read_dataset(path):
             continue
         if line.startswith("#video "):
             _, vid, class_id, split, w0, w1 = line.split()
+            if split not in ("train", "test"):
+                raise ArtifactError(f"{path}: video {vid} has unknown split '{split}'")
             manifest.append((int(vid), int(class_id), split, int(w0), int(w1)))
         i += 1
     t = int(spec_flat["dataset.frames"])

@@ -83,33 +83,55 @@ def project(params, head, features):
 
 
 def consensus(features):
-    """Aggregate per-frame features into one video-level feature (average)."""
+    """Aggregate per-frame features into one video-level feature (average):
+    (K, F) -> (F,), or (B, K, F) -> (B, F) per tuple."""
     return nm.mean_rows(features)
 
 
-def tuple_embedding(params, frames, head="segment"):
-    """Encode K frames, average the features, then project: one unit embedding."""
-    return project(params, head, consensus(encode(params, frames)))
+def segment_embedding(params, features, k):
+    """Unit segment-head embeddings of K-frame tuples from their encoded
+    frames: (B*K, F) features, tuple by tuple, -> (B, E). Each tuple's K
+    features are averaged, then projected."""
+    return project(params, "segment", consensus(nm.reshape(features, (-1, k, features.shape[-1]))))
+
+
+def tuple_embedding(params, frames):
+    """Segment embedding of one K-frame tuple given as (K, P) frames -> (E,)."""
+    return nm.reshape(segment_embedding(params, encode(params, frames), len(frames)), (-1,))
+
+
+def order_embedding(params, features, cfg: ModelConfig):
+    """Order-head embeddings of (B*K, F) per-frame features, in frame order,
+    concatenated per tuple -> (B, K*E)."""
+    emb = head_mlp(params, "order", features)
+    if cfg.normalize_order_embeddings:
+        emb = nm.l2_normalize(emb)
+    return nm.reshape(emb, (-1, cfg.segments * cfg.embed_dim))
+
+
+def order_classifier(query_params, anchor_embedding, positive_embedding):
+    """Linear 4-way classifier of the query side over (anchor, positive)
+    order embeddings, anchor first -> (B, 4) logits."""
+    joint = nm.concat([anchor_embedding, positive_embedding])
+    return nm.add(nm.matmul(joint, query_params["order_clf.weight"]),
+                  query_params["order_clf.bias"])
 
 
 def order_logits(query_params, key_params, anchor_frames, positive_frames, cfg: ModelConfig):
-    """4-way order logits for an (anchor, positive) pair of K-frame tuples.
+    """(B, 4) order logits for a batch of (anchor, positive) pairs of K-frame
+    tuples, each given as (B, K, P).
 
     Per-frame order-head embeddings (query side for the anchor; key side for
     the positive unless configured otherwise) are concatenated in frame order,
     anchor first, and fed to the linear order classifier of the query side.
     """
-    def per_frame(params, frames):
-        emb = head_mlp(params, "order", encode(params, frames))
-        return nm.l2_normalize(emb) if cfg.normalize_order_embeddings else emb
+    def side(params, frames):
+        frames = np.asarray(frames)
+        return order_embedding(params, encode(params, frames.reshape(-1, frames.shape[-1])), cfg)
 
     positive_params = key_params if cfg.order_positive_uses_key else query_params
-    joint = nm.concat([
-        nm.flatten(per_frame(query_params, anchor_frames)),
-        nm.flatten(per_frame(positive_params, positive_frames)),
-    ])
-    return nm.add(nm.matmul(joint, query_params["order_clf.weight"]),
-                  query_params["order_clf.bias"])
+    return order_classifier(query_params, side(query_params, anchor_frames),
+                            side(positive_params, positive_frames))
 
 
 def momentum_update(key_params, query_params, m):

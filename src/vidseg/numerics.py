@@ -5,8 +5,10 @@ computes the result (fast path, used for the momentum/key side of training).
 With at least one `Var` argument it records the computation so that
 `Var.backward()` can fill exact gradients afterwards.
 
-Supported op set: matmul, add, scale, mean_rows, concat, stack_rows, flatten,
-relu, l2_normalize, dot, logsumexp, softmax_cross_entropy, sum_all.
+Supported op set: matmul, add, scale, relu, dot (row-wise), mean_rows (over
+the K axis), concat (along the last axis), reshape, slice_rows, l2_normalize,
+softmax_cross_entropy (row-wise, with a label vector). The ops work on whole
+batches, so a training step records one small graph over (B, ...) arrays.
 """
 
 from __future__ import annotations
@@ -152,12 +154,13 @@ def matmul(a, b):
 
 
 def dot(a, b):
-    """Inner product of two equal-length vectors."""
+    """Inner products over the last axis of two equal-shape arrays: two
+    vectors give a scalar, two (B, E) arrays the (B,) row-wise products."""
     av, bv = _value(a), _value(b)
-    if av.ndim != 1 or bv.ndim != 1 or av.shape != bv.shape:
+    if av.ndim not in (1, 2) or av.shape != bv.shape:
         raise ShapeMismatchError("dot", av.shape, bv.shape)
-    out = np.asarray(av @ bv)
-    return _make("dot", out, ((a, lambda g: g * bv), (b, lambda g: g * av)))
+    out = np.asarray(np.einsum("...i,...i->...", av, bv))
+    return _make("dot", out, ((a, lambda g: g[..., None] * bv), (b, lambda g: g[..., None] * av)))
 
 
 def relu(a):
@@ -168,68 +171,71 @@ def relu(a):
 
 
 def mean_rows(a):
-    """Mean across the rows of an (n, m) array -> (m,).
+    """Mean over the rows of an (n, m) array -> (m,), or over the rows of each
+    item of a (B, n, m) array -> (B, m).
 
     Columns are summed in sorted order so the result is bit-identical under
-    any permutation of the input rows.
+    any permutation of the rows being averaged.
     """
     av = _value(a)
-    if av.ndim != 2 or av.shape[0] < 1:
+    if av.ndim not in (2, 3) or av.shape[-2] < 1:
         raise ShapeMismatchError("mean_rows", av.shape)
-    n = av.shape[0]
-    out = np.sort(av, axis=0).sum(axis=0) / n
-    return _make("mean_rows", out, ((a, lambda g: np.tile(g / n, (n, 1))),))
-
-
-def sum_all(a):
-    """Sum of all entries -> scalar."""
-    av = _value(a)
-    out = np.asarray(av.sum())
-    return _make("sum_all", out, ((a, lambda g: np.broadcast_to(g, av.shape).copy()),))
+    n = av.shape[-2]
+    out = np.sort(av, axis=-2).sum(axis=-2) / n
+    return _make("mean_rows", out,
+                 ((a, lambda g: np.repeat(np.expand_dims(g / n, -2), n, axis=-2)),))
 
 
 def concat(parts):
-    """Concatenate vectors (scalars allowed) into one 1-D array."""
-    vals = []
-    for p in parts:
-        v = _value(p)
-        if v.ndim > 1:
-            raise ShapeMismatchError("concat", v.shape)
-        vals.append(np.atleast_1d(v))
-    out = np.concatenate(vals) if vals else np.zeros(0)
+    """Concatenate along the last axis: vectors (scalars allowed) into one
+    vector, or (B, n_i) blocks into one (B, sum n_i) array. A part one rank
+    below the others, such as a (B,) column, counts as one column."""
+    vals = [_value(p) for p in parts]
+    ndim = max(1, max(v.ndim for v in vals))
+    cols = [v[..., None] if v.ndim == ndim - 1 else v for v in vals]
+    if ndim > 2 or any(c.ndim != ndim or c.shape[:-1] != cols[0].shape[:-1] for c in cols):
+        raise ShapeMismatchError("concat", *[v.shape for v in vals])
+    out = np.concatenate(cols, axis=-1)
     parents = []
     offset = 0
-    for p, v in zip(parts, vals):
-        lo, hi = offset, offset + v.shape[0]
-        scalar = _value(p).ndim == 0
+    for p, v, c in zip(parts, vals, cols):
+        lo, hi = offset, offset + c.shape[-1]
+        column = v.ndim < ndim
 
-        def vjp(g, lo=lo, hi=hi, scalar=scalar):
-            piece = g[lo:hi]
-            return np.asarray(piece[0]) if scalar else piece
+        def vjp(g, lo=lo, hi=hi, column=column):
+            piece = g[..., lo:hi]
+            return piece[..., 0] if column else piece
 
         parents.append((p, vjp))
         offset = hi
     return _make("concat", out, tuple(parents))
 
 
-def stack_rows(parts):
-    """Stack equal-length vectors into an (n, m) array."""
-    vals = [_value(p) for p in parts]
-    for v in vals:
-        if v.ndim != 1 or v.shape != vals[0].shape:
-            raise ShapeMismatchError("stack_rows", *[u.shape for u in vals])
-    out = np.stack(vals)
-    parents = tuple((p, lambda g, i=i: g[i]) for i, p in enumerate(parts))
-    return _make("stack_rows", out, parents)
-
-
-def flatten(a):
-    """Row-major flatten of a 2-D array."""
+def reshape(a, shape):
+    """The same values in a new shape (row-major order, as numpy reshape)."""
     av = _value(a)
-    if av.ndim != 2:
-        raise ShapeMismatchError("flatten", av.shape)
-    out = av.reshape(-1)
-    return _make("flatten", out, ((a, lambda g: g.reshape(av.shape)),))
+    try:
+        out = av.reshape(shape)
+    except ValueError:
+        raise ShapeMismatchError("reshape", av.shape, shape) from None
+    return _make("reshape", out, ((a, lambda g: g.reshape(av.shape)),))
+
+
+def slice_rows(a, start, stop):
+    """Rows start:stop of an array; a slice covering every row is the input
+    itself, so it records nothing."""
+    av = _value(a)
+    if av.ndim < 1 or not 0 <= start <= stop <= av.shape[0]:
+        raise ShapeMismatchError("slice_rows", av.shape, (start, stop))
+    if start == 0 and stop == av.shape[0]:
+        return a
+
+    def vjp(g):
+        full = np.zeros_like(av)
+        full[start:stop] = g
+        return full
+
+    return _make("slice_rows", av[start:stop], ((a, vjp),))
 
 
 def l2_normalize(a):
@@ -264,37 +270,36 @@ def l2_normalize(a):
     raise ShapeMismatchError("l2_normalize", av.shape)
 
 
-def logsumexp(a):
-    """Stable log(sum(exp(v))) of a vector -> scalar."""
-    av = _value(a)
-    if av.ndim != 1 or av.shape[0] < 1:
-        raise ShapeMismatchError("logsumexp", av.shape)
-    m = av.max()
-    expd = np.exp(av - m)
-    total = expd.sum()
-    out = np.asarray(m + np.log(total))
-    soft = expd / total
-    return _make("logsumexp", out, ((a, lambda g: g * soft),))
+def softmax_cross_entropy(logits, labels):
+    """Cross-entropy of softmax(logits) against integer class labels.
 
-
-def softmax_cross_entropy(logits, label):
-    """Cross-entropy of softmax(logits) against an integer class label."""
+    (B, C) logits with a (B,) label vector give the mean over the rows; a 1-D
+    logits vector with one integer label is a batch of one.
+    """
     lv = _value(logits)
-    if lv.ndim != 1:
+    if lv.ndim not in (1, 2):
         raise ShapeMismatchError("softmax_cross_entropy", lv.shape)
-    label = int(label)
-    if not 0 <= label < lv.shape[0]:
-        raise ValueError(f"softmax_cross_entropy: label {label} out of range for {lv.shape[0]} classes")
-    m = lv.max()
-    expd = np.exp(lv - m)
-    total = expd.sum()
-    out = np.asarray(m + np.log(total) - lv[label])
+    rows = lv.reshape(-1, lv.shape[-1])
+    labels = np.asarray(labels).astype(int).reshape(-1)
+    if labels.shape[0] != rows.shape[0]:
+        raise ShapeMismatchError("softmax_cross_entropy", lv.shape, labels.shape)
+    if labels.min() < 0 or labels.max() >= rows.shape[1]:
+        bad = labels[(labels < 0) | (labels >= rows.shape[1])][0]
+        raise ValueError(f"softmax_cross_entropy: label {bad} out of range "
+                         f"for {rows.shape[1]} classes")
+    n = rows.shape[0]
+    picked = (np.arange(n), labels)
+    m = rows.max(axis=1, keepdims=True)
+    expd = np.exp(rows - m)
+    total = expd.sum(axis=1, keepdims=True)
+    out = np.asarray((m[:, 0] + np.log(total[:, 0]) - rows[picked]).sum() / n)
     soft = expd / total
 
     def vjp(g):
         grad = soft.copy()
-        grad[label] -= 1.0
-        return g * grad
+        grad[picked] -= 1.0
+        grad *= g / n
+        return grad.reshape(lv.shape)
 
     return _make("softmax_cross_entropy", out, ((logits, vjp),))
 

@@ -1,6 +1,6 @@
-"""Pretraining loop: batch assembly, the combined objective over the tape,
-SGD with momentum and cosine-annealed learning rate, the momentum update of
-the key parameters, and memory-bank maintenance."""
+"""Pretraining loop: batch assembly, the combined objective as one tape graph
+over the whole batch, SGD with momentum and cosine-annealed learning rate,
+the momentum update of the key parameters, and memory-bank maintenance."""
 
 from __future__ import annotations
 
@@ -124,14 +124,24 @@ class TrainState:
     history: list = field(default_factory=list)
 
 
-@dataclass
-class BatchItem:
-    """One sample: the tuple pair plus the frame-level views derived from it."""
+@dataclass(frozen=True)
+class Batch:
+    """One step's samples stacked over the B items, as flattened frames of P
+    pixels. All but key_views are views into the step's augmented frames.
 
-    pair: sampling.TuplePair
-    frame_anchor: np.ndarray  # extra augmentation of the frame-level instance
-    frame_positive: np.ndarray  # second augmentation of the same raw frame
-    frame_others: np.ndarray  # (2, H, W) frames acting as the other positives/negatives
+    key_views holds, per item, the second augmentation of the frame-level
+    instance and then the two other same-video frames: the key side's inputs
+    to the inter and intra losses.
+    """
+
+    anchors: np.ndarray  # (B, K, P) anchor tuples
+    positives: np.ndarray  # (B, K, P) positive tuples
+    frame_anchors: np.ndarray  # (B, P) frame-level instances, extra augmentation
+    key_views: np.ndarray  # (B, 3, P)
+    order_labels: np.ndarray  # (B,)
+
+    def __len__(self):
+        return self.order_labels.shape[0]
 
 
 def cosine_lr(step, total_steps, base_lr):
@@ -173,10 +183,17 @@ def _draw_item(video: synth.Video, cfg: TrainConfig, seed_seq):
     """Every random choice of one batch item, in the order the item's streams
     are consumed: the tuple pair, then the frame-level views.
 
-    Returns the drawn pair, the item's raw frames and aug records as one
-    block (anchor tuple, positive tuple, frame-level views in draw order,
-    ending with the frame anchor and frame positive) and the block rows that
-    become frame_others.
+    Returns the item's raw frames and aug records as one block (anchor tuple,
+    positive tuple, frame-level views in draw order, ending with the frame
+    anchor and its second view), the block rows that become key_views, and
+    the order label.
+
+    The frame-level anchor and its second view are two fresh augmentations of
+    the raw frame behind the anchor tuple's first segment; the anchor tuple's
+    other segment frames serve as the remaining same-video positives
+    (wrapping around when there are fewer than three segments). With
+    frame_source="uniform" all three frame slots are drawn uniformly from the
+    whole timeline instead.
     """
     pair_rng, frame_rng = [np.random.default_rng(s) for s in seed_seq.spawn(2)]
     pair = sampling.draw_tuple_pair(video, cfg.segments, pair_rng,
@@ -195,125 +212,140 @@ def _draw_item(video: synth.Video, cfg: TrainConfig, seed_seq):
     view_aug = [sampling.draw_aug_params(height, width, frame_rng) for _ in view_indices]
     frames = np.concatenate([pair.anchor_frames, pair.positive_frames,
                              sampling.frame_at(video, view_indices)])
-    return pair, frames, [*pair.anchor_aug, *pair.positive_aug, *view_aug], others_rows
+    key_rows = [len(frames) - 1, *others_rows]
+    return (frames, [*pair.anchor_aug, *pair.positive_aug, *view_aug], key_rows,
+            pair.order_label)
 
 
-def _augment_items(drawn, cfg: TrainConfig):
-    """BatchItems from drawn items, augmenting all their frames in one
+def _stack_items(drawn, cfg: TrainConfig):
+    """The Batch of drawn items, augmenting all their frames in one
     augment_frames call."""
-    out = sampling.augment_frames(np.concatenate([frames for _, frames, _, _ in drawn]),
-                                  [aug for _, _, params, _ in drawn for aug in params])
-    k = cfg.segments
-    items = []
-    start = 0
-    for pair, frames, _, others_rows in drawn:
-        block = out[start:start + len(frames)]
-        start += len(frames)
-        items.append(BatchItem(
-            pair=replace(pair, anchor_frames=block[:k], positive_frames=block[k:2 * k]),
-            frame_anchor=block[-2], frame_positive=block[-1], frame_others=block[others_rows]))
-    return items
+    out = sampling.augment_frames(np.concatenate([frames for frames, _, _, _ in drawn]),
+                                  [aug for _, params, _, _ in drawn for aug in params])
+    b, k = len(drawn), cfg.segments
+    out = out.reshape(b, -1, out.shape[1] * out.shape[2])
+    key_rows = np.array([rows for _, _, rows, _ in drawn])
+    return Batch(anchors=out[:, :k], positives=out[:, k:2 * k], frame_anchors=out[:, -2],
+                 key_views=out[np.arange(b)[:, None], key_rows],
+                 order_labels=np.array([label for _, _, _, label in drawn]))
 
 
-def make_batch_item(video: synth.Video, cfg: TrainConfig, seed_seq) -> BatchItem:
-    """Sample the tuple pair and the frame-level views for one video.
-
-    The frame-level anchor/positive are two fresh augmentations of the raw
-    frame behind the anchor tuple's first segment; the anchor tuple's other
-    segment frames serve as the remaining same-video positives (wrapping
-    around when there are fewer than three segments). With
-    frame_source="uniform" all three frame slots are drawn uniformly from the
-    whole timeline instead.
-    """
-    return _augment_items([_draw_item(video, cfg, seed_seq)], cfg)[0]
-
-
-def assemble_batch(videos, indices, cfg: TrainConfig, epoch, step_in_epoch):
+def assemble_batch(videos, indices, cfg: TrainConfig, epoch, step_in_epoch) -> Batch:
     """Deterministic batch: every sample owns a stream derived from its slot.
 
-    All slots are drawn first, then augmented together in one pass; the
-    result equals make_batch_item per slot.
+    All slots are drawn first, then augmented together in one pass.
     """
-    return _augment_items([
+    return _stack_items([
         _draw_item(videos[int(v)], cfg,
                    np.random.SeedSequence([cfg.seed, STREAM_SAMPLE, epoch, step_in_epoch, slot]))
         for slot, v in enumerate(indices)
     ], cfg)
 
 
-def sample_losses(query_params, key_params, item: BatchItem, inter_negatives,
-                  segment_negatives, cfg: TrainConfig):
-    """Enabled loss terms for one sample plus the key rows to enqueue.
+def key_targets(key_params, batch: Batch, cfg: TrainConfig):
+    """The key side of a step, as plain arrays computed without a tape.
 
-    query_params may be tape Vars (training) or plain arrays (evaluation);
-    key_params are always plain arrays, so nothing on the key side ever
-    receives gradient.
+    "inter" and "intra" are the (B, 3, E) frame-level positives (frame view,
+    then the two other frames), "segment" the (B, E) positive tuple
+    embeddings, and "order", when order_positive_uses_key, the (B, K*E) order
+    embeddings of the positive tuples. Only enabled losses get entries. The
+    inter and segment arrays are also the step's bank rows, in enqueue order.
     """
-    mcfg = cfg.model_config()
-    k = cfg.segments
-    anchor = item.pair.anchor_frames.reshape(k, -1)
-    positive = item.pair.positive_frames.reshape(k, -1)
+    b, k = len(batch), cfg.segments
     out = {}
-    enqueue = {}
-
     if cfg.use_inter or cfg.use_intra:
-        query_feat = model.encode(query_params, item.frame_anchor.reshape(-1))
-        key_frames = np.stack([item.frame_positive.reshape(-1),
-                               item.frame_others[0].reshape(-1),
-                               item.frame_others[1].reshape(-1)])
-        key_feats = model.encode(key_params, key_frames)
+        features = model.encode(key_params, batch.key_views.reshape(3 * b, -1))
         if cfg.use_inter:
-            q_inter = model.project(query_params, "inter", query_feat)
-            p_inter = model.project(key_params, "inter", key_feats)
-            out["inter"] = losses.loss_inter(q_inter, p_inter[0], p_inter[1], p_inter[2],
-                                             inter_negatives, cfg.temperature)
-            enqueue["inter"] = p_inter
+            out["inter"] = model.project(key_params, "inter", features).reshape(b, 3, -1)
         if cfg.use_intra:
-            q_intra = model.project(query_params, "intra", query_feat)
-            p_intra = model.project(key_params, "intra", key_feats)
-            out["intra"] = losses.loss_intra(q_intra, p_intra[0], p_intra[1], p_intra[2],
-                                             cfg.temperature)
+            out["intra"] = model.project(key_params, "intra", features).reshape(b, 3, -1)
+    key_order = cfg.use_order and cfg.order_positive_uses_key
+    if cfg.use_segment or key_order:
+        features = model.encode(key_params, batch.positives.reshape(b * k, -1))
+        if cfg.use_segment:
+            out["segment"] = model.segment_embedding(key_params, features, k)
+        if key_order:
+            out["order"] = model.order_embedding(key_params, features, cfg.model_config())
+    return out
+
+
+def batch_losses(query_params, targets, batch: Batch, inter_negatives, segment_negatives,
+                 cfg: TrainConfig):
+    """Batch-mean loss terms of the enabled objectives, as one graph.
+
+    query_params may be tape Vars (training) or plain arrays; targets come
+    from key_targets and stay constants, so nothing on the key side ever
+    receives gradient. Every frame the query side sees goes through one
+    encoder pass; each head then runs once over all of its rows.
+    """
+    b, k = len(batch), cfg.segments
+    blocks = {}
+    if cfg.use_inter or cfg.use_intra:
+        blocks["frame"] = batch.frame_anchors
+    if cfg.use_segment or cfg.use_order:
+        blocks["anchor"] = batch.anchors.reshape(b * k, -1)
+    if cfg.use_order and not cfg.order_positive_uses_key:
+        blocks["positive"] = batch.positives.reshape(b * k, -1)
+    features = model.encode(query_params, np.concatenate(list(blocks.values())))
+    feats = {}
+    start = 0
+    for name, rows in blocks.items():
+        feats[name] = nm.slice_rows(features, start, start + len(rows))
+        start += len(rows)
+
+    out = {}
+    if cfg.use_inter:
+        query = model.project(query_params, "inter", feats["frame"])
+        p = targets["inter"]
+        out["inter"] = losses.loss_inter(query, p[:, 0], p[:, 1], p[:, 2], inter_negatives,
+                                         cfg.temperature)
+    if cfg.use_intra:
+        query = model.project(query_params, "intra", feats["frame"])
+        p = targets["intra"]
+        out["intra"] = losses.loss_intra(query, p[:, 0], p[:, 1], p[:, 2], cfg.temperature)
     if cfg.use_segment:
-        q_tuple = model.tuple_embedding(query_params, anchor)
-        p_tuple = model.tuple_embedding(key_params, positive)
-        out["segment"] = losses.loss_segment(q_tuple, p_tuple, segment_negatives,
+        query = model.segment_embedding(query_params, feats["anchor"], k)
+        out["segment"] = losses.loss_segment(query, targets["segment"], segment_negatives,
                                              cfg.temperature)
-        enqueue["segment"] = p_tuple[None, :]
     if cfg.use_order:
-        logits = model.order_logits(query_params, key_params, anchor, positive, mcfg)
-        out["order"] = losses.loss_order(logits, item.pair.order_label)
-    return out, enqueue
+        mcfg = cfg.model_config()
+        positive = (targets["order"] if cfg.order_positive_uses_key
+                    else model.order_embedding(query_params, feats["positive"], mcfg))
+        logits = model.order_classifier(
+            query_params, model.order_embedding(query_params, feats["anchor"], mcfg), positive)
+        out["order"] = losses.loss_order(logits, batch.order_labels)
+    return out
 
 
-def train_step(state: TrainState, batch, cfg: TrainConfig):
+def _sum_terms(terms):
+    total = None
+    for term in terms.values():
+        total = term if total is None else nm.add(total, term)
+    return total
+
+
+def _float(x):
+    return float(x.value if isinstance(x, nm.Var) else x)
+
+
+def train_step(state: TrainState, batch: Batch, cfg: TrainConfig):
     """One optimizer step over a batch of samples.
 
     Losses are computed against the bank state from before this step; the
-    order within the step is backward, SGD on the query side, momentum update
-    of the key side, then enqueue of this step's key embeddings.
+    order within the step is the key side, the query graph and its backward,
+    SGD on the query side, momentum update of the key side, then enqueue of
+    this step's key embeddings.
     """
-    if not batch:
+    if not len(batch):
         raise ValueError("batch must be nonempty")
     lr = cosine_lr(state.step, state.total_steps, cfg.learning_rate)
     inter_negatives = state.bank_inter.negatives_view() if cfg.use_inter else None
     segment_negatives = state.bank_segment.negatives_view() if cfg.use_segment else None
 
+    targets = key_targets(state.key, batch, cfg)
     query_vars = model.as_vars(state.query)
-    totals = []
-    sums = {name: 0.0 for name in LOSS_NAMES}
-    pending = {"inter": [], "segment": []}
-    for item in batch:
-        terms, enqueue = sample_losses(query_vars, state.key, item,
-                                       inter_negatives, segment_negatives, cfg)
-        item_total = None
-        for name, term in terms.items():
-            sums[name] += float(term.value if isinstance(term, nm.Var) else term)
-            item_total = term if item_total is None else nm.add(item_total, term)
-        totals.append(item_total)
-        for bank_name, rows in enqueue.items():
-            pending[bank_name].append(rows)
-
-    batch_loss = nm.scale(nm.sum_all(nm.concat(totals)), 1.0 / len(batch))
+    terms = batch_losses(query_vars, targets, batch, inter_negatives, segment_negatives, cfg)
+    batch_loss = _sum_terms(terms)
     if isinstance(batch_loss, nm.Var):
         batch_loss.backward()
     # an all-constant loss (e.g. bank-backed losses before the first enqueue)
@@ -328,17 +360,15 @@ def train_step(state: TrainState, batch, cfg: TrainConfig):
         state.query[name] = state.query[name] - lr * state.velocity[name]
 
     state.key = model.momentum_update(state.key, state.query, cfg.key_momentum)
-    if cfg.use_inter and pending["inter"]:
-        state.bank_inter.enqueue(np.vstack(pending["inter"]))
-    if cfg.use_segment and pending["segment"]:
-        state.bank_segment.enqueue(np.vstack(pending["segment"]))
+    if cfg.use_inter:
+        state.bank_inter.enqueue(targets["inter"].reshape(-1, cfg.embed_dim))
+    if cfg.use_segment:
+        state.bank_segment.enqueue(targets["segment"])
     state.step += 1
 
-    metrics = {"lr": lr,
-               "loss_total": float(batch_loss.value if isinstance(batch_loss, nm.Var)
-                                   else batch_loss)}
+    metrics = {"lr": lr, "loss_total": _float(batch_loss)}
     for name in LOSS_NAMES:
-        metrics[f"loss_{name}"] = sums[name] / len(batch)
+        metrics[f"loss_{name}"] = _float(terms[name]) if name in terms else 0.0
     return metrics
 
 
@@ -429,11 +459,14 @@ def _unit_rows(rng, n, d):
 
 
 def gradient_suite(cfg: TrainConfig, n_seeds=10, probes_per_param=4, step=1e-5, tol=1e-4):
-    """Check analytic gradients of every loss term and their sum against
-    central finite differences, at random inits over `n_seeds` seeds.
+    """Check analytic gradients of every batched loss term and their sum
+    against central finite differences, at random inits over `n_seeds` seeds.
 
-    Probes `probes_per_param` random coordinates of every query-side
-    parameter array. Returns a list of (loss_name, seed, report).
+    Each seed checks a batch of two items from videos of two classes against
+    one shared pair of banks; the key side is computed once per seed, outside
+    the checked function. Probes `probes_per_param` random coordinates of
+    every query-side parameter array. Returns a list of (loss_name, seed,
+    report).
     """
     results = []
     single = {name: replace(cfg, use_inter=name == "inter", use_intra=name == "intra",
@@ -445,23 +478,22 @@ def gradient_suite(cfg: TrainConfig, n_seeds=10, probes_per_param=4, step=1e-5, 
         mcfg = cfg.model_config()
         query = model.init_params(mcfg, rng)
         key = model.init_params(mcfg, rng)
-        video = synth.generate_video(cfg.dataset, seed % cfg.dataset.classes, 0)
-        item = make_batch_item(video, everything,
-                               np.random.SeedSequence([cfg.seed, STREAM_GRADCHECK, seed, 1]))
+        batch = _stack_items([
+            _draw_item(synth.generate_video(cfg.dataset, (seed + slot) % cfg.dataset.classes, 0),
+                       everything,
+                       np.random.SeedSequence([cfg.seed, STREAM_GRADCHECK, seed, 1, slot]))
+            for slot in range(2)
+        ], everything)
         inter_negatives = _unit_rows(rng, 16, cfg.embed_dim)
         segment_negatives = _unit_rows(rng, 16, cfg.embed_dim)
+        targets = key_targets(key, batch, everything)
         names = list(query)
         arrays = [query[n] for n in names]
 
         def run(loss_name, loss_cfg):
             def f(*vars_):
-                query_vars = dict(zip(names, vars_))
-                terms, _ = sample_losses(query_vars, key, item, inter_negatives,
-                                         segment_negatives, loss_cfg)
-                total = None
-                for term in terms.values():
-                    total = term if total is None else nm.add(total, term)
-                return total
+                return _sum_terms(batch_losses(dict(zip(names, vars_)), targets, batch,
+                                               inter_negatives, segment_negatives, loss_cfg))
 
             report = nm.grad_check(f, arrays, step=step, tol=tol,
                                    max_coords_per_input=probes_per_param,

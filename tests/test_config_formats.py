@@ -141,3 +141,27 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     formats.atomic_write_bytes(path, b"payload")
     assert path.read_bytes() == b"payload"
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+@pytest.mark.parametrize("reader, magic", [
+    (formats.read_checkpoint, formats.CHECKPOINT_MAGIC),
+    (formats.read_dataset, formats.DATASET_MAGIC),
+], ids=["checkpoint", "dataset"])
+@pytest.mark.parametrize("tail", [b"", b"#config-begin\n#config-end\n", b"#payload 0"],
+                         ids=["no_header", "no_payload_line", "unterminated_payload_line"])
+def test_missing_payload_line_rejected(tmp_path, reader, magic, tail):
+    path = tmp_path / "broken.bin"
+    path.write_bytes(magic.encode() + b"\n" + tail)
+    with pytest.raises(formats.ArtifactError, match="broken.bin.*#payload"):
+        reader(path)
+
+
+def test_dataset_unknown_split_rejected(tmp_path):
+    spec = synth.DatasetSpec(classes=2, videos_per_class=3, frames=5, seed=4)
+    path = tmp_path / "videos.ds"
+    formats.write_dataset(path, spec, *synth.generate_dataset(spec))
+    blob = path.read_bytes()
+    first = blob.index(b" train ")
+    path.write_bytes(blob[:first] + b" valid " + blob[first + len(b" train "):])
+    with pytest.raises(formats.ArtifactError, match="videos.ds.*split 'valid'"):
+        formats.read_dataset(path)

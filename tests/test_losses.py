@@ -156,11 +156,6 @@ def test_loss_order_oracle_and_label_validation():
         losses.loss_order(logits, 4)
 
 
-def test_total_loss_is_plain_sum():
-    assert float(losses.total_loss(1.0, 2.0, 3.0, 4.0)) == 10.0
-    assert float(losses.total_loss(0.0, 0.0, 2.5, 0.0)) == 2.5
-
-
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
     negs = unit_rows(rng, 5)
@@ -175,13 +170,11 @@ def test_gradients_match_finite_differences():
         return losses.loss_intra(q, p, a, b, 0.07)
 
     def f_total(q, p1, p2, p3):
-        return losses.total_loss(
-            losses.loss_inter(q, p1, p2, p3, negs, 0.07),
-            losses.loss_intra(q, p1, p2, p3, 0.07),
-            losses.loss_segment(q, p1, negs, 0.07),
-            losses.loss_order(nm.concat([nm.dot(q, p1), nm.dot(q, p2), nm.dot(q, p3),
-                                         nm.dot(p2, p3)]), 1),
-        )
+        total = nm.add(losses.loss_inter(q, p1, p2, p3, negs, 0.07),
+                       losses.loss_intra(q, p1, p2, p3, 0.07))
+        total = nm.add(total, losses.loss_segment(q, p1, negs, 0.07))
+        return nm.add(total, losses.loss_order(
+            nm.concat([nm.dot(q, p1), nm.dot(q, p2), nm.dot(q, p3), nm.dot(p2, p3)]), 1))
 
     for seed in range(10):
         r = np.random.default_rng(seed)
@@ -203,3 +196,43 @@ def test_sum_gradient_equals_gradient_of_parts():
     _, g_a = nm.forward_backward(lambda qv: losses.info_nce(qv, p, negs, 0.1), [q])
     _, g_b = nm.forward_backward(lambda qv: losses.loss_segment(qv, p, negs, 0.1), [q])
     assert np.allclose(g_sum[0], g_a[0] + g_b[0], atol=1e-12)
+
+
+def test_batched_losses_are_means_of_per_row_losses():
+    rng = np.random.default_rng(13)
+    b = 5
+    q, p1, p2, p3 = (unit_rows(rng, b) for _ in range(4))
+    negs = unit_rows(rng, 12)
+    cases = [
+        (losses.info_nce(q, p1, negs, 0.07),
+         [nce_oracle(q[i], p1[i], negs, 0.07) for i in range(b)]),
+        (losses.loss_segment(q, p2, negs, 0.2),
+         [nce_oracle(q[i], p2[i], negs, 0.2) for i in range(b)]),
+        (losses.loss_inter(q, p1, p2, p3, negs, 0.07),
+         [np.mean([nce_oracle(q[i], p[i], negs, 0.07) for p in (p1, p2, p3)]) for i in range(b)]),
+        (losses.loss_intra(q, p1, p2, p3, 0.07),
+         [nce_oracle(q[i], p1[i], np.stack([p2[i], p3[i]]), 0.07) for i in range(b)]),
+    ]
+    for batched, per_row in cases:
+        assert abs(float(batched) - np.mean(per_row)) < 1e-10
+    logits = rng.normal(size=(b, 4))
+    labels = np.array([0, 3, 2, 1, 3])
+    per_row = [float(losses.loss_order(logits[i], labels[i])) for i in range(b)]
+    assert abs(float(losses.loss_order(logits, labels)) - np.mean(per_row)) < 1e-12
+    assert losses.loss_inter(q, p1, p2, p3, np.zeros((0, 8)), 0.07) == 0.0
+    with pytest.raises(ValueError):
+        losses.loss_order(logits, np.array([0, 4, 0, 0, 0]))
+
+
+def test_batched_loss_gradients_match_finite_differences():
+    rng = np.random.default_rng(14)
+    negs = unit_rows(rng, 6)
+    q, p1, p2, p3 = (unit_rows(rng, 3) for _ in range(4))
+
+    def f(qv, a, b, c):
+        total = nm.add(losses.loss_inter(qv, a, b, c, negs, 0.1),
+                       losses.loss_intra(qv, a, b, c, 0.1))
+        return nm.add(total, losses.loss_segment(qv, b, negs, 0.1))
+
+    report = nm.grad_check(f, [q, p1, p2, p3], step=1e-5, tol=1e-4)
+    assert report.passed, str(report)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -116,25 +117,36 @@ def test_tuple_embedding_matches_oracle():
     assert np.allclose(model.tuple_embedding(params, frames), expected, atol=1e-10)
 
 
+def test_segment_embedding_rows_are_tuple_embeddings():
+    params = params_for(15)
+    rng = np.random.default_rng(16)
+    tuples = rng.uniform(size=(4, 3, CFG.frame_pixels))
+    features = model.encode(params, tuples.reshape(12, -1))
+    batched = model.segment_embedding(params, features, 3)
+    assert batched.shape == (4, CFG.embed_dim)
+    for row, frames in zip(batched, tuples):
+        assert np.allclose(row, model.tuple_embedding(params, frames), rtol=0, atol=1e-12)
+
+
 def test_order_logits_zero_classifier_gives_zero():
     params = params_for(15)
     params["order_clf.weight"] = np.zeros_like(params["order_clf.weight"])
     params["order_clf.bias"] = np.zeros_like(params["order_clf.bias"])
     rng = np.random.default_rng(16)
-    anchor = rng.uniform(size=(3, CFG.frame_pixels))
-    positive = rng.uniform(size=(3, CFG.frame_pixels))
+    anchor = rng.uniform(size=(2, 3, CFG.frame_pixels))
+    positive = rng.uniform(size=(2, 3, CFG.frame_pixels))
     out = model.order_logits(params, params_for(17), anchor, positive, CFG)
-    assert np.array_equal(out, np.zeros(4))
+    assert np.array_equal(out, np.zeros((2, 4)))
 
 
 def test_order_logits_sensitive_to_frame_order():
     query = params_for(18)
     key = params_for(19)
     rng = np.random.default_rng(20)
-    anchor = rng.uniform(size=(3, CFG.frame_pixels))
-    positive = rng.uniform(size=(3, CFG.frame_pixels))
+    anchor = rng.uniform(size=(1, 3, CFG.frame_pixels))
+    positive = rng.uniform(size=(1, 3, CFG.frame_pixels))
     base = model.order_logits(query, key, anchor, positive, CFG)
-    permuted = model.order_logits(query, key, anchor[[1, 0, 2]], positive, CFG)
+    permuted = model.order_logits(query, key, anchor[:, [1, 0, 2]], positive, CFG)
     assert not np.allclose(base, permuted)
 
 
@@ -142,8 +154,8 @@ def test_order_logits_matches_oracle():
     query = params_for(21)
     key = params_for(22)
     rng = np.random.default_rng(23)
-    anchor = rng.uniform(size=(3, CFG.frame_pixels))
-    positive = rng.uniform(size=(3, CFG.frame_pixels))
+    anchor = rng.uniform(size=(4, 3, CFG.frame_pixels))
+    positive = rng.uniform(size=(4, 3, CFG.frame_pixels))
 
     def side(params, frames):
         rows = []
@@ -155,7 +167,8 @@ def test_order_logits_matches_oracle():
             rows.append(emb / np.linalg.norm(emb))
         return np.concatenate(rows)
 
-    joint = np.concatenate([side(query, anchor), side(key, positive)])
+    joint = np.stack([np.concatenate([side(query, a), side(key, p)])
+                      for a, p in zip(anchor, positive)])
     expected = joint @ query["order_clf.weight"] + query["order_clf.bias"]
     assert np.allclose(model.order_logits(query, key, anchor, positive, CFG), expected, atol=1e-10)
 
@@ -164,10 +177,40 @@ def test_order_logits_width_mismatch_errors():
     query = params_for(24)
     key = params_for(25)
     rng = np.random.default_rng(26)
-    anchor = rng.uniform(size=(2, CFG.frame_pixels))  # K=2 against a K=3 classifier
-    positive = rng.uniform(size=(2, CFG.frame_pixels))
+    anchor = rng.uniform(size=(1, 2, CFG.frame_pixels))  # K=2 against a K=3 classifier
+    positive = rng.uniform(size=(1, 2, CFG.frame_pixels))
     with pytest.raises(nm.ShapeMismatchError):
         model.order_logits(query, key, anchor, positive, CFG)
+
+
+def test_order_logits_unnormalized_and_query_positive():
+    query = params_for(37)
+    key = params_for(38)
+    rng = np.random.default_rng(39)
+    anchor = rng.uniform(size=(2, 3, CFG.frame_pixels))
+    positive = rng.uniform(size=(2, 3, CFG.frame_pixels))
+    raw = dataclasses.replace(CFG, normalize_order_embeddings=False)
+    query_side = dataclasses.replace(CFG, order_positive_uses_key=False)
+
+    def side(params, frames, normalize):
+        emb = np.stack([oracle_project(params, "order", oracle_encode(params, f))
+                        if normalize else _raw_order(params, f) for f in frames])
+        return emb.reshape(-1)
+
+    for cfg, positive_params in ((raw, key), (query_side, query)):
+        joint = np.stack([np.concatenate([side(query, a, cfg.normalize_order_embeddings),
+                                          side(positive_params, p,
+                                               cfg.normalize_order_embeddings)])
+                          for a, p in zip(anchor, positive)])
+        expected = joint @ query["order_clf.weight"] + query["order_clf.bias"]
+        assert np.allclose(model.order_logits(query, key, anchor, positive, cfg), expected,
+                           atol=1e-10)
+
+
+def _raw_order(params, frame):
+    hidden = np.maximum(oracle_encode(params, frame) @ params["head_order.fc1.weight"]
+                        + params["head_order.fc1.bias"], 0.0)
+    return hidden @ params["head_order.fc2.weight"] + params["head_order.fc2.bias"]
 
 
 def test_momentum_endpoints():

@@ -4,6 +4,12 @@ import pytest
 from vidseg import numerics as nm
 
 
+def total(a):
+    """Sum of all entries of a as a scalar: dot of the flattened values with ones."""
+    flat = nm.reshape(a, (-1,))
+    return nm.dot(flat, np.ones(flat.shape))
+
+
 def test_quadratic_value_and_grad():
     # f(x) = sum(x*x) = dot(x, x)
     value, grads = nm.forward_backward(lambda x: nm.dot(x, x), [np.array([1.0, 2.0])])
@@ -12,13 +18,13 @@ def test_quadratic_value_and_grad():
 
 
 def test_relu_sum_value_and_grad():
-    value, grads = nm.forward_backward(lambda x: nm.sum_all(nm.relu(x)), [np.array([-1.0, 3.0])])
+    value, grads = nm.forward_backward(lambda x: total(nm.relu(x)), [np.array([-1.0, 3.0])])
     assert value == 3.0
     assert np.array_equal(grads[0], np.array([0.0, 1.0]))
 
 
 def test_relu_grad_at_zero_is_zero():
-    _, grads = nm.forward_backward(lambda x: nm.sum_all(nm.relu(x)), [np.array([0.0])])
+    _, grads = nm.forward_backward(lambda x: total(nm.relu(x)), [np.array([0.0])])
     assert grads[0][0] == 0.0
 
 
@@ -47,9 +53,9 @@ def test_grad_check_linear_is_exact():
 
 
 def test_grad_check_exp_like_at_zero():
-    # logsumexp of a single logit is the identity; use exp via logsumexp pair
+    # log(e^x + e^2x) - x has slope 1/2 at zero and curvature on both sides
     def f(x):
-        return nm.logsumexp(nm.concat([x, nm.scale(x, 1.0)]))
+        return nm.softmax_cross_entropy(nm.concat([x, nm.scale(x, 2.0)]), 0)
 
     report = nm.grad_check(f, [np.array([0.0])], step=1e-5, tol=1e-9)
     assert report.passed, str(report)
@@ -58,7 +64,7 @@ def test_grad_check_exp_like_at_zero():
 def test_grad_check_resamples_relu_kink():
     # place a coordinate exactly on the kink: plain FD would disagree there
     def f(x):
-        return nm.sum_all(nm.relu(x))
+        return total(nm.relu(x))
 
     report = nm.grad_check(f, [np.array([0.0, 1.0])], step=1e-5, tol=1e-6,
                            rng=np.random.default_rng(3))
@@ -87,7 +93,7 @@ def test_grads_match_input_shapes():
     b = rng.normal(size=(4, 2))
 
     def f(av, bv):
-        return nm.sum_all(nm.relu(nm.matmul(av, bv)))
+        return total(nm.relu(nm.matmul(av, bv)))
 
     _, grads = nm.forward_backward(f, [a, b])
     assert grads[0].shape == a.shape
@@ -174,7 +180,7 @@ def test_concat_and_stack_grads():
 
     def f(av, bv):
         flat = nm.concat([av, bv])
-        stacked = nm.stack_rows([av, bv])
+        stacked = nm.reshape(flat, (2, 3))
         return nm.add(nm.dot(flat, w), nm.dot(nm.mean_rows(stacked), w2))
 
     report = nm.grad_check(f, [a, b], step=1e-5, tol=1e-8)
@@ -187,23 +193,110 @@ def test_concat_accepts_scalars():
     assert np.array_equal(out, [2.0, 1.0, 2.0])
 
 
-def test_flatten_round_trip_gradient():
+def test_concat_columns_values_and_gradient():
+    rng = np.random.default_rng(19)
+    col = rng.normal(size=4)
+    block = rng.normal(size=(4, 3))
+    out = nm.concat([col, block, col])
+    assert np.array_equal(out, np.column_stack([col, block, col]))
+    assert nm.concat([block, block]).shape == (4, 6)
+    w = rng.normal(size=(4, 5))
+
+    def f(c, m):
+        return total(nm.relu(nm.add(nm.concat([c, m, nm.scale(c, 2.0)]), w)))
+
+    report = nm.grad_check(f, [col, block], step=1e-5, tol=1e-8)
+    assert report.passed, str(report)
+    with pytest.raises(nm.ShapeMismatchError):
+        nm.concat([np.zeros(3), np.zeros((4, 2))])
+
+
+def test_reshape_round_trip_gradient():
     rng = np.random.default_rng(23)
     x = rng.normal(size=(2, 3))
     w = rng.normal(size=6)
-    report = nm.grad_check(lambda a: nm.dot(nm.flatten(a), w), [x], step=1e-5, tol=1e-8)
+    report = nm.grad_check(lambda a: nm.dot(nm.reshape(a, (-1,)), w), [x], step=1e-5, tol=1e-8)
+    assert report.passed, str(report)
+    with pytest.raises(nm.ShapeMismatchError) as err:
+        nm.reshape(x, (4, -1))
+    assert err.value.op == "reshape"
+
+
+def test_dot_rows_values_and_gradient():
+    rng = np.random.default_rng(25)
+    a = rng.normal(size=(5, 4))
+    b = rng.normal(size=(5, 4))
+    out = nm.dot(a, b)
+    assert out.shape == (5,)
+    assert np.allclose(out, [ra @ rb for ra, rb in zip(a, b)], atol=1e-14)
+    w = rng.normal(size=5)
+    report = nm.grad_check(lambda x, y: nm.dot(nm.dot(x, y), w), [a, b], step=1e-5, tol=1e-8)
+    assert report.passed, str(report)
+    with pytest.raises(nm.ShapeMismatchError):
+        nm.dot(a, b[:, :3])
+
+
+def test_mean_rows_batched_is_per_item_bit_exact():
+    rng = np.random.default_rng(27)
+    x = rng.normal(size=(4, 3, 6))
+    out = nm.mean_rows(x)
+    for item in range(4):
+        assert out[item].tobytes() == nm.mean_rows(x[item]).tobytes()
+        assert nm.mean_rows(x[:, [2, 0, 1]])[item].tobytes() == out[item].tobytes()
+    w = rng.normal(size=(4, 6))
+    report = nm.grad_check(lambda a: total(nm.relu(nm.add(nm.mean_rows(a), w))), [x],
+                           step=1e-5, tol=1e-8)
     assert report.passed, str(report)
 
 
-def test_logsumexp_matches_naive():
+def test_slice_rows_gradient_and_full_slice():
     rng = np.random.default_rng(29)
-    v = rng.normal(size=9) * 5
-    assert abs(float(nm.logsumexp(v)) - np.log(np.exp(v).sum())) < 1e-12
+    x = rng.normal(size=(6, 3))
+    w = rng.normal(size=(2, 3))
+
+    def f(a):
+        top = nm.slice_rows(a, 1, 3)
+        return nm.add(total(nm.relu(nm.add(top, w))), total(nm.slice_rows(a, 4, 6)))
+
+    report = nm.grad_check(f, [x], step=1e-5, tol=1e-8)
+    assert report.passed, str(report)
+    var = nm.Var(x)
+    assert nm.slice_rows(var, 0, 6) is var
+    with pytest.raises(nm.ShapeMismatchError):
+        nm.slice_rows(x, 2, 7)
 
 
-def test_logsumexp_is_stable():
-    v = np.array([1000.0, 1000.0])
-    assert abs(float(nm.logsumexp(v)) - (1000.0 + np.log(2.0))) < 1e-9
+def naive_cross_entropy(logits, labels):
+    probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    return float(np.mean(-np.log(probs[np.arange(len(labels)), labels])))
+
+
+def test_softmax_cross_entropy_matches_naive():
+    rng = np.random.default_rng(31)
+    logits = rng.normal(size=(6, 9)) * 5
+    labels = rng.integers(0, 9, size=6)
+    assert abs(float(nm.softmax_cross_entropy(logits, labels))
+               - naive_cross_entropy(logits, labels)) < 1e-12
+    # a vector with one label is a batch of one
+    assert float(nm.softmax_cross_entropy(logits[2], labels[2])) == pytest.approx(
+        naive_cross_entropy(logits[2:3], labels[2:3]), abs=1e-12)
+
+
+def test_softmax_cross_entropy_is_stable():
+    rows = np.array([[1000.0, 1000.0], [-1000.0, -1000.0]])
+    assert abs(float(nm.softmax_cross_entropy(rows, [0, 1])) - np.log(2.0)) < 1e-12
+
+
+def test_softmax_cross_entropy_label_vector_gradient():
+    rng = np.random.default_rng(37)
+    logits = rng.normal(size=(5, 4))
+    labels = np.array([0, 3, 1, 1, 2])
+    w = rng.normal(size=(4, 4))
+    report = nm.grad_check(lambda x: nm.softmax_cross_entropy(nm.matmul(x, w), labels),
+                           [logits], step=1e-5, tol=1e-8)
+    assert report.passed, str(report)
+    with pytest.raises(nm.ShapeMismatchError):
+        nm.softmax_cross_entropy(logits, labels[:3])
 
 
 def test_softmax_cross_entropy_label_out_of_range():
@@ -222,7 +315,7 @@ def test_ops_are_deterministic():
             nm.matmul(a, b).tobytes(),
             nm.mean_rows(a).tobytes(),
             nm.l2_normalize(a).tobytes(),
-            np.asarray(nm.logsumexp(v)).tobytes(),
+            np.asarray(nm.softmax_cross_entropy(v, 3)).tobytes(),
         ))
     assert runs[0] == runs[1]
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from test_sampling import reference_augment_frame
 
-from vidseg import sampling, synth, trainer
+from vidseg import model, sampling, synth, trainer
+from vidseg import numerics as nm
 from vidseg.trainer import TrainConfig
 
 
@@ -188,7 +189,8 @@ def reference_view(video, k, rng, share_augment):
 
 
 def reference_batch_item(video, cfg, seed_seq):
-    """make_batch_item one frame at a time, drawing and augmenting interleaved."""
+    """One batch item one frame at a time, drawing and augmenting interleaved:
+    the item's rows of each Batch array, frames flattened."""
     pair_rng, frame_rng = [np.random.default_rng(s) for s in seed_seq.spawn(2)]
     k = cfg.segments
     rng_anchor, rng_positive, rng_shuffle = pair_rng.spawn(3)
@@ -197,12 +199,10 @@ def reference_batch_item(video, cfg, seed_seq):
     shuffle_anchor, shuffle_positive, label = sampling.assign_order_label(rng_shuffle)
     if shuffle_anchor:
         perm = sampling.non_identity_permutation(k, rng_shuffle)
-        a_idx, a_frames, a_aug = a_idx[perm], a_frames[perm], tuple(a_aug[i] for i in perm)
+        a_idx, a_frames = a_idx[perm], a_frames[perm]
     if shuffle_positive:
         perm = sampling.non_identity_permutation(k, rng_shuffle)
-        p_idx, p_frames, p_aug = p_idx[perm], p_frames[perm], tuple(p_aug[i] for i in perm)
-    pair = sampling.TuplePair(video.id, a_idx, a_frames, a_aug, p_idx, p_frames, p_aug,
-                              shuffle_anchor, shuffle_positive, label)
+        p_frames = p_frames[perm]
     height, width = video.frames.shape[1:]
 
     def fresh(frame):
@@ -211,14 +211,17 @@ def reference_batch_item(video, cfg, seed_seq):
     if cfg.frame_source == "uniform":
         picks = frame_rng.integers(0, video.frames.shape[0], size=3)
         base = video.frames[picks[0]]
-        others = np.stack([fresh(video.frames[picks[1]]), fresh(video.frames[picks[2]])])
+        others = [fresh(video.frames[picks[1]]), fresh(video.frames[picks[2]])]
     else:
         segment_order = np.argsort(a_idx)
         base = sampling.frame_at(video, a_idx[segment_order[0]])
-        others = np.stack([a_frames[segment_order[1 % k]], a_frames[segment_order[2 % k]]])
+        others = [a_frames[segment_order[1 % k]], a_frames[segment_order[2 % k]]]
     frame_anchor = fresh(base)
     frame_positive = fresh(base)
-    return trainer.BatchItem(pair, frame_anchor, frame_positive, others)
+    return {"anchors": a_frames.reshape(k, -1), "positives": p_frames.reshape(k, -1),
+            "frame_anchors": frame_anchor.reshape(-1),
+            "key_views": np.stack([frame_positive, *others]).reshape(3, -1),
+            "order_labels": np.array(label)}
 
 
 @pytest.mark.parametrize("variant", [{}, {"frame_source": "uniform"},
@@ -241,16 +244,169 @@ def test_assemble_batch_matches_per_frame_reference(variant, monkeypatch):
         batch = trainer.assemble_batch(train_videos, indices, cfg, epoch, step)
         assert len(calls) == 1
         assert len(batch) == len(indices)
-        for slot, (v, item) in enumerate(zip(indices, batch)):
+        # the stacked arrays are views into the one augment_frames output
+        assert batch.anchors.base is not None
+        assert batch.positives.base is batch.anchors.base
+        assert batch.frame_anchors.base is batch.anchors.base
+        for slot, v in enumerate(indices):
             expected = reference_batch_item(
                 train_videos[int(v)], cfg,
                 np.random.SeedSequence([cfg.seed, trainer.STREAM_SAMPLE, epoch, step, slot]))
-            for name in ("frame_anchor", "frame_positive", "frame_others"):
-                got, want = getattr(item, name), getattr(expected, name)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
-            for field in dataclasses.fields(sampling.TuplePair):
-                got, want = getattr(item.pair, field.name), getattr(expected.pair, field.name)
-                if isinstance(want, np.ndarray):
-                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), field.name
-                else:
-                    assert got == want, field.name
+            for field in dataclasses.fields(trainer.Batch):
+                got, want = getattr(batch, field.name)[slot], expected[field.name]
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), field.name
+
+
+def reference_info_nce(query, positive, negatives, temperature):
+    """One sample's (M+1)-way cross-entropy, positive in slot 0."""
+    if negatives is None or negatives.shape[0] == 0:
+        return np.float64(0.0)
+    inv = 1.0 / temperature
+    pos = nm.scale(nm.dot(query, positive), inv)
+    neg = nm.scale(nm.matmul(negatives, query), inv)
+    return nm.softmax_cross_entropy(nm.concat([pos, neg]), 0)
+
+
+def reference_sample_losses(query_params, key_params, item, inter_negatives,
+                            segment_negatives, cfg):
+    """The per-sample objective the batched step replaced: one item's enabled
+    loss terms plus the key rows it enqueues, key side recomputed per item."""
+    anchor, positive = item["anchors"], item["positives"]
+    tau = cfg.temperature
+    out = {}
+    enqueue = {}
+    if cfg.use_inter or cfg.use_intra:
+        query_feat = model.encode(query_params, item["frame_anchors"])
+        key_feats = model.encode(key_params, item["key_views"])
+        if cfg.use_inter:
+            q = model.project(query_params, "inter", query_feat)
+            p = model.project(key_params, "inter", key_feats)
+            total = nm.add(nm.add(reference_info_nce(q, p[0], inter_negatives, tau),
+                                  reference_info_nce(q, p[1], inter_negatives, tau)),
+                           reference_info_nce(q, p[2], inter_negatives, tau))
+            out["inter"] = nm.scale(total, 1.0 / 3.0)
+            enqueue["inter"] = p
+        if cfg.use_intra:
+            q = model.project(query_params, "intra", query_feat)
+            p = model.project(key_params, "intra", key_feats)
+            out["intra"] = reference_info_nce(q, p[0], p[1:], tau)
+    if cfg.use_segment:
+        q = model.project(query_params, "segment",
+                          model.consensus(model.encode(query_params, anchor)))
+        p = model.project(key_params, "segment", model.consensus(model.encode(key_params, positive)))
+        out["segment"] = reference_info_nce(q, p, segment_negatives, tau)
+        enqueue["segment"] = p[None, :]
+    if cfg.use_order:
+        def per_frame(params, frames):
+            emb = model.head_mlp(params, "order", model.encode(params, frames))
+            return nm.l2_normalize(emb) if cfg.normalize_order_embeddings else emb
+
+        positive_params = key_params if cfg.order_positive_uses_key else query_params
+        joint = nm.concat([nm.reshape(per_frame(query_params, anchor), (-1,)),
+                           nm.reshape(per_frame(positive_params, positive), (-1,))])
+        logits = nm.add(nm.matmul(joint, query_params["order_clf.weight"]),
+                        query_params["order_clf.bias"])
+        out["order"] = nm.softmax_cross_entropy(logits, int(item["order_labels"]))
+    return out, enqueue
+
+
+def reference_batch_losses(query_params, key_params, batch, inter_negatives, segment_negatives,
+                           cfg):
+    """Per-term batch means, the batch loss and the bank rows of the
+    per-sample step: the batch loss is the mean of the per-item sums."""
+    totals = []
+    sums = {}
+    pending = {"inter": [], "segment": []}
+    for slot in range(len(batch)):
+        item = {f.name: getattr(batch, f.name)[slot] for f in dataclasses.fields(trainer.Batch)}
+        terms, enqueue = reference_sample_losses(query_params, key_params, item,
+                                                 inter_negatives, segment_negatives, cfg)
+        item_total = None
+        for name, term in terms.items():
+            sums[name] = sums.get(name, 0.0) + float(getattr(term, "value", term))
+            item_total = term if item_total is None else nm.add(item_total, term)
+        totals.append(item_total)
+        for bank_name, rows in enqueue.items():
+            pending[bank_name].append(rows)
+    batch_loss = nm.scale(nm.dot(nm.concat(totals), np.ones(len(totals))), 1.0 / len(batch))
+    return ({name: total / len(batch) for name, total in sums.items()}, batch_loss,
+            {name: np.vstack(rows) for name, rows in pending.items() if rows})
+
+
+def unit_rows(rng, n, d):
+    rows = rng.normal(size=(n, d))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def assert_relative(got, want, bound, what):
+    got, want = np.asarray(got), np.asarray(want)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= bound * scale, what
+
+
+@pytest.mark.parametrize("bank_rows", [0, 40], ids=["empty_bank", "partial_bank"])
+@pytest.mark.parametrize("variant", [
+    {}, {"frame_source": "uniform"}, {"share_tuple_augment": True, "segments": 4},
+    {"segments": 1}, {"segments": 2}, {"order_positive_uses_key": False},
+    {"normalize_order_embeddings": False},
+], ids=["criterion11", "uniform", "share_k4", "k1", "k2", "query_positive", "raw_order"])
+def test_batch_losses_match_per_sample_reference(variant, bank_rows):
+    spec = synth.DatasetSpec(classes=4, videos_per_class=6, frames=16, seed=11)
+    cfg = TrainConfig(dataset=spec, epochs=4, batch_size=8, bank_capacity=256,
+                      hidden_dim=32, feature_dim=16, embed_dim=8, seed=3, **variant)
+    train_videos, _ = synth.generate_dataset(spec)
+    batch = trainer.assemble_batch(train_videos, range(8), cfg, 1, 0)
+    state = trainer.init_state(cfg, total_steps=4)
+    rng = np.random.default_rng(bank_rows)
+    # a key side distinct from the query, so a positive from the wrong side shows
+    state.key = model.init_params(cfg.model_config(), rng)
+    state.bank_inter.enqueue(unit_rows(rng, bank_rows, cfg.embed_dim))
+    state.bank_segment.enqueue(unit_rows(rng, bank_rows // 2, cfg.embed_dim))
+    inter_negatives = state.bank_inter.negatives_view()
+    segment_negatives = state.bank_segment.negatives_view()
+
+    query_vars = model.as_vars(state.query)
+    targets = trainer.key_targets(state.key, batch, cfg)
+    terms = trainer.batch_losses(query_vars, targets, batch, inter_negatives, segment_negatives,
+                                 cfg)
+    reference_vars = model.as_vars(state.query)
+    means, reference_loss, rows = reference_batch_losses(
+        reference_vars, state.key, batch, inter_negatives, segment_negatives, cfg)
+    assert set(terms) == set(means) == set(trainer.LOSS_NAMES)
+    total = None
+    for name, term in terms.items():
+        value = float(getattr(term, "value", term))
+        assert_relative(value, means[name], 1e-12, name)
+        if bank_rows == 0 and name in ("inter", "segment"):
+            assert not isinstance(term, nm.Var) and value == 0.0
+        total = term if total is None else nm.add(total, term)
+    assert_relative(total.value, reference_loss.value, 1e-12, "total")
+    total.backward()
+    reference_loss.backward()
+    for name in state.query:
+        got, want = query_vars[name].grad, reference_vars[name].grad
+        assert (got is None) == (want is None), name
+        if want is not None:
+            assert_relative(got, want, 1e-12, name)
+
+    assert np.max(np.abs(targets["inter"].reshape(-1, cfg.embed_dim) - rows["inter"])) <= 1e-15
+    assert np.max(np.abs(targets["segment"] - rows["segment"])) <= 1e-15
+    # the step enqueues exactly these rows, after the old ones
+    trainer.train_step(state, batch, cfg)
+    fresh = 3 * len(batch)
+    assert state.bank_inter.negatives_view()[bank_rows:bank_rows + fresh].tobytes() == \
+        targets["inter"].reshape(-1, cfg.embed_dim).tobytes()
+    assert state.bank_segment.negatives_view()[bank_rows // 2:].tobytes() == \
+        targets["segment"].tobytes()
+
+
+def test_loss_total_is_sum_of_terms():
+    cfg = tiny_config()
+    train_videos, _ = synth.generate_dataset(cfg.dataset)
+    state = trainer.init_state(cfg, total_steps=4)
+    for s in range(2):
+        metrics = trainer.train_step(
+            state, trainer.assemble_batch(train_videos, range(4), cfg, 0, s), cfg)
+    parts = [metrics[f"loss_{name}"] for name in trainer.LOSS_NAMES]
+    assert all(part > 0.0 for part in parts)
+    assert metrics["loss_total"] == ((parts[0] + parts[1]) + parts[2]) + parts[3]
