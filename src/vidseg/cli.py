@@ -93,10 +93,8 @@ def cmd_probe(args):
     ckpt, flat, train_videos, test_videos = _load_checkpoint_for_eval(args.checkpoint,
                                                                       args.dataset)
     probe_cfg = config_mod.build_probe_config(flat)
-    train_table = evaluate.build_feature_table(ckpt.query, train_videos,
-                                               probe_cfg.frames, "train")
-    test_table = evaluate.build_feature_table(ckpt.query, test_videos,
-                                              probe_cfg.frames, "test")
+    train_table, test_table = evaluate.feature_tables(ckpt.query, train_videos, test_videos,
+                                                      probe_cfg.frames)
     accuracy = evaluate.linear_probe(train_table, test_table, probe_cfg)
     formats.write_csv(args.out, ("train_videos", "test_videos", "probe_accuracy"),
                       [[len(train_videos), len(test_videos), accuracy]])
@@ -109,8 +107,8 @@ def cmd_retrieve(args):
                                                                       args.dataset)
     probe_cfg = config_mod.build_probe_config(flat)
     retrieval_cfg = config_mod.build_retrieval_config(flat)
-    gallery = evaluate.build_feature_table(ckpt.query, train_videos, probe_cfg.frames, "train")
-    queries = evaluate.build_feature_table(ckpt.query, test_videos, probe_cfg.frames, "test")
+    gallery, queries = evaluate.feature_tables(ckpt.query, train_videos, test_videos,
+                                               probe_cfg.frames)
     recalls = evaluate.retrieval_recall(queries, gallery, retrieval_cfg.ks)
     formats.write_csv(args.out, ("k", "recall"),
                       [[k, recalls[k]] for k in sorted(recalls)])

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import model, sampling, synth, trainer
+from . import model, synth, trainer
 
 _EVAL_STREAM = 21
 
@@ -77,6 +77,12 @@ def build_feature_table(params, videos, n_frames, source=""):
         features=feats,
         source=source,
     )
+
+
+def feature_tables(params, train_videos, test_videos, n_frames):
+    """The train and test feature tables that probing and retrieval share."""
+    return (build_feature_table(params, train_videos, n_frames, "train"),
+            build_feature_table(params, test_videos, n_frames, "test"))
 
 
 def linear_probe(train: FeatureTable, test: FeatureTable, cfg: ProbeConfig):
@@ -152,25 +158,21 @@ def retrieval_recall(queries: FeatureTable, gallery: FeatureTable, ks):
 
 def order_prediction_accuracy(query_params, key_params, videos, cfg: trainer.TrainConfig,
                               n_samples=200, seed=0):
-    """Accuracy of the trained order classifier on freshly sampled pairs,
-    scored with one batched order_logits call."""
-    k = cfg.segments
-    pairs = [sampling.sample_tuple_pair(
-        videos[i % len(videos)], k,
-        np.random.default_rng(np.random.SeedSequence([seed, _EVAL_STREAM, i])),
-        share_augment=cfg.share_tuple_augment) for i in range(n_samples)]
-    anchors = np.stack([p.anchor_frames for p in pairs]).reshape(n_samples, k, -1)
-    positives = np.stack([p.positive_frames for p in pairs]).reshape(n_samples, k, -1)
-    logits = model.order_logits(query_params, key_params, anchors, positives, cfg.model_config())
-    labels = np.array([p.order_label for p in pairs])
-    return float(np.mean(np.argmax(logits, axis=1) == labels))
+    """Accuracy of the trained order classifier on n_samples freshly drawn
+    pairs (videos taken in turn), drawn from one stream and scored with one
+    batched order_logits call."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _EVAL_STREAM]))
+    batch = trainer.sample_batch([videos[i % len(videos)] for i in range(n_samples)], cfg, rng)
+    logits = model.order_logits(query_params, key_params, batch.anchors, batch.positives,
+                                cfg.model_config())
+    return float(np.mean(np.argmax(logits, axis=1) == batch.order_labels))
 
 
 def evaluate_encoder(query_params, key_params, train_videos, test_videos,
                      probe_cfg: ProbeConfig, retrieval_cfg: RetrievalConfig):
     """Shared protocol behind the ablation runner and the CLI commands."""
-    train_table = build_feature_table(query_params, train_videos, probe_cfg.frames, "train")
-    test_table = build_feature_table(query_params, test_videos, probe_cfg.frames, "test")
+    train_table, test_table = feature_tables(query_params, train_videos, test_videos,
+                                             probe_cfg.frames)
     accuracy = linear_probe(train_table, test_table, probe_cfg)
     recalls = retrieval_recall(test_table, train_table, retrieval_cfg.ks)
     return accuracy, recalls

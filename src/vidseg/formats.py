@@ -9,6 +9,7 @@ little-endian float32; the textual header carries a byte-offset manifest.
 from __future__ import annotations
 
 import io
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -59,8 +60,28 @@ def _shape_token(shape):
     return "x".join(str(s) for s in shape) if shape else "0"
 
 
-def _parse_shape(token):
-    return tuple(int(s) for s in token.split("x"))
+def _fields(line, count, path):
+    """The whitespace-separated fields of a manifest line, exactly count."""
+    fields = line.split()
+    if len(fields) != count:
+        raise ArtifactError(f"{path}: expected {count} fields in '{line}'")
+    return fields
+
+
+def _ints(tokens, path, line):
+    try:
+        return [int(token) for token in tokens]
+    except ValueError:
+        raise ArtifactError(f"{path}: non-integer field in '{line}'") from None
+
+
+def _payload_array(body, shape, offset, path, line):
+    """float64 copy of the float32 array of `shape` at `offset` in body."""
+    count = math.prod(shape)
+    if offset < 0 or min(shape) < 0 or offset + 4 * count > len(body):
+        raise ArtifactError(f"{path}: '{line}' runs past the {len(body)}-byte payload")
+    return np.frombuffer(body, dtype="<f4", count=count, offset=offset).reshape(shape) \
+        .astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +131,12 @@ def _split_header(blob, magic, path):
     newline = blob.find(b"\n", marker) if marker >= 0 else -1
     if newline < 0:
         raise ArtifactError(f"{path}: no complete '#payload' line")
-    lines = blob[:marker].decode("utf-8").splitlines()
-    declared = int(blob[marker:newline].decode("utf-8").split()[1])
+    try:
+        lines = blob[:marker].decode("utf-8").splitlines()
+        payload_line = blob[marker:newline].decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ArtifactError(f"{path}: header is not UTF-8 ({err.reason})") from None
+    (declared,) = _ints(_fields(payload_line, 2, path)[1:], path, payload_line)
     body = blob[newline + 1:]
     if len(body) != declared:
         raise ArtifactError(f"{path}: payload is {len(body)} bytes, header declares {declared}")
@@ -142,29 +167,27 @@ def read_checkpoint(path):
             config_flat, i = _parse_config_lines(lines, i + 1)
             continue
         if line.startswith("#param "):
-            _, full_name, shape_tok, offset = line.split()
-            shape = _parse_shape(shape_tok)
-            count = int(np.prod(shape))
-            arr = np.frombuffer(body, dtype="<f4", count=count, offset=int(offset))
-            arr = arr.reshape(shape).astype(np.float64)
+            _, full_name, shape_tok, offset = _fields(line, 4, path)
+            shape = tuple(_ints(shape_tok.split("x"), path, line))
+            (offset,) = _ints([offset], path, line)
             side, _, name = full_name.partition(".")
-            (query if side == "query" else key)[name] = arr
+            (query if side == "query" else key)[name] = _payload_array(body, shape, offset,
+                                                                      path, line)
         elif line.startswith("#bank "):
-            _, name, capacity, width, cursor, fill = line.split()[:6]
-            offset = int(line.split()[6])
-            capacity, width = int(capacity), int(width)
-            storage = np.frombuffer(body, dtype="<f4", count=capacity * width, offset=offset)
-            storage = storage.reshape(capacity, width).astype(np.float64)
-            fill = int(fill)
+            _, name, *numbers = _fields(line, 7, path)
+            capacity, width, cursor, fill, offset = _ints(numbers, path, line)
+            storage = _payload_array(body, (capacity, width), offset, path, line)
+            if not (0 <= fill <= capacity and 0 <= cursor < capacity):
+                raise ArtifactError(f"{path}: cursor or fill outside the bank in '{line}'")
             # float32 round-trip perturbs norms; restore exact unit rows
             if fill:
                 norms = np.linalg.norm(storage[:fill], axis=1, keepdims=True)
                 storage[:fill] = storage[:fill] / np.maximum(norms, 1e-30)
-            banks[name] = MemoryBank.from_state(storage, int(cursor), fill)
+            banks[name] = MemoryBank.from_state(storage, cursor, fill)
         elif line.startswith("#rng "):
             for token in line.split()[1:]:
                 k, _, v = token.partition("=")
-                rng_meta[k] = int(v)
+                (rng_meta[k],) = _ints([v], path, line)
         i += 1
     return Checkpoint(config_flat=config_flat, query=query, key=key, banks=banks,
                       rng_meta=rng_meta)
@@ -208,14 +231,14 @@ def read_dataset(path):
             spec_flat, i = _parse_config_lines(lines, i + 1)
             continue
         if line.startswith("#video "):
-            _, vid, class_id, split, w0, w1 = line.split()
+            _, vid, class_id, split, w0, w1 = _fields(line, 6, path)
             if split not in ("train", "test"):
                 raise ArtifactError(f"{path}: video {vid} has unknown split '{split}'")
-            manifest.append((int(vid), int(class_id), split, int(w0), int(w1)))
+            vid, class_id, w0, w1 = _ints((vid, class_id, w0, w1), path, line)
+            manifest.append((vid, class_id, split, w0, w1))
         i += 1
-    t = int(spec_flat["dataset.frames"])
-    h = int(spec_flat["dataset.height"])
-    w = int(spec_flat["dataset.width"])
+    t, h, w = _ints((spec_flat.get(f"dataset.{key}", "") for key in ("frames", "height", "width")),
+                    path, "#config dataset.frames/height/width")
     frame_bytes = t * h * w * 4
     if len(body) != frame_bytes * len(manifest):
         raise ArtifactError(f"{path}: payload does not match the video manifest")

@@ -1,14 +1,17 @@
-"""Segment-based tuple sampling, optional frame shuffling, 4-way order-label
-assignment, and augmentation.
+"""Segment-based tuple sampling, optional frame shuffling, 4-way order labels,
+and augmentation.
 
-Sampling draws every random choice first (indices, per-frame augmentation
-parameters, shuffles); augmentation consumes no randomness and is applied
-afterwards to a whole stack of frames at once, once per training batch."""
+A training step draws every random choice of its whole batch from one
+stream, one array call per field, before any frame is touched: segment
+indices, augmentation columns, shuffle flags and permutation ranks.
+Augmentation consumes no randomness; it is applied afterwards to the step's
+whole stack of frames at once."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,110 +23,115 @@ CONTRAST_RANGE = (0.8, 1.2)
 FLIP_PROBABILITY = 0.5
 BLUR_PROBABILITY = 0.5
 SHUFFLE_PROBABILITY = 0.5
+MAX_SHUFFLED_FRAMES = 20  # 20! - 1 is the largest rank an int64 holds
 
-# (anchor shuffled?, positive shuffled?) -> class; matches label = 2a + p
-ORDER_CLASSES = {
-    (False, False): 0,
-    (False, True): 1,
-    (True, False): 2,
-    (True, True): 3,
-}
+
+class AugParams(NamedTuple):
+    """Augmentation parameters, one column per field. Each column holds one
+    entry per frame in any shape (scalars for a single frame); applying them
+    is fully deterministic."""
+
+    crop_top: np.ndarray
+    crop_left: np.ndarray
+    crop_h: np.ndarray
+    crop_w: np.ndarray
+    flip: np.ndarray
+    brightness: np.ndarray
+    contrast: np.ndarray
+    blur: np.ndarray
 
 
 @dataclass(frozen=True)
-class AugParams:
-    """One frame's augmentation draw. Applying it is fully deterministic."""
+class TupleDraw:
+    """Anchor and positive K-frame tuples of B videos, tuple 0 the anchor.
 
-    crop_top: int
-    crop_left: int
-    crop_h: int
-    crop_w: int
-    flip: bool
-    brightness: float
-    contrast: float
-    blur: bool
-
-
-@dataclass
-class TuplePair:
-    """Anchor and positive K-frame tuples sampled from one video.
-
-    Indices are the sampled timeline positions (on the tiled timeline when
-    T < K; resolve frames with index % T). When a shuffle flag is set the
-    corresponding indices/frames/aug records carry a non-identity permutation,
-    otherwise they are strictly increasing. A pair from draw_tuple_pair holds
-    the raw frames; sample_tuple_pair's holds them augmented.
+    indices are timeline positions (on the tiled timeline when T < K; resolve
+    frames with index % T). A tuple whose shuffle flag is set carries a
+    non-identity permutation of its indices (when K >= 2), otherwise they are
+    strictly increasing. aug holds one column entry per tuple frame.
     """
 
-    video_id: int
-    anchor_indices: np.ndarray
-    anchor_frames: np.ndarray  # (K, H, W)
-    anchor_aug: tuple
-    positive_indices: np.ndarray
-    positive_frames: np.ndarray
-    positive_aug: tuple
-    shuffle_anchor: bool
-    shuffle_positive: bool
-    order_label: int
+    indices: np.ndarray  # (B, 2, K)
+    aug: AugParams  # columns (B, 2, K)
+    shuffled: np.ndarray  # (B, 2) bool
+
+    @property
+    def labels(self):
+        """(B,) order labels: 2a + p for the anchor and positive flags."""
+        return 2 * self.shuffled[:, 0] + self.shuffled[:, 1]
 
 
 def segment_bounds(t_count, k):
-    """[b_i, e_i) ranges partitioning the (tiled) timeline into k segments."""
-    if t_count < 1:
+    """[b_i, e_i) ranges partitioning the (tiled) timeline into k segments:
+    (k, 2) for one timeline length, (..., k, 2) for an array of them."""
+    t_count = np.asarray(t_count)
+    if np.any(t_count < 1):
         raise ValueError("cannot segment an empty timeline")
     if k < 1:
         raise ValueError("need at least one segment")
-    base = max(t_count, k)
-    return [(i * base // k, (i + 1) * base // k) for i in range(k)]
-
-
-def segment_indices(t_count, k, rng):
-    """One uniformly drawn index per segment; strictly increasing."""
-    bounds = segment_bounds(t_count, k)
-    return np.array([int(rng.integers(lo, hi)) for lo, hi in bounds])
-
-
-def assign_order_label(rng):
-    """Independent 50% shuffle flags for the two tuples and the 4-way label."""
-    shuffle_anchor = bool(rng.uniform() < SHUFFLE_PROBABILITY)
-    shuffle_positive = bool(rng.uniform() < SHUFFLE_PROBABILITY)
-    return shuffle_anchor, shuffle_positive, ORDER_CLASSES[(shuffle_anchor, shuffle_positive)]
+    base = np.maximum(t_count, k)[..., None]
+    edges = np.arange(k + 1) * base // k
+    return np.stack([edges[..., :-1], edges[..., 1:]], axis=-1)
 
 
 def permutation_from_rank(k, rank):
-    """Lexicographic unranking of permutations of range(k); rank 0 is identity."""
-    items = list(range(k))
+    """Lexicographic unranking of permutations of range(k), rank 0 the
+    identity; an array of ranks gives one permutation per trailing row."""
+    rank = np.asarray(rank, dtype=np.int64)
+    remaining = np.broadcast_to(np.arange(k), rank.shape + (k,))
     out = []
-    rank = int(rank)
     for slot in range(k, 0, -1):
         block = math.factorial(slot - 1)
-        out.append(items.pop(rank // block))
-        rank %= block
-    return out
+        digit = (rank // block)[..., None]
+        rank = rank % block
+        out.append(np.take_along_axis(remaining, digit, axis=-1)[..., 0])
+        keep = np.arange(slot) != digit
+        remaining = remaining[keep].reshape(rank.shape + (slot - 1,))
+    return np.stack(out, axis=-1)
 
 
-def non_identity_permutation(k, rng):
-    """Uniform draw over the k! - 1 non-identity permutations (k >= 2)."""
-    if k < 2:
-        return list(range(k))
-    if k > 20:
-        raise ValueError("shuffle supports at most 20 frames per tuple")
-    rank = int(rng.integers(1, math.factorial(k)))
-    return permutation_from_rank(k, rank)
-
-
-def draw_aug_params(height, width, rng):
-    """Fresh augmentation parameters for one frame."""
-    scl = float(rng.uniform(*CROP_SCALE_RANGE))
-    crop_h = max(2, round(scl * height))
-    crop_w = max(2, round(scl * width))
-    top = int(rng.integers(0, height - crop_h + 1))
-    left = int(rng.integers(0, width - crop_w + 1))
-    flip = bool(rng.uniform() < FLIP_PROBABILITY)
-    brightness = float(rng.uniform(-BRIGHTNESS_LIMIT, BRIGHTNESS_LIMIT))
-    contrast = float(rng.uniform(*CONTRAST_RANGE))
-    blur = bool(rng.uniform() < BLUR_PROBABILITY)
+def draw_aug(rng, shape, height, width):
+    """Augmentation columns of the given shape, one array draw per field:
+    crop scale U(0.6, 1) with sides max(2, round-half-even(scale * side)),
+    uniform crop origins, flip p = 0.5, brightness U(+-0.2), contrast
+    U(0.8, 1.2), blur p = 0.5."""
+    scale = rng.uniform(*CROP_SCALE_RANGE, size=shape)
+    crop_h = np.maximum(2, np.rint(scale * height).astype(np.int64))
+    crop_w = np.maximum(2, np.rint(scale * width).astype(np.int64))
+    top = rng.integers(0, height - crop_h + 1)
+    left = rng.integers(0, width - crop_w + 1)
+    flip = rng.uniform(size=shape) < FLIP_PROBABILITY
+    brightness = rng.uniform(-BRIGHTNESS_LIMIT, BRIGHTNESS_LIMIT, size=shape)
+    contrast = rng.uniform(*CONTRAST_RANGE, size=shape)
+    blur = rng.uniform(size=shape) < BLUR_PROBABILITY
     return AugParams(top, left, crop_h, crop_w, flip, brightness, contrast, blur)
+
+
+def draw_tuples(rng, t_counts, k, height, width, share_augment=False) -> TupleDraw:
+    """Anchor and positive tuples of one video per entry of t_counts (its
+    frame count), drawn in a fixed field order: segment indices, the tuple
+    frames' augmentation (one draw per tuple, repeated over its frames, when
+    share_augment), shuffle flags, then the permutation ranks, uniform over
+    the k! - 1 non-identity permutations.
+
+    Every draw is one array call over all tuples, so anchor and positive are
+    drawn alike.
+    """
+    bounds = segment_bounds(t_counts, k)[:, None]  # (B, 1, K, 2)
+    b = bounds.shape[0]
+    indices = rng.integers(bounds[..., 0], bounds[..., 1], size=(b, 2, k))
+    if share_augment:
+        aug = AugParams(*(np.repeat(col, k, axis=-1)
+                          for col in draw_aug(rng, (b, 2, 1), height, width)))
+    else:
+        aug = draw_aug(rng, (b, 2, k), height, width)
+    shuffled = rng.uniform(size=(b, 2)) < SHUFFLE_PROBABILITY
+    if k >= 2:
+        if k > MAX_SHUFFLED_FRAMES:
+            raise ValueError(f"shuffle supports at most {MAX_SHUFFLED_FRAMES} frames per tuple")
+        ranks = np.where(shuffled, rng.integers(1, math.factorial(k), size=(b, 2)), 0)
+        indices = np.take_along_axis(indices, permutation_from_rank(k, ranks), axis=-1)
+    return TupleDraw(indices=indices, aug=aug, shuffled=shuffled)
 
 
 def _resize_taps(origin, crop, extent):
@@ -137,23 +145,21 @@ def _resize_taps(origin, crop, extent):
     return origin[:, None] + lo, origin[:, None] + hi, centers - lo
 
 
-def augment_frames(frames, params):
-    """Augment an (N, H, W) stack, frame i by params[i]: crop/resize, flip,
-    brightness, mean-anchored contrast, box blur, clamp.
+def augment_frames(frames, params: AugParams):
+    """Augment an (N, H, W) stack, frame i by entry i of the flattened
+    columns: crop/resize, flip, brightness, mean-anchored contrast, box blur,
+    clamp.
 
     Every frame gets the arithmetic of augmenting it on its own, so a frame's
     output does not depend on the rest of the stack.
     """
     frames = np.ascontiguousarray(frames, dtype=np.float64)
     n, height, width = frames.shape
-    if len(params) != n:
-        raise ValueError(f"{len(params)} augmentation draws for {n} frames")
-    table = np.array([(p.crop_top, p.crop_left, p.crop_h, p.crop_w, p.flip, p.blur,
-                       p.brightness, p.contrast) for p in params],
-                     dtype=np.float64).reshape(n, 8)
-    top, left, crop_h, crop_w = table[:, :4].astype(int).T
-    flip, blur = table[:, 4:6].astype(bool).T
-    brightness, contrast = table[:, 6:].T
+    dtypes = (int, int, int, int, bool, np.float64, np.float64, bool)
+    top, left, crop_h, crop_w, flip, brightness, contrast, blur = columns = [
+        np.asarray(col, dtype=dtype).reshape(-1) for col, dtype in zip(params, dtypes)]
+    if any(col.size != n for col in columns):
+        raise ValueError(f"{[col.size for col in columns]} augmentation draws for {n} frames")
     degenerate = np.flatnonzero((crop_h < 2) | (crop_w < 2))
     if degenerate.size:
         i = degenerate[0]
@@ -203,68 +209,10 @@ def augment_frames(frames, params):
 
 
 def augment_frame(frame, params: AugParams):
-    """augment_frames for a single (H, W) frame."""
-    return augment_frames(frame[None], [params])[0]
+    """augment_frames for a single (H, W) frame and scalar params."""
+    return augment_frames(frame[None], params)[0]
 
 
 def frame_at(video: Video, index):
     """Frame at a (possibly tiled) timeline index; (K, H, W) for K indices."""
     return video.frames[np.asarray(index) % video.frames.shape[0]]
-
-
-def draw_view(video: Video, k, rng, share_augment=False):
-    """Indices and aug records of one unshuffled K-frame tuple."""
-    indices = segment_indices(video.frames.shape[0], k, rng)
-    height, width = video.frames.shape[1:]
-    if share_augment:
-        shared = draw_aug_params(height, width, rng)
-        aug = tuple(shared for _ in range(k))
-    else:
-        aug = tuple(draw_aug_params(height, width, rng) for _ in range(k))
-    return indices, aug
-
-
-def sample_view(video: Video, k, rng, share_augment=False):
-    """One unshuffled K-frame tuple: indices, augmented frames, aug records."""
-    indices, aug = draw_view(video, k, rng, share_augment)
-    return indices, augment_frames(frame_at(video, indices), aug), aug
-
-
-def draw_tuple_pair(video: Video, k, rng, share_augment=False) -> TuplePair:
-    """All random choices of sample_tuple_pair, with no augmentation applied:
-    the pair's frames are the raw frames at its indices, and augment_frames
-    applied to them with the pair's aug records gives sample_tuple_pair's.
-
-    The anchor, positive and shuffle decisions each consume their own child
-    stream of `rng`, so the two samplings are exchangeable.
-    """
-    if video.frames.shape[0] < 1:
-        raise ValueError("video has no frames")
-    rng_anchor, rng_positive, rng_shuffle = rng.spawn(3)
-    a_idx, a_aug = draw_view(video, k, rng_anchor, share_augment)
-    p_idx, p_aug = draw_view(video, k, rng_positive, share_augment)
-    shuffle_anchor, shuffle_positive, label = assign_order_label(rng_shuffle)
-    if shuffle_anchor:
-        perm = non_identity_permutation(k, rng_shuffle)
-        a_idx = a_idx[perm]
-        a_aug = tuple(a_aug[i] for i in perm)
-    if shuffle_positive:
-        perm = non_identity_permutation(k, rng_shuffle)
-        p_idx = p_idx[perm]
-        p_aug = tuple(p_aug[i] for i in perm)
-    return TuplePair(
-        video_id=video.id,
-        anchor_indices=a_idx, anchor_frames=frame_at(video, a_idx), anchor_aug=a_aug,
-        positive_indices=p_idx, positive_frames=frame_at(video, p_idx), positive_aug=p_aug,
-        shuffle_anchor=shuffle_anchor, shuffle_positive=shuffle_positive,
-        order_label=label,
-    )
-
-
-def sample_tuple_pair(video: Video, k, rng, share_augment=False) -> TuplePair:
-    """Two independent segment samplings of one video plus shuffle/label, with
-    both tuples augmented (see draw_tuple_pair)."""
-    pair = draw_tuple_pair(video, k, rng, share_augment)
-    frames = augment_frames(np.concatenate([pair.anchor_frames, pair.positive_frames]),
-                            pair.anchor_aug + pair.positive_aug)
-    return replace(pair, anchor_frames=frames[:k], positive_frames=frames[k:])

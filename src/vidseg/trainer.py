@@ -1,6 +1,7 @@
-"""Pretraining loop: batch assembly, the combined objective as one tape graph
-over the whole batch, SGD with momentum and cosine-annealed learning rate,
-the momentum update of the key parameters, and memory-bank maintenance."""
+"""Pretraining loop: batch assembly from one random stream per step, the
+combined objective as one tape graph over the whole batch, SGD with momentum
+and cosine-annealed learning rate, the momentum update of the key
+parameters, and memory-bank maintenance."""
 
 from __future__ import annotations
 
@@ -179,67 +180,74 @@ def init_state(cfg: TrainConfig, total_steps=1):
     )
 
 
-def _draw_item(video: synth.Video, cfg: TrainConfig, seed_seq):
-    """Every random choice of one batch item, in the order the item's streams
-    are consumed: the tuple pair, then the frame-level views.
+@dataclass(frozen=True)
+class BatchDraw:
+    """Every random choice of one batch: the anchor and positive tuples, the
+    (B, 3) frames picked in frame_source="uniform" mode (None otherwise), and
+    the augmentation columns of the frame-level views."""
 
-    Returns the item's raw frames and aug records as one block (anchor tuple,
-    positive tuple, frame-level views in draw order, ending with the frame
-    anchor and its second view), the block rows that become key_views, and
-    the order label.
+    tuples: sampling.TupleDraw
+    picks: np.ndarray | None
+    views: sampling.AugParams  # columns (B, 4) with picks, (B, 2) without
 
-    The frame-level anchor and its second view are two fresh augmentations of
-    the raw frame behind the anchor tuple's first segment; the anchor tuple's
-    other segment frames serve as the remaining same-video positives
-    (wrapping around when there are fewer than three segments). With
+
+def draw_batch(videos, cfg: TrainConfig, rng) -> BatchDraw:
+    """Draw a batch of one item per video from one stream, one array call per
+    field: the tuples (see sampling.draw_tuples), the uniform-mode picks,
+    then the frame-view columns."""
+    t_counts = np.array([v.frames.shape[0] for v in videos])
+    height, width = videos[0].frames.shape[1:]
+    tuples = sampling.draw_tuples(rng, t_counts, cfg.segments, height, width,
+                                  share_augment=cfg.share_tuple_augment)
+    picks = None
+    if cfg.frame_source == "uniform":
+        picks = rng.integers(0, t_counts[:, None], size=(len(videos), 3))
+    views = sampling.draw_aug(rng, (len(videos), 2 if picks is None else 4), height, width)
+    return BatchDraw(tuples=tuples, picks=picks, views=views)
+
+
+def sample_batch(videos, cfg: TrainConfig, rng) -> Batch:
+    """The Batch of one item per video, drawn from rng by draw_batch and then
+    augmented in one augment_frames call.
+
+    Each item's frames are its anchor tuple, its positive tuple and then its
+    frame-level views, ending with the frame anchor and its second view. The
+    frame anchor and its second view are two fresh augmentations of the raw
+    frame behind the anchor tuple's first segment; the anchor tuple's other
+    segment frames serve as the remaining same-video positives (wrapping
+    around when there are fewer than three segments). With
     frame_source="uniform" all three frame slots are drawn uniformly from the
     whole timeline instead.
     """
-    pair_rng, frame_rng = [np.random.default_rng(s) for s in seed_seq.spawn(2)]
-    pair = sampling.draw_tuple_pair(video, cfg.segments, pair_rng,
-                                    share_augment=cfg.share_tuple_augment)
-    k = cfg.segments
-    if cfg.frame_source == "uniform":
-        picks = frame_rng.integers(0, video.frames.shape[0], size=3)
-        view_indices = [picks[1], picks[2], picks[0], picks[0]]
-        others_rows = [2 * k, 2 * k + 1]
+    draw = draw_batch(videos, cfg, rng)
+    b, k = len(videos), cfg.segments
+    tuple_indices = draw.tuples.indices.reshape(b, 2 * k)
+    if draw.picks is None:
+        view_indices = np.repeat(tuple_indices[:, :k].min(axis=1, keepdims=True), 2, axis=1)
+        segment_order = np.argsort(tuple_indices[:, :k], axis=1)
+        others = segment_order[:, [1 % k, 2 % k]]
     else:
-        segment_order = np.argsort(pair.anchor_indices)
-        first = pair.anchor_indices[segment_order[0]]
-        view_indices = [first, first]
-        others_rows = [segment_order[1 % k], segment_order[2 % k]]
-    height, width = video.frames.shape[1:]
-    view_aug = [sampling.draw_aug_params(height, width, frame_rng) for _ in view_indices]
-    frames = np.concatenate([pair.anchor_frames, pair.positive_frames,
-                             sampling.frame_at(video, view_indices)])
-    key_rows = [len(frames) - 1, *others_rows]
-    return (frames, [*pair.anchor_aug, *pair.positive_aug, *view_aug], key_rows,
-            pair.order_label)
-
-
-def _stack_items(drawn, cfg: TrainConfig):
-    """The Batch of drawn items, augmenting all their frames in one
-    augment_frames call."""
-    out = sampling.augment_frames(np.concatenate([frames for frames, _, _, _ in drawn]),
-                                  [aug for _, params, _, _ in drawn for aug in params])
-    b, k = len(drawn), cfg.segments
-    out = out.reshape(b, -1, out.shape[1] * out.shape[2])
-    key_rows = np.array([rows for _, _, rows, _ in drawn])
+        view_indices = draw.picks[:, [1, 2, 0, 0]]
+        others = np.broadcast_to([2 * k, 2 * k + 1], (b, 2))
+    indices = np.concatenate([tuple_indices, view_indices], axis=1)
+    aug = sampling.AugParams(*(np.concatenate([t.reshape(b, 2 * k), v], axis=1)
+                               for t, v in zip(draw.tuples.aug, draw.views)))
+    raw = np.concatenate([sampling.frame_at(v, i) for v, i in zip(videos, indices)])
+    out = sampling.augment_frames(raw, aug)
+    out = out.reshape(b, indices.shape[1], out.shape[1] * out.shape[2])
+    key_rows = np.concatenate([np.full((b, 1), indices.shape[1] - 1), others], axis=1)
     return Batch(anchors=out[:, :k], positives=out[:, k:2 * k], frame_anchors=out[:, -2],
                  key_views=out[np.arange(b)[:, None], key_rows],
-                 order_labels=np.array([label for _, _, _, label in drawn]))
+                 order_labels=draw.tuples.labels)
 
 
 def assemble_batch(videos, indices, cfg: TrainConfig, epoch, step_in_epoch) -> Batch:
-    """Deterministic batch: every sample owns a stream derived from its slot.
-
-    All slots are drawn first, then augmented together in one pass.
-    """
-    return _stack_items([
-        _draw_item(videos[int(v)], cfg,
-                   np.random.SeedSequence([cfg.seed, STREAM_SAMPLE, epoch, step_in_epoch, slot]))
-        for slot, v in enumerate(indices)
-    ], cfg)
+    """Deterministic batch of videos[indices]: the step owns one stream,
+    derived from (seed, epoch, step_in_epoch), that sample_batch draws every
+    random choice of the whole batch from."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence([cfg.seed, STREAM_SAMPLE, epoch, step_in_epoch]))
+    return sample_batch([videos[int(v)] for v in indices], cfg, rng)
 
 
 def key_targets(key_params, batch: Batch, cfg: TrainConfig):
@@ -478,12 +486,10 @@ def gradient_suite(cfg: TrainConfig, n_seeds=10, probes_per_param=4, step=1e-5, 
         mcfg = cfg.model_config()
         query = model.init_params(mcfg, rng)
         key = model.init_params(mcfg, rng)
-        batch = _stack_items([
-            _draw_item(synth.generate_video(cfg.dataset, (seed + slot) % cfg.dataset.classes, 0),
-                       everything,
-                       np.random.SeedSequence([cfg.seed, STREAM_GRADCHECK, seed, 1, slot]))
-            for slot in range(2)
-        ], everything)
+        videos = [synth.generate_video(cfg.dataset, (seed + slot) % cfg.dataset.classes, 0)
+                  for slot in range(2)]
+        batch = sample_batch(videos, everything, np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, STREAM_GRADCHECK, seed, 1])))
         inter_negatives = _unit_rows(rng, 16, cfg.embed_dim)
         segment_negatives = _unit_rows(rng, 16, cfg.embed_dim)
         targets = key_targets(key, batch, everything)

@@ -158,13 +158,9 @@ def test_criterion_5_consensus_permutation_invariance():
 
 
 def test_criterion_6_order_label_balance():
-    rng = np.random.default_rng(6)
-    counts = np.zeros(4, dtype=int)
     n = 40_000
-    for _ in range(n):
-        _, _, label = sampling.assign_order_label(rng)
-        counts[label] += 1
-    freqs = counts / n
+    drawn = sampling.draw_tuples(np.random.default_rng(6), np.full(n, 32), 3, 16, 16)
+    freqs = np.bincount(drawn.labels, minlength=4) / n
     ok = bool(np.all(freqs >= 0.24) and np.all(freqs <= 0.26))
     report(6, "order labels are balanced",
            ok, "frequencies " + ", ".join(f"{f:.4f}" for f in freqs))

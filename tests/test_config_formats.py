@@ -165,3 +165,89 @@ def test_dataset_unknown_split_rejected(tmp_path):
     path.write_bytes(blob[:first] + b" valid " + blob[first + len(b" train "):])
     with pytest.raises(formats.ArtifactError, match="videos.ds.*split 'valid'"):
         formats.read_dataset(path)
+
+
+def written_artifacts(tmp_path):
+    """A small valid checkpoint and dataset file."""
+    cfg, state = small_state()
+    checkpoint = tmp_path / "model.ckpt"
+    formats.write_checkpoint(checkpoint, {**cfg.dataset.to_flat(), **cfg.to_flat()},
+                             state.query, state.key,
+                             {"inter": state.bank_inter, "segment": state.bank_segment},
+                             {"seed": 0, "epoch": 0, "step": 0})
+    dataset = tmp_path / "videos.ds"
+    formats.write_dataset(dataset, cfg.dataset, *synth.generate_dataset(cfg.dataset))
+    return checkpoint, dataset
+
+
+def rewrite_header_line(path, prefix, edit):
+    """Replace the first header line starting with prefix by edit(line)."""
+    blob = path.read_bytes()
+    start = blob.index(b"\n" + prefix) + 1
+    end = blob.index(b"\n", start)
+    path.write_bytes(blob[:start] + edit(blob[start:end]) + blob[end:])
+
+
+def read(path):
+    return (formats.read_checkpoint if path.suffix == ".ckpt" else formats.read_dataset)(path)
+
+
+@pytest.mark.parametrize("edit", [lambda line: line.rsplit(b" ", 1)[0],
+                                  lambda line: line + b" 7"], ids=["too_few", "too_many"])
+def test_video_line_field_count_rejected(tmp_path, edit):
+    _, dataset = written_artifacts(tmp_path)
+    rewrite_header_line(dataset, b"#video ", edit)
+    with pytest.raises(formats.ArtifactError, match="videos.ds.*expected 6 fields"):
+        formats.read_dataset(dataset)
+
+
+@pytest.mark.parametrize("artifact, prefix, edit", [
+    ("dataset", b"#video ", lambda line: line.replace(b" train ", b" train x", 1)[:-1]),
+    ("dataset", b"#payload ", lambda line: line + b".0"),
+    ("checkpoint", b"#param ", lambda line: line + b".5"),
+    ("checkpoint", b"#param ", lambda line: line.replace(b"x", b"xq", 1)),
+    ("checkpoint", b"#bank ", lambda line: line.replace(b" 8 ", b" eight ", 1)),
+    ("checkpoint", b"#rng ", lambda line: line.replace(b"step=0", b"step=zero")),
+], ids=["video_id", "payload_length", "param_offset", "param_shape", "bank_capacity", "rng"])
+def test_non_integer_field_rejected(tmp_path, artifact, prefix, edit):
+    checkpoint, dataset = written_artifacts(tmp_path)
+    path = checkpoint if artifact == "checkpoint" else dataset
+    rewrite_header_line(path, prefix, edit)
+    with pytest.raises(formats.ArtifactError, match=f"{path.name}.*non-integer field"):
+        read(path)
+
+
+def past_payload(line, index, value):
+    fields = line.split()
+    fields[index] = value
+    return b" ".join(fields)
+
+
+@pytest.mark.parametrize("prefix, edit", [
+    (b"#param ", lambda line: past_payload(line, 3, b"999999")),
+    (b"#param ", lambda line: past_payload(line, 3, b"-4")),
+    (b"#param ", lambda line: past_payload(line, 2, b"64x64x64")),
+    (b"#bank ", lambda line: past_payload(line, 6, b"999999")),
+    (b"#bank ", lambda line: past_payload(line, 2, b"100000")),
+], ids=["param_offset", "negative_offset", "param_shape", "bank_offset", "bank_shape"])
+def test_offset_or_shape_past_payload_rejected(tmp_path, prefix, edit):
+    checkpoint, _ = written_artifacts(tmp_path)
+    rewrite_header_line(checkpoint, prefix, edit)
+    with pytest.raises(formats.ArtifactError, match="model.ckpt.*runs past the .*-byte payload"):
+        formats.read_checkpoint(checkpoint)
+
+
+@pytest.mark.parametrize("artifact", ["checkpoint", "dataset"])
+def test_non_utf8_header_byte_rejected(tmp_path, artifact):
+    checkpoint, dataset = written_artifacts(tmp_path)
+    path = checkpoint if artifact == "checkpoint" else dataset
+    rewrite_header_line(path, b"#config-end", lambda line: line + b"\xff")
+    with pytest.raises(formats.ArtifactError, match=f"{path.name}.*not UTF-8"):
+        read(path)
+
+
+def test_bank_cursor_or_fill_outside_bank_rejected(tmp_path):
+    checkpoint, _ = written_artifacts(tmp_path)
+    rewrite_header_line(checkpoint, b"#bank ", lambda line: past_payload(line, 5, b"9"))
+    with pytest.raises(formats.ArtifactError, match="model.ckpt.*outside the bank"):
+        formats.read_checkpoint(checkpoint)

@@ -69,107 +69,148 @@ def reference_augment_frames(frames, params):
     return np.stack([reference_augment_frame(f, p) for f, p in zip(frames, params)])
 
 
+def columns(params):
+    """Per-frame AugParams records as one set of (N,) columns."""
+    return sampling.AugParams(*map(np.array, zip(*params)))
+
+
+def frame_params(aug, index):
+    """One frame's entries of augmentation columns."""
+    return sampling.AugParams(*(col[index] for col in aug))
+
+
+def draw(n, t=12, k=3, seed=0, share_augment=False):
+    """Tuples of n videos with t frames of 16x16 each, from one stream."""
+    return sampling.draw_tuples(np.random.default_rng(seed), np.full(n, t), k, 16, 16,
+                                share_augment=share_augment)
+
+
 def test_segment_bounds_even_partition():
-    assert sampling.segment_bounds(30, 3) == [(0, 10), (10, 20), (20, 30)]
+    assert sampling.segment_bounds(30, 3).tolist() == [[0, 10], [10, 20], [20, 30]]
 
 
 def test_segment_bounds_uneven_partition():
-    assert sampling.segment_bounds(10, 3) == [(0, 3), (3, 6), (6, 10)]
+    assert sampling.segment_bounds(10, 3).tolist() == [[0, 3], [3, 6], [6, 10]]
+    # one row of bounds per timeline length
+    assert sampling.segment_bounds(np.array([10, 30]), 3).tolist() == [
+        [[0, 3], [3, 6], [6, 10]], [[0, 10], [10, 20], [20, 30]]]
 
 
 def test_segment_indices_forced_when_tight():
-    rng = np.random.default_rng(0)
-    assert sampling.segment_indices(3, 3, rng).tolist() == [0, 1, 2]
+    drawn = draw(50, t=3)
+    assert np.sort(drawn.indices, axis=-1).tolist() == [[[0, 1, 2]] * 2] * 50
 
 
 def test_segment_indices_stay_in_segments():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        idx = sampling.segment_indices(30, 3, rng)
-        for i, (lo, hi) in enumerate(sampling.segment_bounds(30, 3)):
-            assert lo <= idx[i] < hi
+    drawn = draw(200, t=30)
+    in_order = np.sort(drawn.indices, axis=-1)
+    for i, (lo, hi) in enumerate(sampling.segment_bounds(30, 3)):
+        assert np.all((lo <= in_order[..., i]) & (in_order[..., i] < hi))
 
 
 def test_empty_timeline_rejected():
     with pytest.raises(ValueError):
-        sampling.segment_indices(0, 3, np.random.default_rng(0))
+        sampling.segment_bounds(0, 3)
+    with pytest.raises(ValueError):
+        sampling.draw_tuples(np.random.default_rng(0), np.array([12, 0]), 3, 16, 16)
 
 
 def test_tiled_timeline_when_too_few_frames():
-    rng = np.random.default_rng(2)
-    idx = sampling.segment_indices(2, 5, rng)
-    assert len(idx) == 5
-    assert all(np.diff(idx) > 0)  # tile indices still strictly increasing
+    drawn = draw(50, t=2, k=5)
+    assert drawn.indices.shape == (50, 2, 5)
+    # tile indices still strictly increasing
+    assert np.all(np.diff(np.sort(drawn.indices, axis=-1), axis=-1) > 0)
 
 
 def test_order_label_mapping():
-    assert sampling.ORDER_CLASSES[(False, False)] == 0
-    assert sampling.ORDER_CLASSES[(False, True)] == 1
-    assert sampling.ORDER_CLASSES[(True, False)] == 2
-    assert sampling.ORDER_CLASSES[(True, True)] == 3
-    for flags, label in sampling.ORDER_CLASSES.items():
-        assert label == 2 * flags[0] + flags[1]
+    drawn = draw(400)
+    flags = drawn.shuffled
+    assert drawn.labels.tolist() == (2 * flags[:, 0] + flags[:, 1]).tolist()
+    assert set(drawn.labels.tolist()) == {0, 1, 2, 3}
 
 
 def test_order_label_frequencies_balanced():
-    rng = np.random.default_rng(123)
-    counts = np.zeros(4, dtype=int)
-    n = 10_000
-    for _ in range(n):
-        _, _, label = sampling.assign_order_label(rng)
-        counts[label] += 1
-    freqs = counts / n
+    counts = np.bincount(draw(10_000, seed=123).labels, minlength=4)
+    freqs = counts / 10_000
     assert np.all(freqs >= 0.23) and np.all(freqs <= 0.27)
 
 
 def test_permutation_unranking_is_lexicographic_and_complete():
     perms = [tuple(sampling.permutation_from_rank(3, r)) for r in range(6)]
     assert perms[0] == (0, 1, 2)
-    assert len(set(perms)) == 6
+    assert perms == sorted(set(perms))
+    # an array of ranks unranks row by row
+    ranks = np.arange(24).reshape(4, 6)
+    batched = sampling.permutation_from_rank(4, ranks)
+    assert batched.shape == (4, 6, 4)
+    for rank, perm in zip(ranks.reshape(-1), batched.reshape(-1, 4)):
+        assert perm.tolist() == sampling.permutation_from_rank(4, rank).tolist()
+    assert len({tuple(p) for p in batched.reshape(-1, 4).tolist()}) == 24
 
 
 def test_non_identity_permutation_never_identity():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        perm = sampling.non_identity_permutation(3, rng)
-        assert perm != [0, 1, 2]
+    drawn = draw(2000, t=30, seed=7)
+    perms = np.argsort(drawn.indices, axis=-1)[drawn.shuffled]
+    assert len(perms) > 0
+    assert not np.any(np.all(perms == np.arange(3), axis=-1))
 
 
 def test_unshuffled_pair_is_increasing_and_label_zero():
-    video = make_video()
-    for seed in range(40):
-        rng = np.random.default_rng(seed)
-        pair = sampling.sample_tuple_pair(video, 3, rng)
-        if not pair.shuffle_anchor:
-            assert all(np.diff(pair.anchor_indices) > 0)
-        if not pair.shuffle_positive:
-            assert all(np.diff(pair.positive_indices) > 0)
-        if not pair.shuffle_anchor and not pair.shuffle_positive:
-            assert pair.order_label == 0
+    drawn = draw(400)
+    increasing = np.all(np.diff(drawn.indices, axis=-1) > 0, axis=-1)
+    assert np.all(increasing[~drawn.shuffled])
+    assert np.all(drawn.labels[~drawn.shuffled.any(axis=1)] == 0)
 
 
 def test_shuffled_tuple_is_not_increasing():
-    video = make_video()
-    seen = 0
-    for seed in range(60):
-        pair = sampling.sample_tuple_pair(video, 3, np.random.default_rng(seed))
-        if pair.shuffle_anchor:
-            seen += 1
-            assert not np.all(np.diff(pair.anchor_indices) > 0)
-        assert pair.order_label == 2 * pair.shuffle_anchor + pair.shuffle_positive
-    assert seen > 10
+    drawn = draw(400)
+    increasing = np.all(np.diff(drawn.indices, axis=-1) > 0, axis=-1)
+    assert drawn.shuffled.sum() > 100
+    assert not np.any(increasing[drawn.shuffled])
 
 
-def test_anchor_positive_exchangeable_under_stream_swap():
-    video = make_video()
-    ss = np.random.SeedSequence(99)
-    child_a, child_b = ss.spawn(2)
-    ia, fa, _ = sampling.sample_view(video, 3, np.random.default_rng(child_a))
-    ib, fb, _ = sampling.sample_view(video, 3, np.random.default_rng(child_b))
-    ia2, fa2, _ = sampling.sample_view(video, 3, np.random.default_rng(child_b))
-    ib2, fb2, _ = sampling.sample_view(video, 3, np.random.default_rng(child_a))
-    assert np.array_equal(ia, ib2) and np.array_equal(ib, ia2)
-    assert fa.tobytes() == fb2.tobytes() and fb.tobytes() == fa2.tobytes()
+def test_drawn_fields_stay_in_range_at_their_rates():
+    # 10,000 videos of mixed lengths: 20,000 tuples, 60,000 frame draws
+    height, width, k = 16, 12, 3
+    t_counts = np.resize([2, 5, 12, 32], 10_000)
+    drawn = sampling.draw_tuples(np.random.default_rng(2024), t_counts, k, height, width)
+    bounds = sampling.segment_bounds(t_counts, k)[:, None]
+    in_order = np.sort(drawn.indices, axis=-1)
+    assert np.all((bounds[..., 0] <= in_order) & (in_order < bounds[..., 1]))
+    aug = drawn.aug
+    for side, crop in ((height, aug.crop_h), (width, aug.crop_w)):
+        assert crop.min() == max(2, round(0.6 * side)) and crop.max() == side
+    # both sides come from one scale draw per frame
+    assert np.all(np.abs(aug.crop_h / height - aug.crop_w / width) <= 0.5 / height + 0.5 / width)
+    for origin, crop, side in ((aug.crop_top, aug.crop_h, height),
+                               (aug.crop_left, aug.crop_w, width)):
+        assert np.all((0 <= origin) & (origin <= side - crop))
+        assert np.any(origin == side - crop) and np.any((origin == 0) & (crop < side))
+    assert np.all((-0.2 <= aug.brightness) & (aug.brightness < 0.2))
+    assert np.all((0.8 <= aug.contrast) & (aug.contrast < 1.2))
+    for flags in (aug.flip, aug.blur, drawn.shuffled):
+        assert flags.dtype == bool and abs(flags.mean() - 0.5) <= 0.01
+    perms = {tuple(p) for p in np.argsort(drawn.indices, axis=-1)[drawn.shuffled].tolist()}
+    assert perms == {tuple(sampling.permutation_from_rank(k, r)) for r in range(1, 6)}
+    four = sampling.draw_tuples(np.random.default_rng(4), np.full(2000, 32), 4, 16, 16)
+    perms = {tuple(p) for p in np.argsort(four.indices, axis=-1)[four.shuffled].tolist()}
+    assert len(perms) == 23 and tuple(range(4)) not in perms
+
+
+def test_anchor_positive_draws_are_exchangeable():
+    # anchor and positive come from one array draw per field, so their
+    # per-segment index, augmentation and shuffle statistics agree
+    n = 20_000
+    drawn = draw(n, t=32, seed=99)
+    in_order = np.sort(drawn.indices, axis=-1)
+    for i in range(3):
+        anchor = np.bincount(in_order[:, 0, i], minlength=32) / n
+        positive = np.bincount(in_order[:, 1, i], minlength=32) / n
+        assert np.max(np.abs(anchor - positive)) < 0.02
+    for col in drawn.aug:
+        col = col.astype(float)
+        assert abs(col[:, 0].mean() - col[:, 1].mean()) < 0.02 * max(1.0, col.mean())
+    assert abs(drawn.shuffled[:, 0].mean() - drawn.shuffled[:, 1].mean()) < 0.02
 
 
 def test_identity_augmentation_is_identity():
@@ -204,35 +245,35 @@ def test_degenerate_crop_rejected():
             sampling.augment_frame(frame, params)
         # a bad draw anywhere in a stack rejects the whole stack
         with pytest.raises(ValueError):
-            sampling.augment_frames(np.zeros((3, 16, 16)),
-                                    [sampling.AugParams(0, 0, 16, 16, False, 0.0, 1.0, False),
-                                     params, params])
+            identity = sampling.AugParams(0, 0, 16, 16, False, 0.0, 1.0, False)
+            sampling.augment_frames(np.zeros((3, 16, 16)), columns([identity, params, params]))
 
 
 def test_augmented_frames_clamped_and_shaped():
     video = make_video()
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        params = sampling.draw_aug_params(16, 16, rng)
-        out = sampling.augment_frame(video.frames[1], params)
+    params = sampling.draw_aug(np.random.default_rng(5), (30,), 16, 16)
+    for i in range(30):
+        out = sampling.augment_frame(video.frames[1], frame_params(params, i))
         assert out.shape == (16, 16)
         assert out.min() >= 0.0 and out.max() <= 1.0
+    out = sampling.augment_frames(video.frames[np.arange(30) % 12], params)
+    assert out.shape == (30, 16, 16) and out.min() >= 0.0 and out.max() <= 1.0
 
 
 def test_shared_augmentation_flag():
-    video = make_video()
-    rng = np.random.default_rng(11)
-    _, _, aug = sampling.sample_view(video, 3, rng, share_augment=True)
-    assert aug[0] == aug[1] == aug[2]
+    shared = draw(50, seed=11, share_augment=True).aug
+    own = draw(50, seed=11).aug
+    for shared_col, own_col in zip(shared, own):
+        assert np.all(shared_col == shared_col[..., :1])
+        assert not np.all(own_col == own_col[..., :1])
 
 
 def test_pair_sampling_deterministic():
-    video = make_video()
-    p1 = sampling.sample_tuple_pair(video, 3, np.random.default_rng(42))
-    p2 = sampling.sample_tuple_pair(video, 3, np.random.default_rng(42))
-    assert np.array_equal(p1.anchor_indices, p2.anchor_indices)
-    assert p1.anchor_frames.tobytes() == p2.anchor_frames.tobytes()
-    assert p1.order_label == p2.order_label
+    first, again, other = draw(32, seed=42), draw(32, seed=42), draw(32, seed=43)
+    assert first.indices.tobytes() == again.indices.tobytes()
+    assert first.shuffled.tobytes() == again.shuffled.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first.aug, again.aug))
+    assert first.indices.tobytes() != other.indices.tobytes()
 
 
 @st.composite
@@ -262,7 +303,7 @@ def frame_stacks(draw):
 @given(frame_stacks())
 def test_augment_frames_matches_per_frame_reference(stack):
     frames, params = stack
-    out = sampling.augment_frames(frames, params)
+    out = sampling.augment_frames(frames, columns(params))
     assert out.shape == frames.shape
     assert out.tobytes() == reference_augment_frames(frames, params).tobytes()
 
@@ -281,7 +322,7 @@ def test_augment_frames_edge_cases_match_reference():
         P(1, 0, 14, 16, False, 0.0, 1.0, True),  # full width only, blur
         P(6, 6, 9, 9, True, -0.2, 1.2, False),
     ]
-    out = sampling.augment_frames(frames, params)
+    out = sampling.augment_frames(frames, columns(params))
     assert out.tobytes() == reference_augment_frames(frames, params).tobytes()
     for frame, p, row in zip(frames, params, out):
         assert sampling.augment_frame(frame, p).tobytes() == row.tobytes()
@@ -291,20 +332,6 @@ def test_augment_frames_matches_reference_on_drawn_params():
     video = make_video(t=32)
     rng = np.random.default_rng(17)
     frames = video.frames[rng.integers(0, 32, size=2000)]
-    params = [sampling.draw_aug_params(16, 16, rng) for _ in frames]
-    assert (sampling.augment_frames(frames, params).tobytes()
-            == reference_augment_frames(frames, params).tobytes())
-
-
-def test_sample_tuple_pair_is_drawn_pair_augmented():
-    video = make_video(t=5)
-    for seed in range(20):
-        pair = sampling.sample_tuple_pair(video, 4, np.random.default_rng(seed))
-        drawn = sampling.draw_tuple_pair(video, 4, np.random.default_rng(seed))
-        assert np.array_equal(pair.anchor_indices, drawn.anchor_indices)
-        assert pair.anchor_aug == drawn.anchor_aug and pair.positive_aug == drawn.positive_aug
-        for frames, indices, aug in ((pair.anchor_frames, drawn.anchor_indices, drawn.anchor_aug),
-                                     (pair.positive_frames, drawn.positive_indices,
-                                      drawn.positive_aug)):
-            raw = video.frames[indices % 5]
-            assert frames.tobytes() == reference_augment_frames(raw, aug).tobytes()
+    params = sampling.draw_aug(rng, (2000,), 16, 16)
+    reference = reference_augment_frames(frames, [frame_params(params, i) for i in range(2000)])
+    assert sampling.augment_frames(frames, params).tobytes() == reference.tobytes()
