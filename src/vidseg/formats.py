@@ -160,6 +160,7 @@ def read_checkpoint(path):
     lines, body = _split_header(blob, CHECKPOINT_MAGIC, path)
     config_flat = {}
     query, key, banks, rng_meta = {}, {}, {}, {}
+    sides = {"query": query, "key": key}
     i = 1
     while i < len(lines):
         line = lines[i]
@@ -171,8 +172,12 @@ def read_checkpoint(path):
             shape = tuple(_ints(shape_tok.split("x"), path, line))
             (offset,) = _ints([offset], path, line)
             side, _, name = full_name.partition(".")
-            (query if side == "query" else key)[name] = _payload_array(body, shape, offset,
-                                                                      path, line)
+            if side not in sides:
+                raise ArtifactError(f"{path}: parameter side '{side}' is neither query nor key "
+                                    f"in '{line}'")
+            if name in sides[side]:
+                raise ArtifactError(f"{path}: parameter '{full_name}' appears twice")
+            sides[side][name] = _payload_array(body, shape, offset, path, line)
         elif line.startswith("#bank "):
             _, name, *numbers = _fields(line, 7, path)
             capacity, width, cursor, fill, offset = _ints(numbers, path, line)
@@ -189,6 +194,9 @@ def read_checkpoint(path):
                 k, _, v = token.partition("=")
                 (rng_meta[k],) = _ints([v], path, line)
         i += 1
+    if query.keys() != key.keys():
+        raise ArtifactError(f"{path}: query and key parameter names differ: "
+                            f"{sorted(query.keys() ^ key.keys())}")
     return Checkpoint(config_flat=config_flat, query=query, key=key, banks=banks,
                       rng_meta=rng_meta)
 

@@ -4,9 +4,11 @@ cross-entropy terms over unit embeddings, each averaged over a batch.
 Queries are (B, E) rows, or one (E,) vector as a batch of one. They may be
 tape Vars (gradients flow) or plain arrays. Positives have the query's shape
 and may be either too; memory-bank negatives are always plain arrays, shared
-by every row and treated as constants. InfoNCE takes the MoCo queue form: one
-(B, E) @ (E, M) product against the bank and a row-wise softmax
-cross-entropy over (B, 1 + M) logits. Callers are responsible for
+by every row and treated as constants. InfoNCE takes the MoCo queue form: the
+query rows are scaled by 1/temperature once, one (B, E) @ (E, M) product
+against the bank gives the negative logits, and one row-wise dot per positive
+gives the (B, P) positive logits; numerics.bank_cross_entropy takes the bank's
+log-sum-exp once per row for all P positives. Callers are responsible for
 unit-normalizing embeddings; the losses only take dot products, so slightly
 perturbed inputs (finite-difference probes) are fine.
 """
@@ -34,20 +36,18 @@ def _inverse(temperature):
 
 
 def _bank_terms(query, positives, negatives, inv):
-    """Sum over the positives of the batch-mean InfoNCE of each against the
-    shared negatives, with the bank product taken once; a constant zero when
+    """Batch-mean InfoNCE of the query rows against each of the positives and
+    the shared negatives, averaged over the positives: one (B, E) @ (E, M)
+    bank product and one bank log-sum-exp serve them all. A constant zero when
     there are no negatives."""
     if negatives is None or _shape(negatives)[0] == 0:
         return np.float64(0.0)
-    query = _batch(query)
-    zeros = np.zeros(_shape(query)[0], dtype=int)
-    neg = nm.scale(nm.matmul(query, np.asarray(negatives).T), inv)
-    total = None
-    for positive in positives:
-        logits = nm.concat([nm.scale(nm.dot(query, _batch(positive)), inv), neg])
-        term = nm.softmax_cross_entropy(logits, zeros)
-        total = term if total is None else nm.add(total, term)
-    return total
+    query = nm.scale(_batch(query), inv)
+    neg = nm.matmul(query, np.asarray(negatives).T)
+    dots = [nm.dot(query, _batch(positive)) for positive in positives]
+    # the (B, 1) first part makes the other (B,) products columns next to it
+    pos = nm.concat([nm.reshape(dots[0], (-1, 1)), *dots[1:]])
+    return nm.bank_cross_entropy(pos, neg)
 
 
 def info_nce(query, positive, negatives, temperature):
@@ -62,10 +62,10 @@ def info_nce(query, positive, negatives, temperature):
 
 def loss_inter(query, positive_same, positive_b, positive_c, negatives, temperature):
     """Frame-level discrimination against the bank, averaged over the three
-    positives drawn from the same video."""
-    total = _bank_terms(query, [positive_same, positive_b, positive_c], negatives,
-                        _inverse(temperature))
-    return nm.scale(total, 1.0 / 3.0)
+    positives drawn from the same video; the three share the bank's
+    log-sum-exp."""
+    return _bank_terms(query, [positive_same, positive_b, positive_c], negatives,
+                       _inverse(temperature))
 
 
 def loss_intra(query, positive_same, other_b, other_c, temperature):

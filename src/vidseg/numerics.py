@@ -7,8 +7,9 @@ With at least one `Var` argument it records the computation so that
 
 Supported op set: matmul, add, scale, relu, dot (row-wise), mean_rows (over
 the K axis), concat (along the last axis), reshape, slice_rows, l2_normalize,
-softmax_cross_entropy (row-wise, with a label vector). The ops work on whole
-batches, so a training step records one small graph over (B, ...) arrays.
+softmax_cross_entropy (row-wise, with a label vector), bank_cross_entropy (P
+positives per row against shared negatives). The ops work on whole batches, so
+a training step records one small graph over (B, ...) arrays.
 """
 
 from __future__ import annotations
@@ -302,6 +303,39 @@ def softmax_cross_entropy(logits, labels):
         return grad.reshape(lv.shape)
 
     return _make("softmax_cross_entropy", out, ((logits, vjp),))
+
+
+def bank_cross_entropy(positives, negatives):
+    """Mean InfoNCE of (B, P) positive logits against (B, M) negative logits,
+    each row's negatives shared by all of that row's positives.
+
+    Entry (b, j) is the cross-entropy of logits [p_bj, n_b1, ..., n_bM] with
+    the positive in slot 0, logaddexp(p_bj, LSE_b) - p_bj, computed as
+    softplus(LSE_b - p_bj); the negatives' log-sum-exp LSE_b is taken once per
+    row and serves all P positives. The result is the mean over all B*P
+    entries.
+    """
+    pv, nv = _value(positives), _value(negatives)
+    if pv.ndim != 2 or nv.ndim != 2 or pv.shape[0] != nv.shape[0] or 0 in pv.shape + nv.shape:
+        raise ShapeMismatchError("bank_cross_entropy", pv.shape, nv.shape)
+    count = pv.size
+    m = nv.max(axis=1, keepdims=True)
+    expd = np.exp(nv - m)
+    total = expd.sum(axis=1, keepdims=True)
+    margin = m + np.log(total) - pv
+    entries = np.logaddexp(0.0, margin)
+    out = np.asarray(entries.sum() / count)
+    # the bank's share of each entry's softmax, sigmoid(LSE - p) = 1 - softmax slot 0
+    bank_share = np.exp(margin - entries)
+
+    def vjp_positives(g):
+        return bank_share * (-g / count)
+
+    def vjp_negatives(g):
+        return expd * (bank_share.sum(axis=1, keepdims=True) / total * (g / count))
+
+    return _make("bank_cross_entropy", out, ((positives, vjp_positives),
+                                             (negatives, vjp_negatives)))
 
 
 # ---------------------------------------------------------------------------

@@ -251,3 +251,18 @@ def test_bank_cursor_or_fill_outside_bank_rejected(tmp_path):
     rewrite_header_line(checkpoint, b"#bank ", lambda line: past_payload(line, 5, b"9"))
     with pytest.raises(formats.ArtifactError, match="model.ckpt.*outside the bank"):
         formats.read_checkpoint(checkpoint)
+
+
+@pytest.mark.parametrize("prefix, old, new, message", [
+    (b"#param query.encoder.fc1.weight ", b"query.", b"qeury.",
+     "parameter side 'qeury' is neither query nor key"),
+    (b"#param query.encoder.fc1.bias ", b".bias", b".weight",
+     "parameter 'query.encoder.fc1.weight' appears twice"),
+    (b"#param key.encoder.fc1.weight ", b"fc1", b"fc9",
+     r"query and key parameter names differ: \['encoder.fc1.weight', 'encoder.fc9.weight'\]"),
+], ids=["unknown_side", "duplicate_name", "side_names_differ"])
+def test_checkpoint_param_sides_rejected(tmp_path, prefix, old, new, message):
+    checkpoint, _ = written_artifacts(tmp_path)
+    rewrite_header_line(checkpoint, prefix, lambda line: line.replace(old, new, 1))
+    with pytest.raises(formats.ArtifactError, match=f"model.ckpt.*{message}"):
+        formats.read_checkpoint(checkpoint)

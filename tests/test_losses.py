@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vidseg import losses
 from vidseg import numerics as nm
@@ -236,3 +238,113 @@ def test_batched_loss_gradients_match_finite_differences():
 
     report = nm.grad_check(f, [q, p1, p2, p3], step=1e-5, tol=1e-4)
     assert report.passed, str(report)
+
+
+def reference_bank_terms(query, positives, negatives, inv):
+    """The per-positive path bank_cross_entropy replaced: one (B, 1 + M)
+    softmax cross-entropy per positive against the shared bank logits,
+    summed over the positives."""
+    if negatives is None or negatives.shape[0] == 0:
+        return np.float64(0.0)
+    query = losses._batch(query)
+    zeros = np.zeros(query.shape[0], dtype=int)
+    neg = nm.scale(nm.matmul(query, np.asarray(negatives).T), inv)
+    total = None
+    for positive in positives:
+        logits = nm.concat([nm.scale(nm.dot(query, losses._batch(positive)), inv), neg])
+        term = nm.softmax_cross_entropy(logits, zeros)
+        total = term if total is None else nm.add(total, term)
+    return total
+
+
+def assert_relative(got, want, bound, what):
+    """Largest difference relative to the largest reference entry, floored at
+    1 as in grad_check: where a positive dominates its row, the reference's
+    own softmax(p)[0] - 1 cancels and is off by about 1e-16 absolute."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.max(np.abs(got - want)) <= bound * max(1.0, np.max(np.abs(want))), what
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 4), st.integers(1, 64),
+       st.sampled_from([0.05, 0.07, 0.2, 1.0]), st.integers(0, 2**32 - 1))
+def test_bank_terms_match_per_positive_reference(b, p, m, tau, seed):
+    rng = np.random.default_rng(seed)
+    query = unit_rows(rng, b)
+    positives = [unit_rows(rng, b) for _ in range(p)]
+    negatives = unit_rows(rng, m)
+
+    def run(bank_terms):
+        qv, pvs = nm.Var(query), [nm.Var(x) for x in positives]
+        out = bank_terms(qv, pvs, negatives, 1.0 / tau)
+        out.backward()
+        return out.value, qv.grad, [v.grad for v in pvs]
+
+    value, query_grad, positive_grads = run(losses._bank_terms)
+    want_value, want_query, want_positives = run(
+        lambda *args: nm.scale(reference_bank_terms(*args), 1.0 / p))
+    assert_relative(value, want_value, 1e-12, "loss")
+    assert_relative(query_grad, want_query, 1e-12, "query gradient")
+    for j, (got, want) in enumerate(zip(positive_grads, want_positives)):
+        assert_relative(got, want, 1e-12, f"positive {j} gradient")
+
+
+def test_bank_cross_entropy_matches_finite_differences():
+    rng = np.random.default_rng(15)
+    for b, p, m in ((1, 1, 1), (3, 2, 5), (4, 3, 9)):
+        report = nm.grad_check(nm.bank_cross_entropy,
+                               [rng.normal(scale=3.0, size=(b, p)),
+                                rng.normal(scale=3.0, size=(b, m))], step=1e-5, tol=1e-6)
+        assert report.passed, f"{(b, p, m)}: {report}"
+
+
+def bank_oracle(positives, negatives):
+    """Loss and gradients from one max-shifted softmax per (row, positive)."""
+    b, p = positives.shape
+    loss = 0.0
+    grad_p, grad_n = np.zeros_like(positives), np.zeros_like(negatives)
+    for i in range(b):
+        for j in range(p):
+            row = np.concatenate([[positives[i, j]], negatives[i]])
+            shifted = row - row.max()
+            soft = np.exp(shifted) / np.exp(shifted).sum()
+            loss += row.max() + np.log(np.exp(shifted).sum()) - row[0]
+            grad_p[i, j] = soft[0] - 1.0
+            grad_n[i] += soft[1:]
+    return loss / (b * p), grad_p / (b * p), grad_n / (b * p)
+
+
+def test_bank_cross_entropy_is_stable():
+    positives = np.array([[1000.0, -1000.0], [-1000.0, 1000.0], [0.0, 999.0]])
+    negatives = np.array([[1000.0, -1000.0, 0.0], [-1000.0, -1000.0, 1000.0],
+                          [1000.0, 1000.0, -1000.0]])
+    value, (grad_p, grad_n) = nm.forward_backward(nm.bank_cross_entropy, [positives, negatives])
+    want, want_p, want_n = bank_oracle(positives, negatives)
+    assert np.isfinite(value) and np.all(np.isfinite(grad_p)) and np.all(np.isfinite(grad_n))
+    assert_relative(value, want, 1e-12, "loss")
+    assert_relative(grad_p, want_p, 1e-12, "positive gradient")
+    assert_relative(grad_n, want_n, 1e-12, "negative gradient")
+
+
+def test_bank_cross_entropy_single_positive_is_softmax_cross_entropy():
+    rng = np.random.default_rng(16)
+    positive, negatives = rng.normal(size=(5, 1)), rng.normal(size=(5, 7))
+    value, grads = nm.forward_backward(nm.bank_cross_entropy, [positive, negatives])
+    want, (want_joint,) = nm.forward_backward(
+        lambda joint: nm.softmax_cross_entropy(joint, np.zeros(5, dtype=int)),
+        [np.concatenate([positive, negatives], axis=1)])
+    assert_relative(value, want, 1e-12, "loss")
+    assert_relative(grads[0], want_joint[:, :1], 1e-12, "positive gradient")
+    assert_relative(grads[1], want_joint[:, 1:], 1e-12, "negative gradient")
+
+
+@pytest.mark.parametrize("positives, negatives", [
+    (np.zeros((3, 2)), np.zeros((4, 5))),
+    (np.zeros(3), np.zeros((3, 5))),
+    (np.zeros((3, 2)), np.zeros(5)),
+], ids=["batch_mismatch", "positives_1d", "negatives_1d"])
+def test_bank_cross_entropy_rejects_bad_shapes(positives, negatives):
+    with pytest.raises(nm.ShapeMismatchError) as err:
+        nm.bank_cross_entropy(positives, negatives)
+    assert err.value.op == "bank_cross_entropy"
+    assert err.value.shapes == (positives.shape, negatives.shape)

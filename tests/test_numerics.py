@@ -1,3 +1,6 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 
@@ -325,3 +328,13 @@ def test_plain_arrays_take_plain_path():
     assert isinstance(out, np.ndarray)
     var_out = nm.matmul(nm.Var(np.eye(2)), np.ones((2, 2)))
     assert isinstance(var_out, nm.Var)
+
+
+def test_docstring_op_list_names_every_op():
+    # an op is a public function that records a tape node through _make
+    ops = {name for name, fn in inspect.getmembers(nm, inspect.isfunction)
+           if fn.__module__ == nm.__name__ and not name.startswith("_")
+           and "_make(" in inspect.getsource(fn)}
+    listed = nm.__doc__.split("Supported op set:")[1].split(".")[0]
+    listed = {name.strip() for name in re.sub(r"\([^)]*\)", "", listed).split(",")}
+    assert listed == ops

@@ -424,3 +424,24 @@ def test_loss_total_is_sum_of_terms():
     parts = [metrics[f"loss_{name}"] for name in trainer.LOSS_NAMES]
     assert all(part > 0.0 for part in parts)
     assert metrics["loss_total"] == ((parts[0] + parts[1]) + parts[2]) + parts[3]
+
+
+@pytest.mark.parametrize("losses_on, nodes", [
+    ({}, 84),
+    ({"use_intra": False, "use_segment": False, "use_order": False}, 27),
+], ids=["default", "inter_only"])
+def test_step_graph_size(losses_on, nodes):
+    """Nodes reachable from one step's loss with both banks partly filled;
+    a change to this count is a deliberate change of the step's graph."""
+    cfg = tiny_config(**losses_on)
+    train_videos, _ = synth.generate_dataset(cfg.dataset)
+    state = trainer.init_state(cfg, total_steps=4)
+    rng = np.random.default_rng(0)
+    state.bank_inter.enqueue(unit_rows(rng, 20, cfg.embed_dim))
+    state.bank_segment.enqueue(unit_rows(rng, 10, cfg.embed_dim))
+    batch = trainer.assemble_batch(train_videos, range(4), cfg, 0, 0)
+    targets = trainer.key_targets(state.key, batch, cfg)
+    terms = trainer.batch_losses(model.as_vars(state.query), targets, batch,
+                                 state.bank_inter.negatives_view(),
+                                 state.bank_segment.negatives_view(), cfg)
+    assert len(nm._toposort(trainer._sum_terms(terms))) == nodes
