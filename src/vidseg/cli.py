@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import config as config_mod
-from . import evaluate, formats, trainer
+from . import evaluate, formats, model, trainer
 from .evaluate import AblationEntry
 
 BUILTIN_GRIDS = {
@@ -83,8 +83,22 @@ def cmd_pretrain(args):
 
 
 def _load_checkpoint_for_eval(checkpoint_path, dataset_path):
+    """The checkpoint, its typed config echo and the dataset's videos. A bad
+    echo, or parameters of other shapes than the echo's model, is an
+    ArtifactError naming the checkpoint."""
     ckpt = formats.read_checkpoint(checkpoint_path)
-    flat = config_mod.parse_flat_strings(ckpt.config_flat)
+    try:
+        flat = config_mod.parse_flat_strings(ckpt.config_flat)
+        shapes = model.param_shapes(config_mod.build_train_config(flat).model_config())
+    except ValueError as err:
+        raise formats.ArtifactError(f"{checkpoint_path}: config echo: {err}") from None
+    for side, params in (("query", ckpt.query), ("key", ckpt.key)):
+        found = {name: arr.shape for name, arr in params.items()}
+        if found != shapes:
+            wrong = sorted(name for name in found.keys() | shapes.keys()
+                           if found.get(name) != shapes.get(name))
+            raise formats.ArtifactError(f"{checkpoint_path}: config echo: {side} parameters "
+                                        f"{wrong} do not have the shapes of its model")
     _, train_videos, test_videos = formats.read_dataset(dataset_path)
     return ckpt, flat, train_videos, test_videos
 

@@ -1,18 +1,22 @@
 """Flat key=value run configuration: defaults, parsing, validation, and the
 builders that turn a parsed config into the typed module configs.
 
-Unknown keys are an error. The canonical rendering (sorted key=value lines)
-is what checkpoint headers embed, and re-parsing plus re-rendering the echo
-reproduces it byte for byte.
+Every key is a field of a config dataclass (DatasetSpec, TrainConfig,
+ProbeConfig, RetrievalConfig), spelled `section.field` as
+formats.flatten_config names it; its default and its parser follow from the
+field's default value. Unknown keys are an error. The canonical rendering
+(sorted key=value lines) is what checkpoint headers embed, and re-parsing plus
+re-rendering the echo reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 from .evaluate import ProbeConfig, RetrievalConfig
-from .formats import render_flat
+from .formats import config_key, flatten_config
 from .synth import DatasetSpec
 from .trainer import TrainConfig
 
@@ -24,39 +28,35 @@ _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
 
 def _parse_bool(text):
     try:
-        return _BOOL_WORDS[text.strip().lower()]
+        return _BOOL_WORDS[text.lower()]
     except KeyError:
         raise ValueError(f"expected a boolean, got '{text}'") from None
 
 
-def _parse_int_list(text):
-    return [int(v) for v in text.split(",") if v.strip()]
+def _parse_int_tuple(text):
+    values = tuple(int(v) for v in text.split(",") if v.strip())
+    if not values:
+        raise ValueError("expected a comma-separated list of integers, got none")
+    return values
 
 
-# key -> (parser, default); defaults come from the dataclasses themselves
-def _defaults():
-    flat = {}
-    flat.update(DatasetSpec().to_flat())
-    flat.update(TrainConfig(dataset=DatasetSpec()).to_flat())
-    flat.update(ProbeConfig().to_flat())
-    flat.update(RetrievalConfig().to_flat())
-    return flat
+# the default of every config dataclass; the train one holds the dataset's
+_TRAIN, _PROBE, _RETRIEVAL = TrainConfig(dataset=DatasetSpec()), ProbeConfig(), RetrievalConfig()
+DEFAULTS = {**flatten_config(_TRAIN), **flatten_config(_PROBE), **flatten_config(_RETRIEVAL)}
+_PARSE_BY_TYPE = {bool: _parse_bool, int: int, float: float, str: str, tuple: _parse_int_tuple}
+_PARSERS = {key: _PARSE_BY_TYPE[type(value)] for key, value in DEFAULTS.items()}
+# keys that older checkpoint echoes carry and nothing reads any more
+_RETIRED_KEYS = {"probe.seed"}
 
 
-DEFAULTS = _defaults()
-
-_PARSERS = {}
-for _key, _value in DEFAULTS.items():
-    if isinstance(_value, bool):
-        _PARSERS[_key] = _parse_bool
-    elif isinstance(_value, int):
-        _PARSERS[_key] = int
-    elif isinstance(_value, float):
-        _PARSERS[_key] = float
-    elif isinstance(_value, list):
-        _PARSERS[_key] = _parse_int_list
-    else:
-        _PARSERS[_key] = lambda text: text.strip()
+def _typed(key, text):
+    """The value of `key` parsed from text; a ValueError names the key."""
+    if key not in _PARSERS:
+        raise ValueError(f"unknown config key '{key}'")
+    try:
+        return _PARSERS[key](text.strip())
+    except ValueError as err:
+        raise ValueError(f"bad value for '{key}': {err}") from None
 
 
 def parse_config_text(text):
@@ -71,12 +71,10 @@ def parse_config_text(text):
         key = key.strip()
         if not sep:
             raise ValueError(f"line {lineno}: expected key=value, got '{raw}'")
-        if key not in _PARSERS:
-            raise ValueError(f"line {lineno}: unknown config key '{key}'")
         try:
-            flat[key] = _PARSERS[key](value.strip())
+            flat[key] = _typed(key, value)
         except ValueError as err:
-            raise ValueError(f"line {lineno}: bad value for '{key}': {err}") from None
+            raise ValueError(f"line {lineno}: {err}") from None
     return flat
 
 
@@ -99,71 +97,33 @@ def load_config(path):
 
 
 def parse_flat_strings(flat_strings):
-    """Re-typed flat config from string values (e.g. a checkpoint echo)."""
+    """Re-typed flat config from string values (e.g. a checkpoint echo).
+    Retired keys, which older echoes still carry, are dropped."""
     flat = dict(DEFAULTS)
     for key, value in flat_strings.items():
-        if key not in _PARSERS:
-            raise ValueError(f"unknown config key '{key}'")
-        flat[key] = _PARSERS[key](str(value))
+        if key not in _RETIRED_KEYS:
+            flat[key] = _typed(key, str(value))
     return flat
 
 
-def build_dataset_spec(flat) -> DatasetSpec:
-    return DatasetSpec(
-        classes=flat["dataset.classes"],
-        videos_per_class=flat["dataset.videos_per_class"],
-        frames=flat["dataset.frames"],
-        height=flat["dataset.height"],
-        width=flat["dataset.width"],
-        untrimmed=flat["dataset.untrimmed"],
-        action_coverage=flat["dataset.action_coverage"],
-        noise=flat["dataset.noise"],
-        seed=flat["dataset.seed"],
-        train_fraction=flat["dataset.train_fraction"],
-    )
+def _build(default, flat):
+    """A config dataclass of default's type with every field read from its
+    key in flat; a field holding a config dataclass is rebuilt the same way."""
+    values = {}
+    for field in fields(default):
+        value = getattr(default, field.name)
+        values[field.name] = (_build(value, flat) if is_dataclass(value)
+                              else flat[config_key(default, field)])
+    return type(default)(**values)
 
 
 def build_train_config(flat) -> TrainConfig:
-    return TrainConfig(
-        dataset=build_dataset_spec(flat),
-        epochs=flat["train.epochs"],
-        batch_size=flat["train.batch_size"],
-        learning_rate=flat["train.learning_rate"],
-        sgd_momentum=flat["train.sgd_momentum"],
-        weight_decay=flat["train.weight_decay"],
-        temperature=flat["train.temperature"],
-        segments=flat["train.segments"],
-        key_momentum=flat["train.key_momentum"],
-        bank_capacity=flat["train.bank_capacity"],
-        seed=flat["train.seed"],
-        use_inter=flat["train.loss_inter"],
-        use_intra=flat["train.loss_intra"],
-        use_segment=flat["train.loss_segment"],
-        use_order=flat["train.loss_order"],
-        hidden_dim=flat["train.hidden_dim"],
-        feature_dim=flat["train.feature_dim"],
-        embed_dim=flat["train.embed_dim"],
-        normalize_order_embeddings=flat["train.normalize_order_embeddings"],
-        order_positive_uses_key=flat["train.order_positive_uses_key"],
-        share_tuple_augment=flat["train.share_tuple_augment"],
-        frame_source=flat["train.frame_source"],
-        checkpoint_interval=flat["train.checkpoint_interval"],
-    )
+    return _build(_TRAIN, flat)
 
 
 def build_probe_config(flat) -> ProbeConfig:
-    return ProbeConfig(
-        iterations=flat["probe.iterations"],
-        l2_penalty=flat["probe.l2_penalty"],
-        learning_rate=flat["probe.learning_rate"],
-        seed=flat["probe.seed"],
-        frames=flat["probe.frames"],
-    )
+    return _build(_PROBE, flat)
 
 
 def build_retrieval_config(flat) -> RetrievalConfig:
-    return RetrievalConfig(ks=tuple(flat["retrieval.ks"]))
-
-
-def render(flat):
-    return render_flat(flat)
+    return _build(_RETRIEVAL, flat)

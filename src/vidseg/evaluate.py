@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -16,28 +17,17 @@ _EVAL_STREAM = 21
 
 @dataclass(frozen=True)
 class ProbeConfig:
+    SECTION: ClassVar[str] = "probe"
     iterations: int = 500
     l2_penalty: float = 1e-3
     learning_rate: float = 1.0
-    seed: int = 0
     frames: int = 8  # capped at the video length during extraction
-
-    def to_flat(self):
-        return {
-            "probe.iterations": self.iterations,
-            "probe.l2_penalty": self.l2_penalty,
-            "probe.learning_rate": self.learning_rate,
-            "probe.seed": self.seed,
-            "probe.frames": self.frames,
-        }
 
 
 @dataclass(frozen=True)
 class RetrievalConfig:
+    SECTION: ClassVar[str] = "retrieval"
     ks: tuple = (1, 5, 10)
-
-    def to_flat(self):
-        return {"retrieval.ks": list(self.ks)}
 
 
 @dataclass
@@ -192,11 +182,7 @@ class AblationEntry:
             unknown = set(self.losses) - set(trainer.LOSS_NAMES)
             if unknown:
                 raise ValueError(f"unknown losses in grid entry '{self.name}': {sorted(unknown)}")
-            out = replace(out,
-                          use_inter="inter" in self.losses,
-                          use_intra="intra" in self.losses,
-                          use_segment="segment" in self.losses,
-                          use_order="order" in self.losses)
+            out = trainer.with_losses(out, self.losses)
         if self.segments is not None:
             out = replace(out, segments=self.segments)
         return out

@@ -12,7 +12,7 @@ import io
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +32,28 @@ def render_value(value):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return str(value)
+
+
+def config_key(cfg, field):
+    """The `section.key` of a config dataclass field: the class's SECTION and
+    the field's name, or the name its metadata gives as `key`."""
+    return f"{cfg.SECTION}.{field.metadata.get('key', field.name)}"
+
+
+def flatten_config(cfg):
+    """The flat `section.key` entries of a config dataclass; a field holding
+    another config dataclass flattens under that one's own section."""
+    flat = {}
+    for field in fields(cfg):
+        value = getattr(cfg, field.name)
+        if is_dataclass(value):
+            flat.update(flatten_config(value))
+        else:
+            flat[config_key(cfg, field)] = value
+    return flat
 
 
 def render_flat(flat):
@@ -213,7 +232,7 @@ def write_dataset(path, spec, train_videos, test_videos):
     payload = io.BytesIO()
     header.write(DATASET_MAGIC + "\n")
     header.write("#config-begin\n")
-    header.write(render_flat(spec.to_flat()))
+    header.write(render_flat(flatten_config(spec)))
     header.write("#config-end\n")
     for split, videos in (("train", train_videos), ("test", test_videos)):
         for video in videos:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,6 +24,7 @@ _PERP_RANGE = 3.5
 class DatasetSpec:
     """Generation parameters. Everything downstream is a pure function of these."""
 
+    SECTION: ClassVar[str] = "dataset"
     classes: int = 8
     videos_per_class: int = 25
     frames: int = 32
@@ -45,20 +47,6 @@ class DatasetSpec:
             raise ValueError("noise must be >= 0")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
-
-    def to_flat(self):
-        return {
-            "dataset.classes": self.classes,
-            "dataset.videos_per_class": self.videos_per_class,
-            "dataset.frames": self.frames,
-            "dataset.height": self.height,
-            "dataset.width": self.width,
-            "dataset.untrimmed": self.untrimmed,
-            "dataset.action_coverage": self.action_coverage,
-            "dataset.noise": self.noise,
-            "dataset.seed": self.seed,
-            "dataset.train_fraction": self.train_fraction,
-        }
 
 
 @dataclass

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,7 +26,8 @@ LOSS_NAMES = ("inter", "intra", "segment", "order")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    dataset: synth.DatasetSpec
+    SECTION: ClassVar[str] = "train"
+    dataset: synth.DatasetSpec  # flattens under its own section
     epochs: int = 60
     batch_size: int = 32
     learning_rate: float = 0.05
@@ -36,10 +38,10 @@ class TrainConfig:
     key_momentum: float = 0.999
     bank_capacity: int = 4096
     seed: int = 0
-    use_inter: bool = True
-    use_intra: bool = True
-    use_segment: bool = True
-    use_order: bool = True
+    use_inter: bool = field(default=True, metadata={"key": "loss_inter"})
+    use_intra: bool = field(default=True, metadata={"key": "loss_intra"})
+    use_segment: bool = field(default=True, metadata={"key": "loss_segment"})
+    use_order: bool = field(default=True, metadata={"key": "loss_order"})
     hidden_dim: int = 128
     feature_dim: int = 64
     embed_dim: int = 32
@@ -85,31 +87,10 @@ class TrainConfig:
             order_positive_uses_key=self.order_positive_uses_key,
         )
 
-    def to_flat(self):
-        return {
-            "train.epochs": self.epochs,
-            "train.batch_size": self.batch_size,
-            "train.learning_rate": self.learning_rate,
-            "train.sgd_momentum": self.sgd_momentum,
-            "train.weight_decay": self.weight_decay,
-            "train.temperature": self.temperature,
-            "train.segments": self.segments,
-            "train.key_momentum": self.key_momentum,
-            "train.bank_capacity": self.bank_capacity,
-            "train.seed": self.seed,
-            "train.loss_inter": self.use_inter,
-            "train.loss_intra": self.use_intra,
-            "train.loss_segment": self.use_segment,
-            "train.loss_order": self.use_order,
-            "train.hidden_dim": self.hidden_dim,
-            "train.feature_dim": self.feature_dim,
-            "train.embed_dim": self.embed_dim,
-            "train.normalize_order_embeddings": self.normalize_order_embeddings,
-            "train.order_positive_uses_key": self.order_positive_uses_key,
-            "train.share_tuple_augment": self.share_tuple_augment,
-            "train.frame_source": self.frame_source,
-            "train.checkpoint_interval": self.checkpoint_interval,
-        }
+
+def with_losses(cfg: TrainConfig, names):
+    """cfg with exactly the named losses of LOSS_NAMES switched on."""
+    return replace(cfg, **{f"use_{name}": name in names for name in LOSS_NAMES})
 
 
 @dataclass
@@ -426,7 +407,7 @@ METRICS_COLUMNS = ("epoch", "lr", "loss_total", "loss_inter", "loss_intra",
 
 
 def _write_state(path, cfg, state, config_flat):
-    flat = config_flat if config_flat is not None else {**cfg.dataset.to_flat(), **cfg.to_flat()}
+    flat = config_flat if config_flat is not None else formats.flatten_config(cfg)
     formats.write_checkpoint(
         path, flat, state.query, state.key,
         {"inter": state.bank_inter, "segment": state.bank_segment},
@@ -477,10 +458,8 @@ def gradient_suite(cfg: TrainConfig, n_seeds=10, probes_per_param=4, step=1e-5, 
     report).
     """
     results = []
-    single = {name: replace(cfg, use_inter=name == "inter", use_intra=name == "intra",
-                            use_segment=name == "segment", use_order=name == "order")
-              for name in LOSS_NAMES}
-    everything = replace(cfg, use_inter=True, use_intra=True, use_segment=True, use_order=True)
+    single = {name: with_losses(cfg, (name,)) for name in LOSS_NAMES}
+    everything = with_losses(cfg, LOSS_NAMES)
     for seed in range(n_seeds):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, STREAM_GRADCHECK, seed]))
         mcfg = cfg.model_config()

@@ -1,8 +1,14 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from vidseg import cli, evaluate, formats, synth, trainer
 from vidseg import config as config_mod
-from vidseg import formats, synth, trainer
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_defaults_parse_and_build():
@@ -34,12 +40,64 @@ def test_comments_and_blank_lines_allowed():
 def test_render_is_canonical_and_stable():
     text = "train.epochs=3\ndataset.classes=4\n"
     flat = config_mod.parse_config_text(text)
-    rendered = config_mod.render(flat)
+    rendered = formats.render_flat(flat)
     # idempotent: parse the rendering, render again, bytes match
-    again = config_mod.render(config_mod.parse_config_text(rendered))
+    again = formats.render_flat(config_mod.parse_config_text(rendered))
     assert rendered == again
     assert "dataset.classes=4" in rendered.splitlines()
     assert rendered == "".join(f"{line}\n" for line in sorted(rendered.splitlines()))
+
+
+def test_empty_retrieval_ks_rejected():
+    with pytest.raises(ValueError, match="line 2: bad value for 'retrieval.ks'"):
+        config_mod.parse_config_text("train.epochs=3\nretrieval.ks=\n")
+
+
+CONFIG_CLASSES = (synth.DatasetSpec, trainer.TrainConfig, evaluate.ProbeConfig,
+                  evaluate.RetrievalConfig)
+
+
+def test_defaults_are_the_dataclass_fields():
+    keys = {f"{cls.SECTION}.{field.metadata.get('key', field.name)}"
+            for cls in CONFIG_CLASSES for field in dataclasses.fields(cls)
+            if field.name != "dataset"}
+    assert set(config_mod.DEFAULTS) == keys
+    assert len(keys) == 37
+
+
+def non_default(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value / 2
+    if isinstance(value, tuple):
+        return value + (value[-1] + 1,)
+    return value + "-other"
+
+
+def test_every_key_round_trips_at_a_non_default_value():
+    text = formats.render_flat({key: non_default(value)
+                                for key, value in config_mod.DEFAULTS.items()})
+    flat = config_mod.parse_config_text(text)
+    assert all(flat[key] != value for key, value in config_mod.DEFAULTS.items())
+    built = (config_mod.build_train_config(flat), config_mod.build_probe_config(flat),
+             config_mod.build_retrieval_config(flat))
+    again = {key: value for cfg in built for key, value in formats.flatten_config(cfg).items()}
+    assert formats.render_flat(again) == text
+    assert built[2].ks == (1, 5, 10, 11)
+
+
+def test_readme_key_table_lists_every_default():
+    block = README.read_text().split("## Configuration keys and defaults")[1].split("```")[1]
+    assert sorted(block.split()) == formats.render_flat(config_mod.DEFAULTS).split()
+
+
+def test_retired_probe_seed_dropped_from_echoes_only():
+    assert "probe.seed" not in config_mod.parse_flat_strings({"probe.seed": "0"})
+    with pytest.raises(ValueError, match="line 1: unknown config key 'probe.seed'"):
+        config_mod.parse_config_text("probe.seed=0\n")
 
 
 def test_config_search_path_env(tmp_path, monkeypatch):
@@ -66,7 +124,7 @@ def small_state():
 
 def test_checkpoint_round_trip(tmp_path):
     cfg, state = small_state()
-    flat = {**cfg.dataset.to_flat(), **cfg.to_flat()}
+    flat = formats.flatten_config(cfg)
     path = tmp_path / "model.ckpt"
     formats.write_checkpoint(path, flat, state.query, state.key,
                              {"inter": state.bank_inter, "segment": state.bank_segment},
@@ -84,6 +142,22 @@ def test_checkpoint_round_trip(tmp_path):
     # the embedded echo reproduces the canonical rendering byte for byte
     echo = formats.render_flat(config_mod.parse_flat_strings(loaded.config_flat))
     assert echo == formats.render_flat(config_mod.parse_flat_strings(flat))
+
+
+def test_older_echo_with_probe_seed_still_loads(tmp_path):
+    cfg, state = small_state()
+    flat = {**formats.flatten_config(cfg), **formats.flatten_config(evaluate.ProbeConfig()),
+            "probe.seed": 0}
+    path = tmp_path / "model.ckpt"
+    formats.write_checkpoint(path, flat, state.query, state.key,
+                             {"inter": state.bank_inter, "segment": state.bank_segment},
+                             {"seed": 9, "epoch": 1, "step": 2})
+    loaded = formats.read_checkpoint(path)
+    assert loaded.config_flat["probe.seed"] == "0"
+    typed = config_mod.parse_flat_strings(loaded.config_flat)
+    assert "probe.seed" not in typed
+    assert config_mod.build_probe_config(typed) == evaluate.ProbeConfig()
+    assert config_mod.build_train_config(typed) == cfg
 
 
 def test_checkpoint_version_mismatch_rejected(tmp_path):
@@ -171,7 +245,7 @@ def written_artifacts(tmp_path):
     """A small valid checkpoint and dataset file."""
     cfg, state = small_state()
     checkpoint = tmp_path / "model.ckpt"
-    formats.write_checkpoint(checkpoint, {**cfg.dataset.to_flat(), **cfg.to_flat()},
+    formats.write_checkpoint(checkpoint, formats.flatten_config(cfg),
                              state.query, state.key,
                              {"inter": state.bank_inter, "segment": state.bank_segment},
                              {"seed": 0, "epoch": 0, "step": 0})
@@ -266,3 +340,19 @@ def test_checkpoint_param_sides_rejected(tmp_path, prefix, old, new, message):
     rewrite_header_line(checkpoint, prefix, lambda line: line.replace(old, new, 1))
     with pytest.raises(formats.ArtifactError, match=f"model.ckpt.*{message}"):
         formats.read_checkpoint(checkpoint)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (b"train.epochs=1", b"train.epochz=1", "unknown config key 'train.epochz'"),
+    (b"train.epochs=1", b"train.epochs=x", "bad value for 'train.epochs'"),
+    (b"train.hidden_dim=8", b"train.hidden_dim=17",
+     r"query parameters \[.*'encoder.fc1.weight'.*\] do not have the shapes"),
+], ids=["unknown_key", "bad_value", "size_mismatch"])
+def test_bad_checkpoint_echo_rejected(tmp_path, capsys, old, new, message):
+    checkpoint, dataset = written_artifacts(tmp_path)
+    rewrite_header_line(checkpoint, old, lambda line: new)
+    code = cli.main(["probe", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                     "--out", str(tmp_path / "probe.csv")])
+    assert code == 1
+    assert re.match(f"error: .*model.ckpt: config echo: .*{message}", capsys.readouterr().err)
+    assert not (tmp_path / "probe.csv").exists()
