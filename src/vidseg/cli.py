@@ -47,10 +47,17 @@ def parse_grid_spec(spec):
         fields = dict(token.partition("=")[::2] for token in line.split())
         if "name" not in fields:
             raise ValueError(f"{spec}:{lineno}: grid entry needs name=<id>")
+        segments = fields.get("segments")
+        if segments is not None:
+            try:
+                segments = int(segments)
+            except ValueError:
+                raise ValueError(f"{spec}:{lineno}: segments must be an integer, "
+                                 f"got '{segments}'") from None
         entries.append(AblationEntry(
             name=fields["name"],
             losses=tuple(fields["losses"].split(",")) if "losses" in fields else None,
-            segments=int(fields["segments"]) if "segments" in fields else None,
+            segments=segments,
         ))
     if not entries:
         raise ValueError(f"{spec}: grid file has no entries")
@@ -85,7 +92,8 @@ def cmd_pretrain(args):
 def _load_checkpoint_for_eval(checkpoint_path, dataset_path):
     """The checkpoint, its typed config echo and the dataset's videos. A bad
     echo, or parameters of other shapes than the echo's model, is an
-    ArtifactError naming the checkpoint."""
+    ArtifactError naming the checkpoint; a dataset file whose spec is not
+    the echo's dataset is one naming both files."""
     ckpt = formats.read_checkpoint(checkpoint_path)
     try:
         flat = config_mod.parse_flat_strings(ckpt.config_flat)
@@ -99,7 +107,17 @@ def _load_checkpoint_for_eval(checkpoint_path, dataset_path):
                            if found.get(name) != shapes.get(name))
             raise formats.ArtifactError(f"{checkpoint_path}: config echo: {side} parameters "
                                         f"{wrong} do not have the shapes of its model")
-    _, train_videos, test_videos = formats.read_dataset(dataset_path)
+    spec_flat, train_videos, test_videos = formats.read_dataset(dataset_path)
+    try:
+        spec = config_mod.parse_flat_strings(spec_flat)
+    except ValueError as err:
+        raise formats.ArtifactError(f"{dataset_path}: spec echo: {err}") from None
+    differ = [key for key in sorted(spec) if key.startswith("dataset.") and spec[key] != flat[key]]
+    if differ:
+        raise formats.ArtifactError(
+            f"{dataset_path}: spec differs from the dataset echo of {checkpoint_path}: "
+            + ", ".join(f"{key}={formats.render_value(spec[key])} vs "
+                        f"{formats.render_value(flat[key])}" for key in differ))
     return ckpt, flat, train_videos, test_videos
 
 

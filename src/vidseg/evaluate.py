@@ -150,12 +150,17 @@ def order_prediction_accuracy(query_params, key_params, videos, cfg: trainer.Tra
                               n_samples=200, seed=0):
     """Accuracy of the trained order classifier on n_samples freshly drawn
     pairs (videos taken in turn), drawn from one stream and scored with one
-    batched order_logits call."""
+    batched order_logits call.
+
+    The pairs are the tuples of a training batch (trainer.draw_batch), which
+    also draws the frame-level views; only the tuple frames are augmented."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, _EVAL_STREAM]))
-    batch = trainer.sample_batch([videos[i % len(videos)] for i in range(n_samples)], cfg, rng)
-    logits = model.order_logits(query_params, key_params, batch.anchors, batch.positives,
+    videos = [videos[i % len(videos)] for i in range(n_samples)]
+    tuples = trainer.draw_batch(videos, cfg, rng).tuples
+    frames = trainer.augmented_frames(videos, tuples.indices, tuples.aug)
+    logits = model.order_logits(query_params, key_params, frames[:, 0], frames[:, 1],
                                 cfg.model_config())
-    return float(np.mean(np.argmax(logits, axis=1) == batch.order_labels))
+    return float(np.mean(np.argmax(logits, axis=1) == tuples.labels))
 
 
 def evaluate_encoder(query_params, key_params, train_videos, test_videos,

@@ -5,10 +5,12 @@ A training step draws every random choice of its whole batch from one
 stream, one array call per field, before any frame is touched: segment
 indices, augmentation columns, shuffle flags and permutation ranks.
 Augmentation consumes no randomness; it is applied afterwards to the step's
-whole stack of frames at once."""
+whole stack of frames at once, as two resampling matrices per frame (crop,
+resize, flip and blur) and one per-frame affine (brightness and contrast)."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -134,15 +136,37 @@ def draw_tuples(rng, t_counts, k, height, width, share_augment=False) -> TupleDr
     return TupleDraw(indices=indices, aug=aug, shuffled=shuffled)
 
 
-def _resize_taps(origin, crop, extent):
-    """Per-frame bilinear taps of resizing the crop [origin, origin + crop)
-    of one axis to `extent` samples: low and high source index, and the
-    weight of the high one, each of shape (N, extent)."""
+@functools.cache
+def blur_matrix(extent):
+    """The (extent, extent) matrix of one axis of the edge-padded 3x3 box
+    blur: tridiagonal, 1/3 per tap, the edge sample counted twice, so every
+    row sums to 1. Built once per size; read-only."""
+    matrix = np.zeros((extent, extent))
+    rows = np.arange(extent)
+    for shift in (-1, 0, 1):
+        np.add.at(matrix, (rows, np.clip(rows + shift, 0, extent - 1)), 1.0 / 3.0)
+    matrix.setflags(write=False)
+    return matrix
+
+
+def resize_matrices(origin, crop, extent):
+    """(N, extent, extent) matrices resampling the crop [origin, origin +
+    crop) of one axis to extent samples by bilinear interpolation, one per
+    entry of the (N,) columns: row i holds the two taps of output sample i,
+    with weights summing to 1."""
     crop = crop[:, None]
     centers = np.clip((np.arange(extent) + 0.5) * crop / extent - 0.5, 0.0, crop - 1.0)
     lo = np.floor(centers).astype(int)
+    weight = centers - lo
     hi = np.minimum(lo + 1, crop - 1)
-    return origin[:, None] + lo, origin[:, None] + hi, centers - lo
+    n = origin.shape[0]
+    matrices = np.zeros((n, extent, extent))
+    # flat offset of each row's entry for source sample 0 of the crop
+    rows = np.arange(0, n * extent * extent, extent).reshape(n, extent) + origin[:, None]
+    flat = matrices.reshape(-1)
+    flat[rows + lo] = 1 - weight
+    flat[rows + hi] += weight
+    return matrices
 
 
 def augment_frames(frames, params: AugParams):
@@ -150,8 +174,13 @@ def augment_frames(frames, params: AugParams):
     columns: crop/resize, flip, brightness, mean-anchored contrast, box blur,
     clamp.
 
-    Every frame gets the arithmetic of augmenting it on its own, so a frame's
-    output does not depend on the rest of the stack.
+    The geometry of frame i is My[i] @ X[i] @ Mx[i].T: My and Mx resample
+    the crop (resize_matrices), a flip reverses the rows of Mx, and a blurred
+    frame has blur_matrix multiplied into both. Brightness b and contrast c
+    are then one affine, c * Y + (1 - c) * mean + b, where mean is the mean
+    of the un-blurred resize, read off the matrices' column sums; blur
+    commutes with it because its rows sum to 1. A frame's output does not
+    depend on the rest of the stack.
     """
     frames = np.ascontiguousarray(frames, dtype=np.float64)
     n, height, width = frames.shape
@@ -171,46 +200,16 @@ def augment_frames(frames, params: AugParams):
     if np.any((top + crop_h > height) | (left + crop_w > width)):
         raise ValueError("crop rectangle outside the frame")
 
-    # crop + bilinear resize: a 4-tap gather from the flattened stack
-    y0, y1, wy = _resize_taps(top, crop_h, height)
-    x0, x1, wx = _resize_taps(left, crop_w, width)
-    # a full-frame crop is a plain copy; pointing both taps at one pixel keeps
-    # it exact, signed zeros included
-    full = ((crop_h == height) & (crop_w == width))[:, None]
-    y1 = np.where(full, y0, y1)
-    x1 = np.where(full, x0, x1)
-    x0, x1, wx = (np.where(flip[:, None], a[:, ::-1], a) for a in (x0, x1, wx))
-    base = np.arange(n)[:, None] * height
-    r0 = ((base + y0) * width)[:, :, None]
-    r1 = ((base + y1) * width)[:, :, None]
-    x0, x1 = x0[:, None, :], x1[:, None, :]
-    wx, wy = wx[:, None, :], wy[:, :, None]
-    flat = frames.reshape(-1)
-    top_row = flat[r0 + x0] * (1 - wx) + flat[r0 + x1] * wx
-    bottom_row = flat[r1 + x0] * (1 - wx) + flat[r1 + x1] * wx
-    out = top_row * (1 - wy) + bottom_row * wy
-
-    # a zero shift or unit contrast must leave the frame untouched: x + 0.0
-    # turns -0.0 into 0.0, and mean + (x - mean) is not always x
-    sel = np.flatnonzero(brightness != 0.0)
-    out[sel] += brightness[sel, None, None]
-    sel = np.flatnonzero(contrast != 1.0)
-    chosen = out[sel]
-    mean = chosen.reshape(sel.size, height * width).mean(axis=1)[:, None, None]
-    out[sel] = mean + (chosen - mean) * contrast[sel, None, None]
-    sel = np.flatnonzero(blur)
-    padded = np.pad(out[sel], ((0, 0), (1, 1), (1, 1)), mode="edge")
-    acc = np.zeros((sel.size, height, width))
-    for dy in (0, 1, 2):
-        for dx in (0, 1, 2):
-            acc += padded[:, dy:dy + height, dx:dx + width]
-    out[sel] = acc / 9.0
+    my = resize_matrices(top, crop_h, height)
+    mx = resize_matrices(left, crop_w, width)
+    mx[flip] = mx[flip, ::-1]
+    mean = (my.sum(1)[:, None, :] @ frames @ mx.sum(1)[:, :, None]) / (height * width)
+    my[blur] = blur_matrix(height) @ my[blur]
+    mx[blur] = blur_matrix(width) @ mx[blur]
+    out = my @ frames @ mx.transpose(0, 2, 1)
+    out *= contrast[:, None, None]
+    out += (1 - contrast[:, None, None]) * mean + brightness[:, None, None]
     return np.clip(out, 0.0, 1.0, out=out)
-
-
-def augment_frame(frame, params: AugParams):
-    """augment_frames for a single (H, W) frame and scalar params."""
-    return augment_frames(frame[None], params)[0]
 
 
 def frame_at(video: Video, index):

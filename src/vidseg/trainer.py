@@ -187,6 +187,15 @@ def draw_batch(videos, cfg: TrainConfig, rng) -> BatchDraw:
     return BatchDraw(tuples=tuples, picks=picks, views=views)
 
 
+def augmented_frames(videos, indices, aug: sampling.AugParams):
+    """The frames of videos[b] at timeline indices[b], augmented by the
+    columns of aug (one entry per index, in the same order) in one
+    augment_frames call: shape indices.shape + (P,), frames flattened."""
+    raw = np.stack([sampling.frame_at(v, i) for v, i in zip(videos, indices)])
+    out = sampling.augment_frames(raw.reshape(-1, *raw.shape[-2:]), aug)
+    return out.reshape(*indices.shape, -1)
+
+
 def sample_batch(videos, cfg: TrainConfig, rng) -> Batch:
     """The Batch of one item per video, drawn from rng by draw_batch and then
     augmented in one augment_frames call.
@@ -213,9 +222,7 @@ def sample_batch(videos, cfg: TrainConfig, rng) -> Batch:
     indices = np.concatenate([tuple_indices, view_indices], axis=1)
     aug = sampling.AugParams(*(np.concatenate([t.reshape(b, 2 * k), v], axis=1)
                                for t, v in zip(draw.tuples.aug, draw.views)))
-    raw = np.concatenate([sampling.frame_at(v, i) for v, i in zip(videos, indices)])
-    out = sampling.augment_frames(raw, aug)
-    out = out.reshape(b, indices.shape[1], out.shape[1] * out.shape[2])
+    out = augmented_frames(videos, indices, aug)
     key_rows = np.concatenate([np.full((b, 1), indices.shape[1] - 1), others], axis=1)
     return Batch(anchors=out[:, :k], positives=out[:, k:2 * k], frame_anchors=out[:, -2],
                  key_views=out[np.arange(b)[:, None], key_rows],

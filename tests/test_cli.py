@@ -125,3 +125,15 @@ def test_builtin_grids_are_valid():
         assert entries
         names = [e.name for e in entries]
         assert len(set(names)) == len(names)
+
+
+def test_ablate_grid_file_rejects_non_integer_segments(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CONFIG)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("name=full\nname=k2 segments=two\n")
+    assert cli.main(["ablate", "--config", str(cfg), "--grid", str(grid),
+                     "--out", str(tmp_path / "x.csv")]) != 0
+    assert capsys.readouterr().err == (f"error: {grid}:2: segments must be an integer, "
+                                       "got 'two'\n")
+    assert not (tmp_path / "x.csv").exists()

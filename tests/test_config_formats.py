@@ -356,3 +356,22 @@ def test_bad_checkpoint_echo_rejected(tmp_path, capsys, old, new, message):
     assert code == 1
     assert re.match(f"error: .*model.ckpt: config echo: .*{message}", capsys.readouterr().err)
     assert not (tmp_path / "probe.csv").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"height": 12}, "dataset.height=12 vs 16"),
+    ({"seed": 99}, "dataset.seed=99 vs 9"),
+], ids=["height", "seed"])
+def test_dataset_spec_must_match_checkpoint_echo(tmp_path, capsys, change, message):
+    checkpoint, _ = written_artifacts(tmp_path)
+    cfg, _ = small_state()
+    spec = dataclasses.replace(cfg.dataset, **change)
+    dataset = tmp_path / "other.ds"
+    formats.write_dataset(dataset, spec, *synth.generate_dataset(spec))
+    code = cli.main(["probe", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                     "--out", str(tmp_path / "probe.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert re.match(f"error: .*other.ds: spec differs from the dataset echo of .*model.ckpt: "
+                    f"{message}$", err), err
+    assert not (tmp_path / "probe.csv").exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vidseg import evaluate, model, synth, trainer
+from vidseg import evaluate, model, sampling, synth, trainer
 from vidseg.evaluate import FeatureTable, ProbeConfig, RetrievalConfig
 
 
@@ -184,3 +184,29 @@ def test_order_prediction_accuracy_range():
     acc = evaluate.order_prediction_accuracy(state.query, state.key, test_videos, cfg,
                                              n_samples=40, seed=1)
     assert 0.0 <= acc <= 1.0
+
+
+def test_order_prediction_augments_only_the_tuple_frames(monkeypatch):
+    spec = synth.DatasetSpec(classes=4, videos_per_class=5, frames=12, seed=5)
+    cfg = trainer.TrainConfig(dataset=spec, hidden_dim=16, feature_dim=12, embed_dim=8)
+    state = trainer.init_state(cfg)
+    _, test_videos = synth.generate_dataset(spec)
+    # the same pairs as the tuples of a whole training batch, views included
+    rng = np.random.default_rng(np.random.SeedSequence([7, evaluate._EVAL_STREAM]))
+    batch = trainer.sample_batch([test_videos[i % len(test_videos)] for i in range(200)],
+                                 cfg, rng)
+    logits = model.order_logits(state.query, state.key, batch.anchors, batch.positives,
+                                cfg.model_config())
+    expected = float(np.mean(np.argmax(logits, axis=1) == batch.order_labels))
+    outputs = []
+    augment = sampling.augment_frames
+    monkeypatch.setattr(sampling, "augment_frames",
+                        lambda frames, params: outputs.append(augment(frames, params))
+                        or outputs[-1])
+    accuracy = evaluate.order_prediction_accuracy(state.query, state.key, test_videos, cfg,
+                                                  n_samples=200, seed=7)
+    assert [len(out) for out in outputs] == [200 * 2 * cfg.segments] == [1200]
+    tuple_frames = outputs[0].reshape(200, 2, cfg.segments, -1)
+    assert tuple_frames[:, 0].tobytes() == batch.anchors.tobytes()
+    assert tuple_frames[:, 1].tobytes() == batch.positives.tobytes()
+    assert accuracy == expected

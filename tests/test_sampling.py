@@ -43,8 +43,14 @@ def _box_blur(img):
     return out / 9.0
 
 
+# augment_frames resamples with matrix products, the reference with a 4-tap
+# gather and a 9-term blur sum; the two round differently
+REFERENCE_ATOL = 1e-14
+
+
 def reference_augment_frame(frame, params):
-    """One frame at a time: the reference augment_frames must match bytewise."""
+    """One frame at a time: the reference augment_frames must match within
+    REFERENCE_ATOL."""
     height, width = frame.shape
     if params.crop_h < 2 or params.crop_w < 2:
         raise ValueError(f"degenerate crop {params.crop_h}x{params.crop_w}")
@@ -67,6 +73,11 @@ def reference_augment_frame(frame, params):
 
 def reference_augment_frames(frames, params):
     return np.stack([reference_augment_frame(f, p) for f, p in zip(frames, params)])
+
+
+def augment_one(frame, params):
+    """augment_frames on a single (H, W) frame and scalar params."""
+    return sampling.augment_frames(frame[None], params)[0]
 
 
 def columns(params):
@@ -217,7 +228,7 @@ def test_identity_augmentation_is_identity():
     video = make_video()
     frame = video.frames[0]
     identity = sampling.AugParams(0, 0, 16, 16, False, 0.0, 1.0, False)
-    out = sampling.augment_frame(frame, identity)
+    out = augment_one(frame, identity)
     assert np.array_equal(out, frame)
 
 
@@ -225,14 +236,13 @@ def test_flip_twice_restores_frame():
     video = make_video()
     frame = video.frames[0]
     params = sampling.AugParams(0, 0, 16, 16, True, 0.0, 1.0, False)
-    assert np.array_equal(sampling.augment_frame(sampling.augment_frame(frame, params), params),
-                          frame)
+    assert np.array_equal(augment_one(augment_one(frame, params), params), frame)
 
 
 def test_brightness_shift_on_constant_frame():
     frame = np.full((16, 16), 0.5)
     params = sampling.AugParams(0, 0, 16, 16, False, 0.1, 1.0, False)
-    out = sampling.augment_frame(frame, params)
+    out = augment_one(frame, params)
     assert np.allclose(out, 0.6, atol=1e-12)
 
 
@@ -242,7 +252,7 @@ def test_degenerate_crop_rejected():
                                       (-3, -2, 8, 8), (9, 0, 8, 8)):
         params = sampling.AugParams(top, left, crop_h, crop_w, False, 0.0, 1.0, False)
         with pytest.raises(ValueError):
-            sampling.augment_frame(frame, params)
+            augment_one(frame, params)
         # a bad draw anywhere in a stack rejects the whole stack
         with pytest.raises(ValueError):
             identity = sampling.AugParams(0, 0, 16, 16, False, 0.0, 1.0, False)
@@ -253,7 +263,7 @@ def test_augmented_frames_clamped_and_shaped():
     video = make_video()
     params = sampling.draw_aug(np.random.default_rng(5), (30,), 16, 16)
     for i in range(30):
-        out = sampling.augment_frame(video.frames[1], frame_params(params, i))
+        out = augment_one(video.frames[1], frame_params(params, i))
         assert out.shape == (16, 16)
         assert out.min() >= 0.0 and out.max() <= 1.0
     out = sampling.augment_frames(video.frames[np.arange(30) % 12], params)
@@ -305,7 +315,8 @@ def test_augment_frames_matches_per_frame_reference(stack):
     frames, params = stack
     out = sampling.augment_frames(frames, columns(params))
     assert out.shape == frames.shape
-    assert out.tobytes() == reference_augment_frames(frames, params).tobytes()
+    np.testing.assert_allclose(out, reference_augment_frames(frames, params),
+                               rtol=0, atol=REFERENCE_ATOL)
 
 
 def test_augment_frames_edge_cases_match_reference():
@@ -323,9 +334,11 @@ def test_augment_frames_edge_cases_match_reference():
         P(6, 6, 9, 9, True, -0.2, 1.2, False),
     ]
     out = sampling.augment_frames(frames, columns(params))
-    assert out.tobytes() == reference_augment_frames(frames, params).tobytes()
+    np.testing.assert_allclose(out, reference_augment_frames(frames, params),
+                               rtol=0, atol=REFERENCE_ATOL)
+    # a frame augmented on its own gets the bytes of its row in the stack
     for frame, p, row in zip(frames, params, out):
-        assert sampling.augment_frame(frame, p).tobytes() == row.tobytes()
+        assert augment_one(frame, p).tobytes() == row.tobytes()
 
 
 def test_augment_frames_matches_reference_on_drawn_params():
@@ -334,4 +347,39 @@ def test_augment_frames_matches_reference_on_drawn_params():
     frames = video.frames[rng.integers(0, 32, size=2000)]
     params = sampling.draw_aug(rng, (2000,), 16, 16)
     reference = reference_augment_frames(frames, [frame_params(params, i) for i in range(2000)])
-    assert sampling.augment_frames(frames, params).tobytes() == reference.tobytes()
+    np.testing.assert_allclose(sampling.augment_frames(frames, params), reference,
+                               rtol=0, atol=REFERENCE_ATOL)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(2, 24).flatmap(lambda extent: st.tuples(
+    st.just(extent),
+    st.lists(st.integers(2, extent).flatmap(
+        lambda crop: st.tuples(st.integers(0, extent - crop), st.just(crop))),
+        min_size=1, max_size=6))))
+def test_resize_matrices_rows_are_two_tap_and_stochastic(case):
+    extent, crops = case
+    origin, crop = (np.array(col) for col in zip(*crops))
+    matrices = sampling.resize_matrices(origin, crop, extent)
+    assert matrices.shape == (len(crops), extent, extent)
+    np.testing.assert_allclose(matrices.sum(axis=2), 1.0, rtol=0, atol=1e-15)
+    assert np.all(np.count_nonzero(matrices, axis=2) <= 2)
+    # every tap lies inside its frame's crop
+    frame, _, tap = np.nonzero(matrices)
+    assert np.all((origin[frame] <= tap) & (tap < origin[frame] + crop[frame]))
+    blur = sampling.blur_matrix(extent)
+    np.testing.assert_allclose(blur.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    assert np.all(np.count_nonzero(blur, axis=1) <= 3)
+    np.testing.assert_allclose((blur @ matrices).sum(axis=2), 1.0, rtol=0, atol=1e-15)
+
+
+def test_flip_reverses_the_rows_of_the_column_matrix():
+    frame = make_video().frames[3]
+    P = sampling.AugParams
+    plain = augment_one(frame, P(2, 3, 12, 10, False, 0.0, 1.0, False))
+    flipped = augment_one(frame, P(2, 3, 12, 10, True, 0.0, 1.0, False))
+    assert flipped.tobytes() == plain[:, ::-1].tobytes()
+    my = sampling.resize_matrices(np.array([2]), np.array([12]), 16)[0]
+    mx = sampling.resize_matrices(np.array([3]), np.array([10]), 16)[0]
+    np.testing.assert_allclose(flipped, np.clip(my @ frame @ mx[::-1].T, 0.0, 1.0),
+                               rtol=0, atol=1e-15)
