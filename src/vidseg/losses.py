@@ -1,10 +1,10 @@
 """The four training objectives, all expressed as noise-contrastive or
 cross-entropy terms over unit embeddings, each averaged over a batch.
 
-Queries are (B, E) rows, or one (E,) vector as a batch of one. They may be
-tape Vars (gradients flow) or plain arrays. Positives have the query's shape
-and may be either too; memory-bank negatives are always plain arrays, shared
-by every row and treated as constants. InfoNCE takes the MoCo queue form: the
+Queries are (B, E) rows; one sample is a batch of one. They may be tape Vars
+(gradients flow) or plain arrays. Positives have the query's shape and may be
+either too; memory-bank negatives are always plain arrays, shared by every
+row and treated as constants. InfoNCE takes the MoCo queue form: the
 query rows are scaled by 1/temperature once, one (B, E) @ (E, M) product
 against the bank gives the negative logits, and one row-wise dot per positive
 gives the (B, P) positive logits; numerics.bank_cross_entropy takes the bank's
@@ -20,15 +20,6 @@ import numpy as np
 from . import numerics as nm
 
 
-def _shape(x):
-    return (x.value if isinstance(x, nm.Var) else np.asarray(x)).shape
-
-
-def _batch(x):
-    """A (1, E) batch of one for a 1-D embedding; (B, E) rows unchanged."""
-    return nm.reshape(x, (1, -1)) if len(_shape(x)) == 1 else x
-
-
 def _inverse(temperature):
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
@@ -40,13 +31,11 @@ def _bank_terms(query, positives, negatives, inv):
     the shared negatives, averaged over the positives: one (B, E) @ (E, M)
     bank product and one bank log-sum-exp serve them all. A constant zero when
     there are no negatives."""
-    if negatives is None or _shape(negatives)[0] == 0:
+    if negatives is None or len(negatives) == 0:
         return np.float64(0.0)
-    query = nm.scale(_batch(query), inv)
+    query = nm.scale(query, inv)
     neg = nm.matmul(query, np.asarray(negatives).T)
-    dots = [nm.dot(query, _batch(positive)) for positive in positives]
-    # the (B, 1) first part makes the other (B,) products columns next to it
-    pos = nm.concat([nm.reshape(dots[0], (-1, 1)), *dots[1:]])
+    pos = nm.concat([nm.dot(query, positive) for positive in positives])
     return nm.bank_cross_entropy(pos, neg)
 
 
@@ -72,12 +61,9 @@ def loss_intra(query, positive_same, other_b, other_c, temperature):
     """Frame-level discrimination where the other two frames of the same
     video are the only negatives (no bank): cross-entropy over (B, 3) logits."""
     inv = _inverse(temperature)
-    query = _batch(query)
-    # the (B, 1) first part makes the two (B,) products columns next to it
-    logits = nm.concat([nm.reshape(nm.dot(query, _batch(positive_same)), (-1, 1)),
-                        nm.dot(query, _batch(other_b)), nm.dot(query, _batch(other_c))])
-    return nm.softmax_cross_entropy(nm.scale(logits, inv),
-                                    np.zeros(_shape(query)[0], dtype=int))
+    logits = nm.concat([nm.dot(query, positive_same), nm.dot(query, other_b),
+                        nm.dot(query, other_c)])
+    return nm.softmax_cross_entropy(nm.scale(logits, inv), np.zeros(query.shape[0], dtype=int))
 
 
 def loss_segment(query_tuple, positive_tuple, negatives, temperature):
@@ -86,6 +72,6 @@ def loss_segment(query_tuple, positive_tuple, negatives, temperature):
 
 
 def loss_order(logits, labels):
-    """Cross-entropy of the 4-way order prediction: (B, 4) logits and (B,)
-    labels, or one logits vector and its label."""
+    """Batch-mean cross-entropy of the 4-way order prediction: (B, 4) logits
+    and (B,) labels."""
     return nm.softmax_cross_entropy(logits, labels)

@@ -10,8 +10,8 @@ _UNIT_TOL = 1e-8
 class MemoryBank:
     """Ring buffer of the most recent `capacity` embeddings.
 
-    Rows live outside any gradient tape: negatives_view() hands back plain
-    arrays that the losses treat as constants.
+    Rows live outside any gradient tape: negatives_view() hands back a plain
+    array that the losses treat as constants.
     """
 
     def __init__(self, capacity, width):
@@ -47,8 +47,12 @@ class MemoryBank:
         return self
 
     def negatives_view(self):
-        """Copy of the filled rows (storage order; the losses never care)."""
-        return self.storage[:self.fill].copy()
+        """Read-only view of the filled rows, in storage order (the losses
+        never care). It shares memory with the bank, so the next enqueue
+        changes it: read it before then, and copy what must outlive it."""
+        view = self.storage[:self.fill]
+        view.setflags(write=False)
+        return view
 
     def state(self):
         return self.storage.copy(), self.cursor, self.fill

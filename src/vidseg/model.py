@@ -62,7 +62,7 @@ def _bias_fan_in(cfg, bias_name):
 
 
 def encode(params, frames):
-    """Flattened frame(s) -> feature(s): fc1, ReLU, fc2. Accepts (P,) or (n, P)."""
+    """(n, P) flattened frames -> (n, F) features: fc1, ReLU, fc2."""
     hidden = nm.relu(nm.add(nm.matmul(frames, params["encoder.fc1.weight"]),
                             params["encoder.fc1.bias"]))
     return nm.add(nm.matmul(hidden, params["encoder.fc2.weight"]),
@@ -82,22 +82,12 @@ def project(params, head, features):
     return nm.l2_normalize(head_mlp(params, head, features))
 
 
-def consensus(features):
-    """Aggregate per-frame features into one video-level feature (average):
-    (K, F) -> (F,), or (B, K, F) -> (B, F) per tuple."""
-    return nm.mean_rows(features)
-
-
 def segment_embedding(params, features, k):
     """Unit segment-head embeddings of K-frame tuples from their encoded
     frames: (B*K, F) features, tuple by tuple, -> (B, E). Each tuple's K
-    features are averaged, then projected."""
-    return project(params, "segment", consensus(nm.reshape(features, (-1, k, features.shape[-1]))))
-
-
-def tuple_embedding(params, frames):
-    """Segment embedding of one K-frame tuple given as (K, P) frames -> (E,)."""
-    return nm.reshape(segment_embedding(params, encode(params, frames), len(frames)), (-1,))
+    features are averaged (the consensus), then projected."""
+    tuples = nm.reshape(features, (-1, k, features.shape[-1]))
+    return project(params, "segment", nm.mean_rows(tuples))
 
 
 def order_embedding(params, features, cfg: ModelConfig):

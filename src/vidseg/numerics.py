@@ -8,8 +8,11 @@ With at least one `Var` argument it records the computation so that
 Supported op set: matmul, add, scale, relu, dot (row-wise), mean_rows (over
 the K axis), concat (along the last axis), reshape, slice_rows, l2_normalize,
 softmax_cross_entropy (row-wise, with a label vector), bank_cross_entropy (P
-positives per row against shared negatives). The ops work on whole batches, so
-a training step records one small graph over (B, ...) arrays.
+positives per row against shared negatives). The ops take rows over a
+leading batch axis, so a training step records one small graph over (B, ...)
+arrays and a single sample is a batch of one. Only the elementwise ops,
+reshape and slice_rows take any rank, and dot also takes two vectors: their
+0-d product is a scalar root for backward.
 """
 
 from __future__ import annotations
@@ -140,18 +143,12 @@ def scale(a, c):
 
 
 def matmul(a, b):
-    """Matrix product for (n,k)@(k,m), (k,)@(k,m) or (n,k)@(k,)."""
+    """Matrix product (n, k) @ (k, m)."""
     av, bv = _value(a), _value(b)
-    if av.ndim == 2 and bv.ndim == 2 and av.shape[1] == bv.shape[0]:
-        out = av @ bv
-        return _make("matmul", out, ((a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)))
-    if av.ndim == 1 and bv.ndim == 2 and av.shape[0] == bv.shape[0]:
-        out = av @ bv
-        return _make("matmul", out, ((a, lambda g: bv @ g), (b, lambda g: np.outer(av, g))))
-    if av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]:
-        out = av @ bv
-        return _make("matmul", out, ((a, lambda g: np.outer(g, bv)), (b, lambda g: av.T @ g)))
-    raise ShapeMismatchError("matmul", av.shape, bv.shape)
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+        raise ShapeMismatchError("matmul", av.shape, bv.shape)
+    out = av @ bv
+    return _make("matmul", out, ((a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)))
 
 
 def dot(a, b):
@@ -172,40 +169,34 @@ def relu(a):
 
 
 def mean_rows(a):
-    """Mean over the rows of an (n, m) array -> (m,), or over the rows of each
-    item of a (B, n, m) array -> (B, m).
+    """Mean over the rows of each item of a (B, n, m) array -> (B, m).
 
     Columns are summed in sorted order so the result is bit-identical under
     any permutation of the rows being averaged.
     """
     av = _value(a)
-    if av.ndim not in (2, 3) or av.shape[-2] < 1:
+    if av.ndim != 3 or av.shape[1] < 1:
         raise ShapeMismatchError("mean_rows", av.shape)
-    n = av.shape[-2]
-    out = np.sort(av, axis=-2).sum(axis=-2) / n
-    return _make("mean_rows", out,
-                 ((a, lambda g: np.repeat(np.expand_dims(g / n, -2), n, axis=-2)),))
+    n = av.shape[1]
+    out = np.sort(av, axis=1).sum(axis=1) / n
+    return _make("mean_rows", out, ((a, lambda g: np.repeat(g[:, None] / n, n, axis=1)),))
 
 
 def concat(parts):
-    """Concatenate along the last axis: vectors (scalars allowed) into one
-    vector, or (B, n_i) blocks into one (B, sum n_i) array. A part one rank
-    below the others, such as a (B,) column, counts as one column."""
+    """Concatenate (B, n_i) blocks and (B,) columns along the last axis into
+    one (B, sum n_i) array; a (B,) part counts as one column."""
     vals = [_value(p) for p in parts]
-    ndim = max(1, max(v.ndim for v in vals))
-    cols = [v[..., None] if v.ndim == ndim - 1 else v for v in vals]
-    if ndim > 2 or any(c.ndim != ndim or c.shape[:-1] != cols[0].shape[:-1] for c in cols):
+    cols = [v[:, None] if v.ndim == 1 else v for v in vals]
+    if any(c.ndim != 2 or c.shape[0] != cols[0].shape[0] for c in cols):
         raise ShapeMismatchError("concat", *[v.shape for v in vals])
-    out = np.concatenate(cols, axis=-1)
+    out = np.concatenate(cols, axis=1)
     parents = []
     offset = 0
     for p, v, c in zip(parts, vals, cols):
-        lo, hi = offset, offset + c.shape[-1]
-        column = v.ndim < ndim
+        lo, hi = offset, offset + c.shape[1]
 
-        def vjp(g, lo=lo, hi=hi, column=column):
-            piece = g[..., lo:hi]
-            return piece[..., 0] if column else piece
+        def vjp(g, lo=lo, hi=hi, column=v.ndim == 1):
+            return g[:, lo] if column else g[:, lo:hi]
 
         parents.append((p, vjp))
         offset = hi
@@ -240,67 +231,50 @@ def slice_rows(a, start, stop):
 
 
 def l2_normalize(a):
-    """Scale each row (or a single vector) to unit Euclidean norm.
+    """Scale each row of a (B, E) array to unit Euclidean norm.
 
     Raises DegenerateNormError when a row norm is below EPSILON_NORM.
     """
     av = _value(a)
-    if av.ndim == 1:
-        norm = float(np.linalg.norm(av))
-        if norm < EPSILON_NORM:
-            raise DegenerateNormError(f"l2_normalize: vector norm {norm:.3e} below {EPSILON_NORM:.0e}")
-        out = av / norm
+    if av.ndim != 2:
+        raise ShapeMismatchError("l2_normalize", av.shape)
+    norms = np.linalg.norm(av, axis=1)
+    bad = np.flatnonzero(norms < EPSILON_NORM)
+    if bad.size:
+        raise DegenerateNormError(
+            f"l2_normalize: row {bad[0]} norm {norms[bad[0]]:.3e} below {EPSILON_NORM:.0e}"
+        )
+    out = av / norms[:, None]
 
-        def vjp(g):
-            return (g - out * (out @ g)) / norm
+    def vjp(g):
+        return (g - out * (out * g).sum(axis=1, keepdims=True)) / norms[:, None]
 
-        return _make("l2_normalize", out, ((a, vjp),))
-    if av.ndim == 2:
-        norms = np.linalg.norm(av, axis=1)
-        bad = np.flatnonzero(norms < EPSILON_NORM)
-        if bad.size:
-            raise DegenerateNormError(
-                f"l2_normalize: row {bad[0]} norm {norms[bad[0]]:.3e} below {EPSILON_NORM:.0e}"
-            )
-        out = av / norms[:, None]
-
-        def vjp(g):
-            return (g - out * (out * g).sum(axis=1, keepdims=True)) / norms[:, None]
-
-        return _make("l2_normalize", out, ((a, vjp),))
-    raise ShapeMismatchError("l2_normalize", av.shape)
+    return _make("l2_normalize", out, ((a, vjp),))
 
 
 def softmax_cross_entropy(logits, labels):
-    """Cross-entropy of softmax(logits) against integer class labels.
-
-    (B, C) logits with a (B,) label vector give the mean over the rows; a 1-D
-    logits vector with one integer label is a batch of one.
-    """
+    """Mean over the rows of (B, C) logits of the cross-entropy of
+    softmax(row) against its integer class in the (B,) label vector."""
     lv = _value(logits)
-    if lv.ndim not in (1, 2):
-        raise ShapeMismatchError("softmax_cross_entropy", lv.shape)
-    rows = lv.reshape(-1, lv.shape[-1])
-    labels = np.asarray(labels).astype(int).reshape(-1)
-    if labels.shape[0] != rows.shape[0]:
+    labels = np.asarray(labels).astype(int)
+    if lv.ndim != 2 or labels.shape != lv.shape[:1]:
         raise ShapeMismatchError("softmax_cross_entropy", lv.shape, labels.shape)
-    if labels.min() < 0 or labels.max() >= rows.shape[1]:
-        bad = labels[(labels < 0) | (labels >= rows.shape[1])][0]
-        raise ValueError(f"softmax_cross_entropy: label {bad} out of range "
-                         f"for {rows.shape[1]} classes")
-    n = rows.shape[0]
+    n, classes = lv.shape
+    if labels.min() < 0 or labels.max() >= classes:
+        bad = labels[(labels < 0) | (labels >= classes)][0]
+        raise ValueError(f"softmax_cross_entropy: label {bad} out of range for {classes} classes")
     picked = (np.arange(n), labels)
-    m = rows.max(axis=1, keepdims=True)
-    expd = np.exp(rows - m)
+    m = lv.max(axis=1, keepdims=True)
+    expd = np.exp(lv - m)
     total = expd.sum(axis=1, keepdims=True)
-    out = np.asarray((m[:, 0] + np.log(total[:, 0]) - rows[picked]).sum() / n)
+    out = np.asarray((m[:, 0] + np.log(total[:, 0]) - lv[picked]).sum() / n)
     soft = expd / total
 
     def vjp(g):
         grad = soft.copy()
         grad[picked] -= 1.0
         grad *= g / n
-        return grad.reshape(lv.shape)
+        return grad
 
     return _make("softmax_cross_entropy", out, ((logits, vjp),))
 
@@ -417,11 +391,14 @@ def grad_check(f, inputs, step, tol, max_coords_per_input=None, rng=None):
     the report carries the per-input and overall maxima. Coordinates whose
     disagreement comes from a ReLU kink within `step` of zero pre-activation
     are not judged there: the coordinate is re-sampled and checked again.
-    When max_coords_per_input is set, that many coordinates per input are
-    drawn at random instead of sweeping all of them.
+    When max_coords_per_input is set (at least 1), that many coordinates per
+    input are drawn at random instead of sweeping all of them.
     """
     if step <= 0 or tol <= 0:
         raise ValueError("grad_check: step and tol must be positive")
+    if max_coords_per_input is not None and max_coords_per_input < 1:
+        raise ValueError(f"grad_check: max_coords_per_input (probes per input) must be "
+                         f">= 1, got {max_coords_per_input}")
     rng = rng if rng is not None else np.random.default_rng(0)
     xs = [np.array(x, dtype=np.float64) for x in inputs]
     _, grads = forward_backward(f, xs)

@@ -464,6 +464,8 @@ def gradient_suite(cfg: TrainConfig, n_seeds=10, probes_per_param=4, step=1e-5, 
     every query-side parameter array. Returns a list of (loss_name, seed,
     report).
     """
+    if n_seeds < 1:
+        raise ValueError(f"gradient_suite: n_seeds must be >= 1, got {n_seeds}")
     results = []
     single = {name: with_losses(cfg, (name,)) for name in LOSS_NAMES}
     everything = with_losses(cfg, LOSS_NAMES)

@@ -97,7 +97,7 @@ def test_criterion_2_info_nce_oracle():
         if m:
             negs /= np.linalg.norm(negs, axis=1, keepdims=True)
         tau = taus[i % 4]
-        mine = float(losses.info_nce(q, p, negs, tau))
+        mine = float(losses.info_nce(q[None], p[None], negs, tau))
         expected = oracle(q, p, negs, tau)
         worst = max(worst, abs(mine - expected))
     report(2, "info_nce equals the independent cross-entropy oracle",
@@ -149,9 +149,10 @@ def test_criterion_5_consensus_permutation_invariance():
         rng = np.random.default_rng(seed)
         params = model.init_params(cfg, rng)
         frames = rng.uniform(size=(3, cfg.frame_pixels))
-        base = model.tuple_embedding(params, frames).tobytes()
+        base = model.segment_embedding(params, model.encode(params, frames), 3).tobytes()
         for perm in itertools.permutations(range(3)):
-            out = model.tuple_embedding(params, frames[list(perm)]).tobytes()
+            out = model.segment_embedding(params, model.encode(params, frames[list(perm)]),
+                                          3).tobytes()
             exact = exact and out == base
     report(5, "tuple embedding is bit-exact under frame permutations",
            exact, "all 6 permutations x 100 seeds")

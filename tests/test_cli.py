@@ -120,6 +120,19 @@ def test_gradcheck_small_config(tmp_path, capsys):
     assert out.count("PASS") == 5 and "FAIL" not in out
 
 
+@pytest.mark.parametrize("flag, count", [("--probes", "probes"), ("--seeds", "seeds")])
+def test_gradcheck_rejects_zero_counts(tmp_path, capsys, flag, count):
+    """A suite that checks no coordinate must not report PASS."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CONFIG)
+    counts = {"--seeds": "2", "--probes": "3", flag: "0"}
+    assert cli.main(["gradcheck", "--config", str(cfg),
+                     *(token for item in counts.items() for token in item)]) != 0
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert count in captured.err and "got 0" in captured.err
+
+
 def test_builtin_grids_are_valid():
     for name, entries in cli.BUILTIN_GRIDS.items():
         assert entries

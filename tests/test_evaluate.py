@@ -31,7 +31,7 @@ def test_extract_feature_constant_video():
     frames = np.tile(np.random.default_rng(1).uniform(size=(8, 8)), (5, 1, 1))
     video = synth.Video(id=0, class_id=0, frames=frames)
     feat = evaluate.extract_video_feature(params, video, 4)
-    single = np.asarray(model.encode(params, frames[0].reshape(-1)))
+    single = np.asarray(model.encode(params, frames[0].reshape(1, -1)))[0]
     assert np.allclose(feat, single, atol=1e-12)
 
 
@@ -41,7 +41,7 @@ def test_extract_feature_all_frames_is_plain_mean():
     rng = np.random.default_rng(3)
     video = synth.Video(id=0, class_id=0, frames=rng.uniform(size=(6, 8, 8)))
     feat = evaluate.extract_video_feature(params, video, 6)
-    oracle = np.mean([np.asarray(model.encode(params, f.reshape(-1)))
+    oracle = np.mean([np.asarray(model.encode(params, f.reshape(1, -1)))[0]
                       for f in video.frames], axis=0)
     assert np.allclose(feat, oracle, atol=1e-12)
 
@@ -52,8 +52,8 @@ def test_extract_feature_matches_loop_oracle():
     rng = np.random.default_rng(5)
     video = synth.Video(id=0, class_id=0, frames=rng.uniform(size=(10, 8, 8)))
     n = 4
-    expected = np.mean([np.asarray(model.encode(params, video.frames[i * 10 // n].reshape(-1)))
-                        for i in range(n)], axis=0)
+    rows = [video.frames[i * 10 // n].reshape(1, -1) for i in range(n)]
+    expected = np.mean([np.asarray(model.encode(params, row))[0] for row in rows], axis=0)
     assert np.allclose(evaluate.extract_video_feature(params, video, n), expected, atol=1e-12)
 
 

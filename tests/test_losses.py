@@ -8,7 +8,8 @@ from vidseg import numerics as nm
 
 
 def unit(rng, d=8):
-    v = rng.normal(size=d)
+    """One unit (1, d) row: a batch of one."""
+    v = rng.normal(size=(1, d))
     return v / np.linalg.norm(v)
 
 
@@ -18,7 +19,9 @@ def unit_rows(rng, n, d=8):
 
 
 def nce_oracle(q, p, negatives, temperature):
-    """Independent (M+1)-way cross-entropy: positive in slot 0."""
+    """Independent (M+1)-way cross-entropy of one (E,) or (1, E) query and
+    positive: positive in slot 0."""
+    q, p = np.ravel(q), np.ravel(p)
     sims = np.concatenate([[q @ p], negatives @ q]) / temperature
     shifted = sims - sims.max()
     probs = np.exp(shifted) / np.exp(shifted).sum()
@@ -33,8 +36,8 @@ def test_info_nce_no_negatives_is_zero():
 
 
 def test_info_nce_closed_form():
-    q = np.zeros(4)
-    q[0] = 1.0
+    q = np.zeros((1, 4))
+    q[0, 0] = 1.0
     n = np.zeros((1, 4))
     n[0, 1] = 1.0
     out = float(losses.info_nce(q, q, n, 1.0))
@@ -57,6 +60,13 @@ def test_info_nce_rejects_bad_temperature():
         losses.info_nce(q, q, unit_rows(rng, 2), 0.0)
 
 
+def test_info_nce_rejects_vector_query():
+    rng = np.random.default_rng(2)
+    q = unit(rng)[0]
+    with pytest.raises(nm.ShapeMismatchError):
+        losses.info_nce(q, q, unit_rows(rng, 2), 0.07)
+
+
 def test_info_nce_nonnegative_and_permutation_invariant():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -77,7 +87,7 @@ def test_info_nce_monotonicity():
     base = nce_oracle(q, p, negs, 0.2)
     # increasing a negative similarity increases the loss
     bumped = negs.copy()
-    bumped[2] = bumped[2] + eps * q
+    bumped[2] = bumped[2] + eps * q[0]
     assert nce_oracle(q, p, bumped, 0.2) > base
     # increasing the positive similarity decreases the loss
     assert nce_oracle(q, p + eps * q, negs, 0.2) < base
@@ -102,10 +112,10 @@ def test_loss_inter_empty_bank_zero_and_hand_average():
 
 
 def test_loss_intra_closed_form_and_symmetry():
-    q = np.zeros(4)
-    q[0] = 1.0
-    o1 = np.array([0.0, 1.0, 0.0, 0.0])
-    o2 = np.array([0.0, 0.0, 1.0, 0.0])
+    q = np.zeros((1, 4))
+    q[0, 0] = 1.0
+    o1 = np.array([[0.0, 1.0, 0.0, 0.0]])
+    o2 = np.array([[0.0, 0.0, 1.0, 0.0]])
     out = float(losses.loss_intra(q, q, o1, o2, 1.0))
     assert abs(out - np.log(1.0 + 2.0 * np.exp(-1.0))) < 1e-12
     rng = np.random.default_rng(7)
@@ -118,13 +128,13 @@ def test_loss_intra_matches_oracle():
     rng = np.random.default_rng(8)
     for _ in range(50):
         q, p, a, b = unit(rng), unit(rng), unit(rng), unit(rng)
-        expected = nce_oracle(q, p, np.stack([a, b]), 0.07)
+        expected = nce_oracle(q, p, np.concatenate([a, b]), 0.07)
         assert abs(float(losses.loss_intra(q, p, a, b, 0.07)) - expected) < 1e-10
 
 
 def test_loss_segment_reduces_to_closed_form():
-    q = np.zeros(4)
-    q[0] = 1.0
+    q = np.zeros((1, 4))
+    q[0, 0] = 1.0
     bank = np.zeros((1, 4))
     bank[0, 2] = 1.0
     assert abs(float(losses.loss_segment(q, q, bank, 1.0))
@@ -141,21 +151,21 @@ def test_loss_segment_matches_oracle():
 
 
 def test_loss_order_uniform_and_peaked():
-    assert abs(float(losses.loss_order(np.zeros(4), 1)) - np.log(4.0)) < 1e-12
-    peaked = float(losses.loss_order(np.array([10.0, 0.0, 0.0, 0.0]), 0))
+    assert abs(float(losses.loss_order(np.zeros((1, 4)), [1])) - np.log(4.0)) < 1e-12
+    peaked = float(losses.loss_order(np.array([[10.0, 0.0, 0.0, 0.0]]), [0]))
     assert abs(peaked - (np.log(1.0 + 3.0 * np.exp(-10.0)))) < 1e-12
     assert peaked < 2e-4
 
 
 def test_loss_order_oracle_and_label_validation():
     rng = np.random.default_rng(10)
-    logits = rng.normal(size=4)
+    logits = rng.normal(size=(1, 4))
     label = 2
-    shifted = logits - logits.max()
+    shifted = logits[0] - logits.max()
     expected = -np.log(np.exp(shifted[label]) / np.exp(shifted).sum())
-    assert abs(float(losses.loss_order(logits, label)) - expected) < 1e-12
+    assert abs(float(losses.loss_order(logits, [label])) - expected) < 1e-12
     with pytest.raises(ValueError):
-        losses.loss_order(logits, 4)
+        losses.loss_order(logits, [4])
 
 
 def test_gradients_match_finite_differences():
@@ -176,7 +186,7 @@ def test_gradients_match_finite_differences():
                        losses.loss_intra(q, p1, p2, p3, 0.07))
         total = nm.add(total, losses.loss_segment(q, p1, negs, 0.07))
         return nm.add(total, losses.loss_order(
-            nm.concat([nm.dot(q, p1), nm.dot(q, p2), nm.dot(q, p3), nm.dot(p2, p3)]), 1))
+            nm.concat([nm.dot(q, p1), nm.dot(q, p2), nm.dot(q, p3), nm.dot(p2, p3)]), [1]))
 
     for seed in range(10):
         r = np.random.default_rng(seed)
@@ -219,7 +229,7 @@ def test_batched_losses_are_means_of_per_row_losses():
         assert abs(float(batched) - np.mean(per_row)) < 1e-10
     logits = rng.normal(size=(b, 4))
     labels = np.array([0, 3, 2, 1, 3])
-    per_row = [float(losses.loss_order(logits[i], labels[i])) for i in range(b)]
+    per_row = [float(losses.loss_order(logits[i:i + 1], labels[i:i + 1])) for i in range(b)]
     assert abs(float(losses.loss_order(logits, labels)) - np.mean(per_row)) < 1e-12
     assert losses.loss_inter(q, p1, p2, p3, np.zeros((0, 8)), 0.07) == 0.0
     with pytest.raises(ValueError):
@@ -246,12 +256,11 @@ def reference_bank_terms(query, positives, negatives, inv):
     summed over the positives."""
     if negatives is None or negatives.shape[0] == 0:
         return np.float64(0.0)
-    query = losses._batch(query)
     zeros = np.zeros(query.shape[0], dtype=int)
     neg = nm.scale(nm.matmul(query, np.asarray(negatives).T), inv)
     total = None
     for positive in positives:
-        logits = nm.concat([nm.scale(nm.dot(query, losses._batch(positive)), inv), neg])
+        logits = nm.concat([nm.scale(nm.dot(query, positive), inv), neg])
         term = nm.softmax_cross_entropy(logits, zeros)
         total = term if total is None else nm.add(total, term)
     return total

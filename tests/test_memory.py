@@ -42,6 +42,19 @@ def test_exact_capacity_fill_preserves_order():
     assert np.array_equal(bank.negatives_view(), rows)
 
 
+def test_view_is_read_only_and_state_is_a_copy():
+    rng = np.random.default_rng(7)
+    bank = MemoryBank(8, 4)
+    bank.enqueue(unit_rows(rng, 3))
+    view = bank.negatives_view()
+    with pytest.raises(ValueError):
+        view[0] = 0.0
+    storage, _, _ = bank.state()
+    assert not np.shares_memory(storage, bank.storage)
+    bank.enqueue(unit_rows(rng, 2))
+    assert np.array_equal(bank.negatives_view()[:3], storage[:3])
+
+
 def test_view_empty_and_partial():
     bank = MemoryBank(8, 4)
     assert bank.negatives_view().shape == (0, 4)

@@ -44,14 +44,14 @@ def test_zero_frame_zero_bias_encodes_to_zero():
     for name in list(params):
         if name.endswith("bias"):
             params[name] = np.zeros_like(params[name])
-    out = model.encode(params, np.zeros(CFG.frame_pixels))
-    assert np.array_equal(out, np.zeros(CFG.feature_dim))
+    out = model.encode(params, np.zeros((1, CFG.frame_pixels)))
+    assert np.array_equal(out, np.zeros((1, CFG.feature_dim)))
 
 
 def test_encode_deterministic_and_matches_oracle():
     params = params_for(2)
     rng = np.random.default_rng(3)
-    frame = rng.uniform(size=CFG.frame_pixels)
+    frame = rng.uniform(size=(1, CFG.frame_pixels))
     out1 = model.encode(params, frame)
     out2 = model.encode(params, frame)
     assert np.array_equal(out1, out2)
@@ -61,7 +61,7 @@ def test_encode_deterministic_and_matches_oracle():
 def test_project_unit_norm_and_oracle():
     params = params_for(4)
     rng = np.random.default_rng(5)
-    feature = rng.normal(size=CFG.feature_dim)
+    feature = rng.normal(size=(1, CFG.feature_dim))
     out = model.project(params, "segment", feature)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-10
     assert np.allclose(out, oracle_project(params, "segment", feature), atol=1e-12)
@@ -73,27 +73,33 @@ def test_project_positive_homogeneity_direction():
         if name.endswith("bias"):
             params[name] = np.zeros_like(params[name])
     rng = np.random.default_rng(7)
-    feature = rng.normal(size=CFG.feature_dim)
+    feature = rng.normal(size=(1, CFG.feature_dim))
     a = model.project(params, "inter", feature)
     b = model.project(params, "inter", 2.0 * feature)
     assert np.allclose(a, b, atol=1e-12)
 
 
 def test_consensus_basics():
+    """The segment consensus is nm.mean_rows over the K features of each tuple."""
     row = np.arange(4.0)
-    assert np.array_equal(model.consensus(np.tile(row, (3, 1))), row)
-    assert np.array_equal(model.consensus(np.array([[1.0, 0.0], [0.0, 1.0]])), [0.5, 0.5])
+    assert np.array_equal(nm.mean_rows(np.tile(row, (1, 3, 1))), [row])
+    assert np.array_equal(nm.mean_rows(np.array([[[1.0, 0.0], [0.0, 1.0]]])), [[0.5, 0.5]])
     rng = np.random.default_rng(8)
-    x = rng.normal(size=(5, 6))
-    assert model.consensus(x).tobytes() == model.consensus(x[::-1].copy()).tobytes()
+    x = rng.normal(size=(1, 5, 6))
+    assert nm.mean_rows(x).tobytes() == nm.mean_rows(x[:, ::-1].copy()).tobytes()
+
+
+def tuple_embedding(params, frames):
+    """Segment embedding of one (K, P) tuple of frames, as a (1, E) batch of one."""
+    return model.segment_embedding(params, model.encode(params, frames), len(frames))
 
 
 def test_tuple_embedding_identical_frames_reduce_to_project():
     params = params_for(9)
     rng = np.random.default_rng(10)
-    frame = rng.uniform(size=CFG.frame_pixels)
+    frame = rng.uniform(size=(1, CFG.frame_pixels))
     frames = np.tile(frame, (3, 1))
-    emb = model.tuple_embedding(params, frames)
+    emb = tuple_embedding(params, frames)
     direct = model.project(params, "segment", model.encode(params, frame))
     assert np.allclose(emb, direct, atol=1e-12)
 
@@ -102,9 +108,9 @@ def test_tuple_embedding_permutation_invariant_bit_exact():
     params = params_for(11)
     rng = np.random.default_rng(12)
     frames = rng.uniform(size=(3, CFG.frame_pixels))
-    base = model.tuple_embedding(params, frames)
+    base = tuple_embedding(params, frames)
     for perm in itertools.permutations(range(3)):
-        out = model.tuple_embedding(params, frames[list(perm)])
+        out = tuple_embedding(params, frames[list(perm)])
         assert out.tobytes() == base.tobytes()
 
 
@@ -114,7 +120,7 @@ def test_tuple_embedding_matches_oracle():
     frames = rng.uniform(size=(3, CFG.frame_pixels))
     feats = np.stack([oracle_encode(params, f) for f in frames])
     expected = oracle_project(params, "segment", feats.mean(axis=0))
-    assert np.allclose(model.tuple_embedding(params, frames), expected, atol=1e-10)
+    assert np.allclose(tuple_embedding(params, frames), expected[None], atol=1e-10)
 
 
 def test_segment_embedding_rows_are_tuple_embeddings():
@@ -125,7 +131,7 @@ def test_segment_embedding_rows_are_tuple_embeddings():
     batched = model.segment_embedding(params, features, 3)
     assert batched.shape == (4, CFG.embed_dim)
     for row, frames in zip(batched, tuples):
-        assert np.allclose(row, model.tuple_embedding(params, frames), rtol=0, atol=1e-12)
+        assert np.allclose(row, tuple_embedding(params, frames)[0], rtol=0, atol=1e-12)
 
 
 def test_order_logits_zero_classifier_gives_zero():
@@ -251,9 +257,9 @@ def test_forward_works_on_tape_vars():
     qvars = model.as_vars(params)
     rng = np.random.default_rng(34)
     frames = rng.uniform(size=(3, CFG.frame_pixels))
-    emb = model.tuple_embedding(qvars, frames)
+    emb = tuple_embedding(qvars, frames)
     assert isinstance(emb, nm.Var)
-    loss = nm.dot(emb, np.ones(CFG.embed_dim))
+    loss = nm.dot(nm.reshape(emb, (-1,)), np.ones(CFG.embed_dim))
     loss.backward()
     assert qvars["encoder.fc1.weight"].grad is not None
     # heads other than the one used stay out of the graph

@@ -13,6 +13,11 @@ def total(a):
     return nm.dot(flat, np.ones(flat.shape))
 
 
+def weighted(a, w):
+    """Sum of the entries of a weighted by those of w, as a scalar."""
+    return nm.dot(nm.reshape(a, (-1,)), w.reshape(-1))
+
+
 def test_quadratic_value_and_grad():
     # f(x) = sum(x*x) = dot(x, x)
     value, grads = nm.forward_backward(lambda x: nm.dot(x, x), [np.array([1.0, 2.0])])
@@ -33,14 +38,14 @@ def test_relu_grad_at_zero_is_zero():
 
 def test_two_layer_network_matches_fd():
     rng = np.random.default_rng(7)
-    x = rng.normal(size=6)
+    x = rng.normal(size=(1, 6))
     w1 = rng.normal(size=(6, 5))
     w2 = rng.normal(size=(5, 4))
 
     def f(xv, w1v, w2v):
         hidden = nm.relu(nm.matmul(xv, w1v))
         logits = nm.matmul(hidden, w2v)
-        return nm.softmax_cross_entropy(logits, 2)
+        return nm.softmax_cross_entropy(logits, [2])
 
     report = nm.grad_check(f, [x, w1, w2], step=1e-5, tol=1e-6)
     assert report.passed, str(report)
@@ -56,9 +61,10 @@ def test_grad_check_linear_is_exact():
 
 
 def test_grad_check_exp_like_at_zero():
-    # log(e^x + e^2x) - x has slope 1/2 at zero and curvature on both sides
+    # log(e^x + e^2x) - x has slope 1/2 at zero and curvature on both sides;
+    # the (1,) input is one row's column
     def f(x):
-        return nm.softmax_cross_entropy(nm.concat([x, nm.scale(x, 2.0)]), 0)
+        return nm.softmax_cross_entropy(nm.concat([x, nm.scale(x, 2.0)]), [0])
 
     report = nm.grad_check(f, [np.array([0.0])], step=1e-5, tol=1e-9)
     assert report.passed, str(report)
@@ -118,18 +124,18 @@ def test_untracked_inputs_get_zero_grads():
 
 
 def test_l2_normalize_three_four_five():
-    out = nm.l2_normalize(np.array([3.0, 4.0]))
-    assert np.allclose(out, [0.6, 0.8], atol=1e-15)
+    out = nm.l2_normalize(np.array([[3.0, 4.0]]))
+    assert np.allclose(out, [[0.6, 0.8]], atol=1e-15)
 
 
 def test_l2_normalize_unit_vector_unchanged():
-    v = np.array([1.0, 0.0, 0.0])
+    v = np.array([[1.0, 0.0, 0.0]])
     assert np.allclose(nm.l2_normalize(v), v, atol=1e-15)
 
 
 def test_l2_normalize_random_row_unit_norm():
     rng = np.random.default_rng(11)
-    v = rng.normal(size=128)
+    v = rng.normal(size=(1, 128))
     out = nm.l2_normalize(v)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
@@ -145,55 +151,49 @@ def test_l2_normalize_idempotent():
 
 def test_l2_normalize_degenerate_row_errors():
     with pytest.raises(nm.DegenerateNormError):
-        nm.l2_normalize(np.zeros(8))
+        nm.l2_normalize(np.zeros((1, 8)))
     with pytest.raises(nm.DegenerateNormError):
         nm.l2_normalize(np.vstack([np.ones(4), np.zeros(4)]))
 
 
 def test_l2_normalize_gradient():
     rng = np.random.default_rng(2)
-    v = rng.normal(size=6)
+    v = rng.normal(size=(1, 6))
     w = rng.normal(size=6)
-    report = nm.grad_check(lambda x: nm.dot(nm.l2_normalize(x), w), [v], step=1e-5, tol=1e-7)
+    report = nm.grad_check(lambda x: weighted(nm.l2_normalize(x), w), [v], step=1e-5, tol=1e-7)
     assert report.passed, str(report)
 
 
 def test_mean_rows_permutation_bit_exact():
     rng = np.random.default_rng(9)
-    x = rng.normal(size=(3, 8))
+    x = rng.normal(size=(1, 3, 8))
     base = nm.mean_rows(x)
     for perm in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
-        assert nm.mean_rows(x[list(perm)]).tobytes() == base.tobytes()
+        assert nm.mean_rows(x[:, list(perm)]).tobytes() == base.tobytes()
 
 
 def test_mean_rows_gradient():
     rng = np.random.default_rng(13)
-    x = rng.normal(size=(4, 5))
+    x = rng.normal(size=(1, 4, 5))
     w = rng.normal(size=5)
-    report = nm.grad_check(lambda a: nm.dot(nm.mean_rows(a), w), [x], step=1e-5, tol=1e-8)
+    report = nm.grad_check(lambda a: weighted(nm.mean_rows(a), w), [x], step=1e-5, tol=1e-8)
     assert report.passed, str(report)
 
 
 def test_concat_and_stack_grads():
     rng = np.random.default_rng(17)
-    a = rng.normal(size=3)
-    b = rng.normal(size=3)
+    a = rng.normal(size=(1, 3))
+    b = rng.normal(size=(1, 3))
     w = rng.normal(size=6)
     w2 = rng.normal(size=3)
 
     def f(av, bv):
-        flat = nm.concat([av, bv])
-        stacked = nm.reshape(flat, (2, 3))
-        return nm.add(nm.dot(flat, w), nm.dot(nm.mean_rows(stacked), w2))
+        joint = nm.concat([av, bv])
+        stacked = nm.reshape(joint, (1, 2, 3))
+        return nm.add(weighted(joint, w), weighted(nm.mean_rows(stacked), w2))
 
     report = nm.grad_check(f, [a, b], step=1e-5, tol=1e-8)
     assert report.passed, str(report)
-
-
-def test_concat_accepts_scalars():
-    s = nm.dot(np.ones(2), np.ones(2))
-    out = nm.concat([s, np.array([1.0, 2.0])])
-    assert np.array_equal(out, [2.0, 1.0, 2.0])
 
 
 def test_concat_columns_values_and_gradient():
@@ -244,7 +244,7 @@ def test_mean_rows_batched_is_per_item_bit_exact():
     x = rng.normal(size=(4, 3, 6))
     out = nm.mean_rows(x)
     for item in range(4):
-        assert out[item].tobytes() == nm.mean_rows(x[item]).tobytes()
+        assert out[item].tobytes() == nm.mean_rows(x[item:item + 1])[0].tobytes()
         assert nm.mean_rows(x[:, [2, 0, 1]])[item].tobytes() == out[item].tobytes()
     w = rng.normal(size=(4, 6))
     report = nm.grad_check(lambda a: total(nm.relu(nm.add(nm.mean_rows(a), w))), [x],
@@ -280,8 +280,7 @@ def test_softmax_cross_entropy_matches_naive():
     labels = rng.integers(0, 9, size=6)
     assert abs(float(nm.softmax_cross_entropy(logits, labels))
                - naive_cross_entropy(logits, labels)) < 1e-12
-    # a vector with one label is a batch of one
-    assert float(nm.softmax_cross_entropy(logits[2], labels[2])) == pytest.approx(
+    assert float(nm.softmax_cross_entropy(logits[2:3], labels[2:3])) == pytest.approx(
         naive_cross_entropy(logits[2:3], labels[2:3]), abs=1e-12)
 
 
@@ -304,23 +303,39 @@ def test_softmax_cross_entropy_label_vector_gradient():
 
 def test_softmax_cross_entropy_label_out_of_range():
     with pytest.raises(ValueError):
-        nm.softmax_cross_entropy(np.zeros(4), 4)
+        nm.softmax_cross_entropy(np.zeros((1, 4)), [4])
 
 
 def test_ops_are_deterministic():
     rng = np.random.default_rng(31)
     a = rng.normal(size=(5, 7))
     b = rng.normal(size=(7, 3))
-    v = rng.normal(size=7)
+    v = rng.normal(size=(1, 7))
     runs = []
     for _ in range(2):
         runs.append((
             nm.matmul(a, b).tobytes(),
-            nm.mean_rows(a).tobytes(),
+            nm.mean_rows(a[None]).tobytes(),
             nm.l2_normalize(a).tobytes(),
-            np.asarray(nm.softmax_cross_entropy(v, 3)).tobytes(),
+            np.asarray(nm.softmax_cross_entropy(v, [3])).tobytes(),
         ))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("op, args", [
+    ("matmul", (np.ones(3), np.ones((3, 2)))),
+    ("matmul", (np.ones((2, 3)), np.ones(3))),
+    ("l2_normalize", (np.ones(3),)),
+    ("softmax_cross_entropy", (np.ones(4), 0)),
+    ("mean_rows", (np.ones((3, 4)),)),
+    ("concat", ([nm.dot(np.ones(2), np.ones(2)), nm.dot(np.ones(2), np.zeros(2))],)),
+], ids=["matmul_vector_left", "matmul_vector_right", "l2_normalize_vector",
+        "softmax_cross_entropy_vector", "mean_rows_2d", "concat_scalars"])
+def test_row_ops_reject_single_vectors(op, args):
+    """The row ops take a leading batch axis only; one sample is a batch of one."""
+    with pytest.raises(nm.ShapeMismatchError) as err:
+        getattr(nm, op)(*args)
+    assert err.value.op == op
 
 
 def test_plain_arrays_take_plain_path():

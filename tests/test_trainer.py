@@ -274,55 +274,62 @@ def test_assemble_batch_same_step_same_bytes():
 
 
 def reference_info_nce(query, positive, negatives, temperature):
-    """One sample's (M+1)-way cross-entropy, positive in slot 0."""
+    """One sample's (M+1)-way cross-entropy, positive in slot 0: a (1, E)
+    query and positive against (M, E) negatives."""
     if negatives is None or negatives.shape[0] == 0:
         return np.float64(0.0)
     inv = 1.0 / temperature
     pos = nm.scale(nm.dot(query, positive), inv)
-    neg = nm.scale(nm.matmul(negatives, query), inv)
-    return nm.softmax_cross_entropy(nm.concat([pos, neg]), 0)
+    neg = nm.scale(nm.matmul(query, negatives.T), inv)
+    return nm.softmax_cross_entropy(nm.concat([pos, neg]), [0])
+
+
+def reference_consensus(params, frames):
+    """The (1, F) mean encoded feature of one (K, P) tuple of frames."""
+    features = model.encode(params, frames)
+    return nm.mean_rows(nm.reshape(features, (1, *features.shape)))
 
 
 def reference_sample_losses(query_params, key_params, item, inter_negatives,
                             segment_negatives, cfg):
     """The per-sample objective the batched step replaced: one item's enabled
-    loss terms plus the key rows it enqueues, key side recomputed per item."""
+    loss terms plus the key rows it enqueues, key side recomputed per item.
+    Every embedding is a batch of one."""
     anchor, positive = item["anchors"], item["positives"]
     tau = cfg.temperature
     out = {}
     enqueue = {}
     if cfg.use_inter or cfg.use_intra:
-        query_feat = model.encode(query_params, item["frame_anchors"])
+        query_feat = model.encode(query_params, item["frame_anchors"][None])
         key_feats = model.encode(key_params, item["key_views"])
         if cfg.use_inter:
             q = model.project(query_params, "inter", query_feat)
             p = model.project(key_params, "inter", key_feats)
-            total = nm.add(nm.add(reference_info_nce(q, p[0], inter_negatives, tau),
-                                  reference_info_nce(q, p[1], inter_negatives, tau)),
-                           reference_info_nce(q, p[2], inter_negatives, tau))
+            total = nm.add(nm.add(reference_info_nce(q, p[0:1], inter_negatives, tau),
+                                  reference_info_nce(q, p[1:2], inter_negatives, tau)),
+                           reference_info_nce(q, p[2:3], inter_negatives, tau))
             out["inter"] = nm.scale(total, 1.0 / 3.0)
             enqueue["inter"] = p
         if cfg.use_intra:
             q = model.project(query_params, "intra", query_feat)
             p = model.project(key_params, "intra", key_feats)
-            out["intra"] = reference_info_nce(q, p[0], p[1:], tau)
+            out["intra"] = reference_info_nce(q, p[:1], p[1:], tau)
     if cfg.use_segment:
-        q = model.project(query_params, "segment",
-                          model.consensus(model.encode(query_params, anchor)))
-        p = model.project(key_params, "segment", model.consensus(model.encode(key_params, positive)))
+        q = model.project(query_params, "segment", reference_consensus(query_params, anchor))
+        p = model.project(key_params, "segment", reference_consensus(key_params, positive))
         out["segment"] = reference_info_nce(q, p, segment_negatives, tau)
-        enqueue["segment"] = p[None, :]
+        enqueue["segment"] = p
     if cfg.use_order:
         def per_frame(params, frames):
             emb = model.head_mlp(params, "order", model.encode(params, frames))
             return nm.l2_normalize(emb) if cfg.normalize_order_embeddings else emb
 
         positive_params = key_params if cfg.order_positive_uses_key else query_params
-        joint = nm.concat([nm.reshape(per_frame(query_params, anchor), (-1,)),
-                           nm.reshape(per_frame(positive_params, positive), (-1,))])
+        joint = nm.concat([nm.reshape(per_frame(query_params, anchor), (1, -1)),
+                           nm.reshape(per_frame(positive_params, positive), (1, -1))])
         logits = nm.add(nm.matmul(joint, query_params["order_clf.weight"]),
                         query_params["order_clf.bias"])
-        out["order"] = nm.softmax_cross_entropy(logits, int(item["order_labels"]))
+        out["order"] = nm.softmax_cross_entropy(logits, [int(item["order_labels"])])
     return out, enqueue
 
 
@@ -330,7 +337,7 @@ def reference_batch_losses(query_params, key_params, batch, inter_negatives, seg
                            cfg):
     """Per-term batch means, the batch loss and the bank rows of the
     per-sample step: the batch loss is the mean of the per-item sums."""
-    totals = []
+    batch_sum = None
     sums = {}
     pending = {"inter": [], "segment": []}
     for slot in range(len(batch)):
@@ -341,11 +348,11 @@ def reference_batch_losses(query_params, key_params, batch, inter_negatives, seg
         for name, term in terms.items():
             sums[name] = sums.get(name, 0.0) + float(getattr(term, "value", term))
             item_total = term if item_total is None else nm.add(item_total, term)
-        totals.append(item_total)
+        batch_sum = item_total if batch_sum is None else nm.add(batch_sum, item_total)
         for bank_name, rows in enqueue.items():
             pending[bank_name].append(rows)
-    batch_loss = nm.scale(nm.dot(nm.concat(totals), np.ones(len(totals))), 1.0 / len(batch))
-    return ({name: total / len(batch) for name, total in sums.items()}, batch_loss,
+    return ({name: total / len(batch) for name, total in sums.items()},
+            nm.scale(batch_sum, 1.0 / len(batch)),
             {name: np.vstack(rows) for name, rows in pending.items() if rows})
 
 
@@ -429,8 +436,8 @@ def test_loss_total_is_sum_of_terms():
 
 
 @pytest.mark.parametrize("losses_on, nodes", [
-    ({}, 84),
-    ({"use_intra": False, "use_segment": False, "use_order": False}, 27),
+    ({}, 81),
+    ({"use_intra": False, "use_segment": False, "use_order": False}, 26),
 ], ids=["default", "inter_only"])
 def test_step_graph_size(losses_on, nodes):
     """Nodes reachable from one step's loss with both banks partly filled;
