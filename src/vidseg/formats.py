@@ -95,12 +95,15 @@ def _ints(tokens, path, line):
 
 
 def _payload_array(body, shape, offset, path, line):
-    """float64 copy of the float32 array of `shape` at `offset` in body."""
+    """float64 copy of the float32 array of `shape` at `offset` in body, which
+    must be finite."""
     count = math.prod(shape)
     if offset < 0 or min(shape) < 0 or offset + 4 * count > len(body):
         raise ArtifactError(f"{path}: '{line}' runs past the {len(body)}-byte payload")
-    return np.frombuffer(body, dtype="<f4", count=count, offset=offset).reshape(shape) \
-        .astype(np.float64)
+    values = np.frombuffer(body, dtype="<f4", count=count, offset=offset).reshape(shape)
+    if not np.isfinite(values).all():
+        raise ArtifactError(f"{path}: non-finite values in the payload of '{line}'")
+    return values.astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +203,9 @@ def read_checkpoint(path):
         elif line.startswith("#bank "):
             _, name, *numbers = _fields(line, 7, path)
             capacity, width, cursor, fill, offset = _ints(numbers, path, line)
+            if capacity < 1 or width < 1:
+                raise ArtifactError(f"{path}: bank capacity and width must be positive in "
+                                    f"'{line}'")
             storage = _payload_array(body, (capacity, width), offset, path, line)
             if not (0 <= fill <= capacity and 0 <= cursor < capacity):
                 raise ArtifactError(f"{path}: cursor or fill outside the bank in '{line}'")

@@ -31,7 +31,8 @@ class MemoryBank:
         if rows.shape[1] != self.width:
             raise ValueError(f"expected width {self.width}, got {rows.shape[1]}")
         norms = np.linalg.norm(rows, axis=1)
-        bad = np.flatnonzero(np.abs(norms - 1.0) > _UNIT_TOL)
+        # written so that a NaN norm (a non-finite row) is refused too
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_TOL))
         if bad.size:
             raise ValueError(f"row {bad[0]} is not unit-norm (norm {norms[bad[0]]:.6g})")
         n = rows.shape[0]

@@ -1,13 +1,16 @@
 """Two-layer encoder, the four projection heads, the order classifier, and
 the momentum update that tracks the query parameters on the key side.
 
-Parameters are a plain name -> float64 array dict. Forward functions run on
-arrays (no gradients, used for the key side) or on tape Vars (query side).
+Parameters are name -> float64 array mappings, in training the param_views of
+one flat vector per side. Forward functions run on arrays (no gradients, used
+for the key side) or on tape Vars (query side).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,17 +51,22 @@ def param_shapes(cfg: ModelConfig):
 
 def init_params(cfg: ModelConfig, rng):
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer."""
+    shapes = param_shapes(cfg)
     params = {}
-    for name, shape in param_shapes(cfg).items():
-        fan_in = shape[0] if name.endswith("weight") else _bias_fan_in(cfg, name)
-        bound = 1.0 / np.sqrt(fan_in)
+    for name, shape in shapes.items():
+        # a bias has the fan-in of its layer's weight
+        bound = 1.0 / np.sqrt(shapes[name.replace(".bias", ".weight")][0])
         params[name] = rng.uniform(-bound, bound, size=shape)
     return params
 
 
-def _bias_fan_in(cfg, bias_name):
-    weight = bias_name.replace(".bias", ".weight")
-    return param_shapes(cfg)[weight][0]
+def param_views(vector, cfg: ModelConfig):
+    """The layout of a flat parameter vector: a read-only name -> view
+    mapping whose views tile the vector in param_shapes order."""
+    shapes = param_shapes(cfg)
+    parts = np.split(vector, np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1])
+    return MappingProxyType({name: part.reshape(shape)
+                             for (name, shape), part in zip(shapes.items(), parts)})
 
 
 def encode(params, frames):
@@ -124,24 +132,17 @@ def order_logits(query_params, key_params, anchor_frames, positive_frames, cfg: 
                             side(positive_params, positive_frames))
 
 
-def momentum_update(key_params, query_params, m):
-    """key <- m * key + (1 - m) * query for every named parameter."""
+def momentum_update(key, query, m):
+    """key <- m * key + (1 - m) * query in place, exact at m = 1 and m = 0."""
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"momentum must be in [0, 1], got {m}")
-    if key_params.keys() != query_params.keys():
-        raise ValueError("key and query parameter names differ")
-    out = {}
-    for name, k in key_params.items():
-        q = query_params[name]
-        if k.shape != q.shape:
-            raise nm.ShapeMismatchError("momentum_update", k.shape, q.shape)
-        if m == 1.0:
-            out[name] = k.copy()
-        elif m == 0.0:
-            out[name] = q.copy()
-        else:
-            out[name] = m * k + (1.0 - m) * q
-    return out
+    if key.shape != query.shape:
+        raise nm.ShapeMismatchError("momentum_update", key.shape, query.shape)
+    if m == 0.0:
+        key[...] = query
+    elif m < 1.0:
+        key *= m
+        key += (1.0 - m) * query
 
 
 def as_vars(params):

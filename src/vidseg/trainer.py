@@ -6,6 +6,7 @@ parameters, and memory-bank maintenance."""
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
@@ -95,9 +96,10 @@ def with_losses(cfg: TrainConfig, names):
 
 @dataclass
 class TrainState:
-    query: dict
-    key: dict
-    velocity: dict
+    params: np.ndarray  # (3, N): the query, key and velocity rows, laid out by model.param_views
+    query: Mapping  # the read-only views of the query row
+    key: Mapping  # the read-only views of the key row
+    active: np.ndarray  # (N,) 1.0 where the enabled losses train a parameter, else 0.0
     bank_inter: MemoryBank
     bank_segment: MemoryBank
     step: int = 0
@@ -133,28 +135,21 @@ def cosine_lr(step, total_steps, base_lr):
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
-def active_param_names(cfg: TrainConfig):
-    """Parameters the optimizer may touch under the enabled losses."""
-    names = ["encoder.fc1.weight", "encoder.fc1.bias", "encoder.fc2.weight", "encoder.fc2.bias"]
-    for head, enabled in zip(LOSS_NAMES, (cfg.use_inter, cfg.use_intra,
-                                          cfg.use_segment, cfg.use_order)):
-        if enabled:
-            names += [f"head_{head}.fc1.weight", f"head_{head}.fc1.bias",
-                      f"head_{head}.fc2.weight", f"head_{head}.fc2.bias"]
-    if cfg.use_order:
-        names += ["order_clf.weight", "order_clf.bias"]
-    return names
-
-
 def init_state(cfg: TrainConfig, total_steps=1):
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, STREAM_INIT]))
-    query = model.init_params(cfg.model_config(), rng)
-    key = {name: arr.copy() for name, arr in query.items()}
-    velocity = {name: np.zeros_like(arr) for name, arr in query.items()}
+    mcfg = cfg.model_config()
+    query = np.concatenate([arr.ravel() for arr in model.init_params(mcfg, rng).values()])
+    params = np.stack([query, query, np.zeros_like(query)])
+    active = np.zeros_like(query)
+    for name, view in model.param_views(active, mcfg).items():
+        group = name.split(".")[0]  # encoder, head_<loss>, or order_clf (the order loss's)
+        view[...] = group == "encoder" or getattr(
+            cfg, "use_" + group.removeprefix("head_").removesuffix("_clf"))
     return TrainState(
-        query=query,
-        key=key,
-        velocity=velocity,
+        params=params,
+        query=model.param_views(params[0], mcfg),
+        key=model.param_views(params[1], mcfg),
+        active=active,
         bank_inter=MemoryBank(cfg.bank_capacity, cfg.embed_dim),
         bank_segment=MemoryBank(cfg.bank_capacity, cfg.embed_dim),
         total_steps=total_steps,
@@ -331,31 +326,47 @@ def train_step(state: TrainState, batch: Batch, cfg: TrainConfig):
     order within the step is the key side, the query graph and its backward,
     SGD on the query side, momentum update of the key side, then enqueue of
     this step's key embeddings.
+
+    A non-finite loss term or gradient raises FloatingPointError, and a
+    collapsed embedding DegenerateNormError, both naming the epoch and step,
+    before the parameters or banks change.
     """
     if not len(batch):
         raise ValueError("batch must be nonempty")
+    where = f"epoch {state.epoch} step {state.step}"
     lr = cosine_lr(state.step, state.total_steps, cfg.learning_rate)
     inter_negatives = state.bank_inter.negatives_view() if cfg.use_inter else None
     segment_negatives = state.bank_segment.negatives_view() if cfg.use_segment else None
 
-    targets = key_targets(state.key, batch, cfg)
     query_vars = model.as_vars(state.query)
-    terms = batch_losses(query_vars, targets, batch, inter_negatives, segment_negatives, cfg)
+    try:
+        targets = key_targets(state.key, batch, cfg)
+        terms = batch_losses(query_vars, targets, batch, inter_negatives, segment_negatives,
+                             cfg)
+    except nm.DegenerateNormError as err:
+        raise nm.DegenerateNormError(f"{where}: {err}") from err
     batch_loss = _sum_terms(terms)
     if isinstance(batch_loss, nm.Var):
         batch_loss.backward()
-    # an all-constant loss (e.g. bank-backed losses before the first enqueue)
-    # has zero gradient; the update below still applies weight decay
+    values = {name: _float(term) for name, term in terms.items()}
+    finite = np.isfinite(list(values.values()))
+    if not finite.all():
+        raise FloatingPointError(f"{where}: loss term '{list(values)[finite.argmin()]}' "
+                                 "is not finite")
+    # a leaf outside the graph, or an all-constant loss (bank-backed losses
+    # before the first enqueue), has zero gradient; weight decay still applies
+    grad = np.concatenate([np.zeros(var.value.size) if var.grad is None else var.grad.ravel()
+                           for var in query_vars.values()])
+    if not np.isfinite(grad).all():
+        raise FloatingPointError(f"{where}: gradient is not finite")
 
-    for name in active_param_names(cfg):
-        grad = query_vars[name].grad
-        if grad is None:
-            grad = np.zeros_like(state.query[name])
-        grad = grad + cfg.weight_decay * state.query[name]
-        state.velocity[name] = cfg.sgd_momentum * state.velocity[name] + grad
-        state.query[name] = state.query[name] - lr * state.velocity[name]
-
-    state.key = model.momentum_update(state.key, state.query, cfg.key_momentum)
+    query, key, velocity = state.params
+    grad += cfg.weight_decay * query
+    grad *= state.active
+    velocity *= cfg.sgd_momentum
+    velocity += grad
+    query -= lr * velocity
+    model.momentum_update(key, query, cfg.key_momentum)
     if cfg.use_inter:
         state.bank_inter.enqueue(targets["inter"].reshape(-1, cfg.embed_dim))
     if cfg.use_segment:
@@ -364,7 +375,7 @@ def train_step(state: TrainState, batch: Batch, cfg: TrainConfig):
 
     metrics = {"lr": lr, "loss_total": _float(batch_loss)}
     for name in LOSS_NAMES:
-        metrics[f"loss_{name}"] = _float(terms[name]) if name in terms else 0.0
+        metrics[f"loss_{name}"] = values.get(name, 0.0)
     return metrics
 
 

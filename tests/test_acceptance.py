@@ -107,15 +107,18 @@ def test_criterion_2_info_nce_oracle():
 def test_criterion_3_momentum_exactness():
     cfg = default_config().model_config()
     rng = np.random.default_rng(33)
-    query = model.init_params(cfg, rng)
+
+    def flat_params():
+        return np.concatenate([arr.ravel() for arr in model.init_params(cfg, rng).values()])
+
+    query = flat_params()
     worst = 0.0
     for m in (0.9, 0.999):
-        key = model.init_params(cfg, rng)
-        base = math.sqrt(sum(np.sum((key[n] - query[n]) ** 2) for n in key))
-        current = key
+        key = flat_params()
+        base = math.sqrt(np.sum((key - query) ** 2))
         for t in range(1, 201):
-            current = model.momentum_update(current, query, m)
-            dist = math.sqrt(sum(np.sum((current[n] - query[n]) ** 2) for n in current))
+            model.momentum_update(key, query, m)
+            dist = math.sqrt(np.sum((key - query) ** 2))
             worst = max(worst, abs(dist - m ** t * base))
     report(3, "momentum decay of the key parameters is geometric",
            worst < 1e-10, f"max |distance - m^t * base| = {worst:.2e}, t <= 200")

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vidseg import cli, evaluate, formats, synth, trainer
 from vidseg import config as config_mod
@@ -327,6 +329,27 @@ def test_bank_cursor_or_fill_outside_bank_rejected(tmp_path):
         formats.read_checkpoint(checkpoint)
 
 
+def test_bank_without_rows_or_width_rejected(tmp_path):
+    checkpoint, _ = written_artifacts(tmp_path)
+    rewrite_header_line(checkpoint, b"#bank inter ", lambda line: past_payload(line, 3, b"0"))
+    with pytest.raises(formats.ArtifactError,
+                       match="model.ckpt: bank capacity and width must be positive"):
+        formats.read_checkpoint(checkpoint)
+
+
+@pytest.mark.parametrize("prefix, index", [(b"#param query.encoder.fc1.bias ", 3),
+                                           (b"#bank inter ", 6)], ids=["param", "bank"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_payload_rejected(tmp_path, prefix, index, value):
+    checkpoint, _ = written_artifacts(tmp_path)
+    blob = checkpoint.read_bytes()
+    line = blob[blob.index(b"\n" + prefix) + 1:].split(b"\n", 1)[0]
+    at = blob.index(b"\n", blob.index(b"#payload ")) + 1 + int(line.split()[index])
+    checkpoint.write_bytes(blob[:at] + np.float32(value).tobytes() + blob[at + 4:])
+    with pytest.raises(formats.ArtifactError, match="model.ckpt: non-finite values"):
+        formats.read_checkpoint(checkpoint)
+
+
 @pytest.mark.parametrize("prefix, old, new, message", [
     (b"#param query.encoder.fc1.weight ", b"query.", b"qeury.",
      "parameter side 'qeury' is neither query nor key"),
@@ -375,3 +398,58 @@ def test_dataset_spec_must_match_checkpoint_echo(tmp_path, capsys, change, messa
     assert re.match(f"error: .*other.ds: spec differs from the dataset echo of .*model.ckpt: "
                     f"{message}$", err), err
     assert not (tmp_path / "probe.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def valid_dir(tmp_path_factory):
+    """A directory holding a small valid checkpoint and dataset file."""
+    directory = tmp_path_factory.mktemp("valid")
+    written_artifacts(directory)
+    return directory
+
+
+def header_numbers(blob):
+    """The header's lines grouped by kind (the first word, up to a space, dot
+    or '='), each line as the spans of its numbers, or of the whole line if it
+    has no digits."""
+    end = blob.find(b"\n", blob.find(b"#payload ")) + 1 or len(blob)
+    kinds = {}
+    for line in re.finditer(rb"[^\n]*\n?", blob[:end]):
+        if line.group():
+            spans = [(line.start() + m.start(), line.start() + m.end())
+                     for m in re.finditer(rb"\d+", line.group())] or [line.span()]
+            kinds.setdefault(re.split(rb"[ .=\n]", line.group())[0], []).append(spans)
+    return kinds
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_edited_artifacts_fail_only_with_artifact_error(valid_dir, data):
+    """Up to three edits of header numbers, then maybe a truncation. An edit
+    picks a kind of line first, so the few manifest lines are edited as often
+    as the long config echo; it replaces a number's first byte, deletes it, or
+    replaces the whole number."""
+    suffix = data.draw(st.sampled_from([".ckpt", ".ds"]))
+    blob = (valid_dir / ("model.ckpt" if suffix == ".ckpt" else "videos.ds")).read_bytes()
+    for _ in range(data.draw(st.integers(1, 3))):
+        kinds = header_numbers(blob)
+        if not kinds:
+            break
+        lines = kinds[data.draw(st.sampled_from(sorted(kinds)))]
+        start, stop = data.draw(st.sampled_from(data.draw(st.sampled_from(lines))))
+        edit = data.draw(st.sampled_from(["number", "byte", "delete"]))
+        if edit == "number":
+            new = data.draw(st.sampled_from([b"0", b"-1", b"4294967297"]))
+        else:
+            stop = start + 1
+            new = b"" if edit == "delete" else bytes(
+                [data.draw(st.one_of(st.sampled_from(b"-x. \n"), st.integers(0, 255)))])
+        blob = blob[:start] + new + blob[stop:]
+    if data.draw(st.booleans()):
+        blob = blob[:data.draw(st.integers(0, len(blob)))]
+    path = valid_dir / f"edited{suffix}"
+    path.write_bytes(blob)
+    try:
+        read(path)
+    except formats.ArtifactError as err:
+        assert str(path) in str(err)

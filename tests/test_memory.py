@@ -78,6 +78,16 @@ def test_non_unit_rows_rejected():
         bank.enqueue(np.ones((1, 4)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_rows_rejected(value):
+    bank = MemoryBank(4, 4)
+    rows = unit_rows(np.random.default_rng(8), 2)
+    rows[1, 2] = value
+    with pytest.raises(ValueError, match="row 1 is not unit-norm"):
+        bank.enqueue(rows)
+    assert bank.fill == 0 and not bank.storage.any()
+
+
 def test_width_mismatch_rejected():
     bank = MemoryBank(4, 4)
     with pytest.raises(ValueError):

@@ -213,43 +213,65 @@ def test_order_logits_unnormalized_and_query_positive():
                            atol=1e-10)
 
 
+def test_param_views_tile_one_vector_in_param_shapes_order():
+    shapes = model.param_shapes(CFG)
+    vector = np.arange(float(sum(np.prod(shape) for shape in shapes.values())))
+    views = model.param_views(vector, CFG)
+    assert list(views) == list(shapes)
+    assert [view.shape for view in views.values()] == list(shapes.values())
+    # distinct entries: every element of the vector is in exactly one view, in order
+    assert np.concatenate([view.ravel() for view in views.values()]).tobytes() == \
+        vector.tobytes()
+    assert all(np.shares_memory(view, vector) for view in views.values())
+    views["encoder.fc2.bias"][...] = -1.0
+    start = sum(np.prod(shapes[name]) for name in list(shapes)[:3])
+    assert np.flatnonzero(vector == -1.0).tolist() == list(range(start, start + CFG.feature_dim))
+    # the mapping is read-only: a rebound name would detach from the vector
+    with pytest.raises(TypeError):
+        views["encoder.fc2.bias"] = np.zeros(CFG.feature_dim)
+    with pytest.raises(ValueError):
+        model.param_views(vector[:-1], CFG)
+
+
 def _raw_order(params, frame):
     hidden = np.maximum(oracle_encode(params, frame) @ params["head_order.fc1.weight"]
                         + params["head_order.fc1.bias"], 0.0)
     return hidden @ params["head_order.fc2.weight"] + params["head_order.fc2.bias"]
 
 
+def flat_params_for(seed):
+    return np.concatenate([arr.ravel() for arr in params_for(seed).values()])
+
+
 def test_momentum_endpoints():
-    key = params_for(27)
-    query = params_for(28)
-    frozen = model.momentum_update(key, query, 1.0)
-    copied = model.momentum_update(key, query, 0.0)
-    for name in key:
-        assert frozen[name].tobytes() == key[name].tobytes()
-        assert copied[name].tobytes() == query[name].tobytes()
+    key = flat_params_for(27)
+    query = flat_params_for(28)
+    frozen, copied = key.copy(), key.copy()
+    model.momentum_update(frozen, query, 1.0)
+    model.momentum_update(copied, query, 0.0)
+    assert frozen.tobytes() == key.tobytes()
+    assert copied.tobytes() == query.tobytes()
 
 
 def test_momentum_geometric_decay_exact():
-    key = params_for(29)
-    query = params_for(30)
+    key = flat_params_for(29)
+    query = flat_params_for(30)
     for m in (0.9, 0.999):
-        current = {k: v.copy() for k, v in key.items()}
-        base = np.sqrt(sum(np.sum((current[n] - query[n]) ** 2) for n in current))
+        current = key.copy()
+        base = np.sqrt(np.sum((current - query) ** 2))
         for t in range(1, 51):
-            current = model.momentum_update(current, query, m)
-            dist = np.sqrt(sum(np.sum((current[n] - query[n]) ** 2) for n in current))
+            model.momentum_update(current, query, m)
+            dist = np.sqrt(np.sum((current - query) ** 2))
             assert abs(dist - m ** t * base) < 1e-10
 
 
 def test_momentum_validates_inputs():
-    key = params_for(31)
-    query = params_for(32)
+    key = flat_params_for(31)
+    query = flat_params_for(32)
     with pytest.raises(ValueError):
         model.momentum_update(key, query, 1.5)
-    bad = dict(query)
-    bad["encoder.fc1.weight"] = np.zeros((2, 2))
     with pytest.raises(nm.ShapeMismatchError):
-        model.momentum_update(key, bad, 0.5)
+        model.momentum_update(key, query[:-1], 0.5)
 
 
 def test_forward_works_on_tape_vars():

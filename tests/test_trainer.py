@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import types
 
 import numpy as np
 import pytest
@@ -21,6 +23,11 @@ def tiny_config(**kw):
                 hidden_dim=16, feature_dim=12, embed_dim=8, seed=5)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def flat(params):
+    """The parameters of a name -> array dict as one vector, in dict order."""
+    return np.concatenate([arr.ravel() for arr in params.values()])
 
 
 def test_cosine_lr_endpoints_and_midpoint():
@@ -50,8 +57,8 @@ def test_order_only_first_step_loss_is_ln4():
     cfg = tiny_config(use_inter=False, use_intra=False, use_segment=False, use_order=True)
     train_videos, _ = synth.generate_dataset(cfg.dataset)
     state = trainer.init_state(cfg, total_steps=4)
-    state.query["order_clf.weight"] = np.zeros_like(state.query["order_clf.weight"])
-    state.query["order_clf.bias"] = np.zeros_like(state.query["order_clf.bias"])
+    state.query["order_clf.weight"][...] = 0.0
+    state.query["order_clf.bias"][...] = 0.0
     batch = trainer.assemble_batch(train_videos, range(4), cfg, 0, 0)
     metrics = trainer.train_step(state, batch, cfg)
     assert metrics["loss_order"] == pytest.approx(np.log(4.0), abs=1e-12)
@@ -382,7 +389,7 @@ def test_batch_losses_match_per_sample_reference(variant, bank_rows):
     state = trainer.init_state(cfg, total_steps=4)
     rng = np.random.default_rng(bank_rows)
     # a key side distinct from the query, so a positive from the wrong side shows
-    state.key = model.init_params(cfg.model_config(), rng)
+    state.params[1] = flat(model.init_params(cfg.model_config(), rng))
     state.bank_inter.enqueue(unit_rows(rng, bank_rows, cfg.embed_dim))
     state.bank_segment.enqueue(unit_rows(rng, bank_rows // 2, cfg.embed_dim))
     inter_negatives = state.bank_inter.negatives_view()
@@ -454,3 +461,147 @@ def test_step_graph_size(losses_on, nodes):
                                  state.bank_inter.negatives_view(),
                                  state.bank_segment.negatives_view(), cfg)
     assert len(nm._toposort(trainer._sum_terms(terms))) == nodes
+
+
+def reference_active_names(cfg):
+    """The names the per-name update trained under the enabled losses."""
+    names = ["encoder.fc1.weight", "encoder.fc1.bias", "encoder.fc2.weight", "encoder.fc2.bias"]
+    for head in trainer.LOSS_NAMES:
+        if getattr(cfg, f"use_{head}"):
+            names += [f"head_{head}.fc1.weight", f"head_{head}.fc1.bias",
+                      f"head_{head}.fc2.weight", f"head_{head}.fc2.bias"]
+    if cfg.use_order:
+        names += ["order_clf.weight", "order_clf.bias"]
+    return names
+
+
+def reference_momentum_update(key_params, query_params, m):
+    """The per-name key update: m * key + (1 - m) * query, copies at m = 1, 0."""
+    out = {}
+    for name, k in key_params.items():
+        q = query_params[name]
+        if m == 1.0:
+            out[name] = k.copy()
+        elif m == 0.0:
+            out[name] = q.copy()
+        else:
+            out[name] = m * k + (1.0 - m) * q
+    return out
+
+
+def reference_train_step(ref, batch, cfg):
+    """The per-name step the whole-vector update replaced, on dicts of
+    query, key and velocity arrays and a pair of banks."""
+    lr = trainer.cosine_lr(ref.step, ref.total_steps, cfg.learning_rate)
+    inter_negatives = ref.bank_inter.negatives_view() if cfg.use_inter else None
+    segment_negatives = ref.bank_segment.negatives_view() if cfg.use_segment else None
+    targets = trainer.key_targets(ref.key, batch, cfg)
+    query_vars = model.as_vars(ref.query)
+    loss = trainer._sum_terms(trainer.batch_losses(query_vars, targets, batch, inter_negatives,
+                                                   segment_negatives, cfg))
+    if isinstance(loss, nm.Var):
+        loss.backward()
+    for name in reference_active_names(cfg):
+        grad = query_vars[name].grad
+        if grad is None:
+            grad = np.zeros_like(ref.query[name])
+        grad = grad + cfg.weight_decay * ref.query[name]
+        ref.velocity[name] = cfg.sgd_momentum * ref.velocity[name] + grad
+        ref.query[name] = ref.query[name] - lr * ref.velocity[name]
+    ref.key = reference_momentum_update(ref.key, ref.query, cfg.key_momentum)
+    if cfg.use_inter:
+        ref.bank_inter.enqueue(targets["inter"].reshape(-1, cfg.embed_dim))
+    if cfg.use_segment:
+        ref.bank_segment.enqueue(targets["segment"])
+    ref.step += 1
+
+
+@pytest.mark.parametrize("losses_on, key_momentum", [
+    (trainer.LOSS_NAMES, 0.999), (("inter",), 0.999), (("segment",), 0.999),
+    (trainer.LOSS_NAMES, 0.0), (trainer.LOSS_NAMES, 1.0),
+], ids=["all_losses", "inter_only", "segment_only", "key_momentum0", "key_momentum1"])
+def test_train_step_matches_per_name_reference(losses_on, key_momentum):
+    cfg = trainer.with_losses(tiny_config(key_momentum=key_momentum), losses_on)
+    train_videos, _ = synth.generate_dataset(cfg.dataset)
+    state = trainer.init_state(cfg, total_steps=6)
+    init = trainer.init_state(cfg, total_steps=6)
+    ref = types.SimpleNamespace(
+        query={name: arr.copy() for name, arr in init.query.items()},
+        key={name: arr.copy() for name, arr in init.key.items()},
+        velocity={name: np.zeros_like(arr) for name, arr in init.query.items()},
+        bank_inter=init.bank_inter, bank_segment=init.bank_segment, step=0, total_steps=6)
+    per_epoch = trainer.steps_per_epoch(len(train_videos), cfg.batch_size)
+    for step in range(6):
+        epoch, s = divmod(step, per_epoch)
+        indices = step_indices(cfg, len(train_videos), epoch, s)
+        batch = trainer.assemble_batch(train_videos, indices, cfg, epoch, s)
+        trainer.train_step(state, batch, cfg)
+        reference_train_step(ref, batch, cfg)
+        for row, side in zip(state.params, (ref.query, ref.key, ref.velocity)):
+            assert row.tobytes() == flat(side).tobytes(), step
+        assert state.bank_inter.state()[0].tobytes() == ref.bank_inter.state()[0].tobytes()
+        assert state.bank_segment.state()[0].tobytes() == ref.bank_segment.state()[0].tobytes()
+
+
+def test_active_mask_matches_reference_names():
+    base = tiny_config()
+    views = model.param_views(np.zeros(trainer.init_state(base).params.shape[1]),
+                              base.model_config())
+    for n in range(1, len(trainer.LOSS_NAMES) + 1):
+        for losses_on in itertools.combinations(trainer.LOSS_NAMES, n):
+            cfg = trainer.with_losses(base, losses_on)
+            active = reference_active_names(cfg)
+            expected = flat({name: np.full(view.shape, float(name in active))
+                             for name, view in views.items()})
+            assert trainer.init_state(cfg).active.tobytes() == expected.tobytes(), losses_on
+
+
+def test_init_state_draws_the_per_name_init_into_one_buffer():
+    cfg = tiny_config()
+    state = trainer.init_state(cfg)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, trainer.STREAM_INIT]))
+    shapes = model.param_shapes(cfg.model_config())
+    draws = {}
+    for name, shape in shapes.items():
+        fan_in = shapes[name.replace(".bias", ".weight")][0]
+        draws[name] = rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=shape)
+    assert state.params.shape == (3, flat(draws).size)
+    assert state.params[0].tobytes() == flat(draws).tobytes()
+    assert state.params[1].tobytes() == flat(draws).tobytes()
+    assert not state.params[2].any()
+    for side, row in ((state.query, state.params[0]), (state.key, state.params[1])):
+        assert all(np.shares_memory(view, row) for view in side.values())
+        with pytest.raises(TypeError):
+            side["order_clf.bias"] = np.zeros(4)
+
+
+def snapshot(state):
+    return (state.params.tobytes(), state.bank_inter.state()[0].tobytes(),
+            state.bank_segment.state()[0].tobytes(), state.step)
+
+
+def test_non_finite_parameter_stops_the_first_step_unchanged():
+    cfg = tiny_config()
+    train_videos, _ = synth.generate_dataset(cfg.dataset)
+    state = trainer.init_state(cfg, total_steps=4)
+    state.query["encoder.fc1.weight"][0, 0] = np.nan
+    before = snapshot(state)
+    batch = trainer.assemble_batch(train_videos, range(4), cfg, 0, 0)
+    # numpy warns inside the forward pass first; the step's check is under test
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(FloatingPointError, match=r"^epoch 0 step 0: loss term 'intra'"):
+        trainer.train_step(state, batch, cfg)
+    assert snapshot(state) == before
+
+
+def test_collapsed_key_embedding_names_epoch_and_step():
+    cfg = tiny_config()
+    train_videos, _ = synth.generate_dataset(cfg.dataset)
+    state = trainer.init_state(cfg, total_steps=4)
+    state.key["head_inter.fc2.weight"][...] = 0.0
+    state.key["head_inter.fc2.bias"][...] = 0.0
+    before = snapshot(state)
+    batch = trainer.assemble_batch(train_videos, range(4), cfg, 0, 0)
+    with pytest.raises(nm.DegenerateNormError, match=r"^epoch 0 step 0: "):
+        trainer.train_step(state, batch, cfg)
+    assert snapshot(state) == before
