@@ -148,10 +148,27 @@ def cmd_retrieve(args):
     return 0
 
 
+def parse_seeds(text):
+    """The seeds of a comma-separated --seeds list: at least one, each a
+    non-negative integer."""
+    seeds = []
+    for token in filter(None, (t.strip() for t in text.split(","))):
+        try:
+            seed = int(token)
+        except ValueError:
+            raise ValueError(f"--seeds: {token!r} is not an integer") from None
+        if seed < 0:
+            raise ValueError(f"--seeds: seed {seed} is negative")
+        seeds.append(seed)
+    if not seeds:
+        raise ValueError(f"--seeds: no seed in {text!r}")
+    return seeds
+
+
 def cmd_ablate(args):
+    seeds = parse_seeds(args.seeds)
     flat, cfg = _load(args.config)
     entries = parse_grid_spec(args.grid)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     probe_cfg = config_mod.build_probe_config(flat)
     rows, summary = evaluate.run_ablation(cfg, entries, seeds, probe_cfg=probe_cfg)
     formats.write_csv(args.out, evaluate.ABLATION_COLUMNS, list(rows) + list(summary))

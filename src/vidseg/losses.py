@@ -4,13 +4,14 @@ cross-entropy terms over unit embeddings, each averaged over a batch.
 Queries are (B, E) rows; one sample is a batch of one. They may be tape Vars
 (gradients flow) or plain arrays. Positives have the query's shape and may be
 either too; memory-bank negatives are always plain arrays, shared by every
-row and treated as constants. InfoNCE takes the MoCo queue form: the
-query rows are scaled by 1/temperature once, one (B, E) @ (E, M) product
-against the bank gives the negative logits, and one row-wise dot per positive
-gives the (B, P) positive logits; numerics.bank_cross_entropy takes the bank's
-log-sum-exp once per row for all P positives. Callers are responsible for
-unit-normalizing embeddings; the losses only take dot products, so slightly
-perturbed inputs (finite-difference probes) are fine.
+row and treated as constants. InfoNCE takes the MoCo queue form as one
+tape node, numerics.bank_cross_entropy: the query rows are scaled by
+1/temperature once, one (B, E) @ (E, M) product against the bank gives the
+negative logits in one (B, M) buffer, one row-wise dot per positive gives
+the positive logits, and the bank's log-sum-exp is taken once per row for
+all P positives. Callers are responsible for unit-normalizing embeddings;
+the losses only take dot products, so slightly perturbed inputs
+(finite-difference probes) are fine.
 """
 
 from __future__ import annotations
@@ -33,10 +34,7 @@ def _bank_terms(query, positives, negatives, inv):
     there are no negatives."""
     if negatives is None or len(negatives) == 0:
         return np.float64(0.0)
-    query = nm.scale(query, inv)
-    neg = nm.matmul(query, np.asarray(negatives).T)
-    pos = nm.concat([nm.dot(query, positive) for positive in positives])
-    return nm.bank_cross_entropy(pos, neg)
+    return nm.bank_cross_entropy(query, positives, negatives, inv)
 
 
 def info_nce(query, positive, negatives, temperature):

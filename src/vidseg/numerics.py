@@ -7,12 +7,12 @@ With at least one `Var` argument it records the computation so that
 
 Supported op set: matmul, add, scale, relu, dot (row-wise), mean_rows (over
 the K axis), concat (along the last axis), reshape, slice_rows, l2_normalize,
-softmax_cross_entropy (row-wise, with a label vector), bank_cross_entropy (P
-positives per row against shared negatives). The ops take rows over a
-leading batch axis, so a training step records one small graph over (B, ...)
-arrays and a single sample is a batch of one. Only the elementwise ops,
-reshape and slice_rows take any rank, and dot also takes two vectors: their
-0-d product is a scalar root for backward.
+softmax_cross_entropy (row-wise, with a label vector), bank_cross_entropy (the
+query rows' InfoNCE against P positives and one constant bank). The ops take
+rows over a leading batch axis, so a training step records one small graph
+over (B, ...) arrays and a single sample is a batch of one. Only the
+elementwise ops, reshape and slice_rows take any rank, and dot also takes two
+vectors: their 0-d product is a scalar root for backward.
 """
 
 from __future__ import annotations
@@ -279,37 +279,56 @@ def softmax_cross_entropy(logits, labels):
     return _make("softmax_cross_entropy", out, ((logits, vjp),))
 
 
-def bank_cross_entropy(positives, negatives):
-    """Mean InfoNCE of (B, P) positive logits against (B, M) negative logits,
-    each row's negatives shared by all of that row's positives.
+def bank_cross_entropy(query, positives, negatives, inv):
+    """Mean InfoNCE of the (B, E) query rows scaled by inv against each of the
+    P (B, E) positives and the constant (M, E) bank shared by every row.
 
-    Entry (b, j) is the cross-entropy of logits [p_bj, n_b1, ..., n_bM] with
-    the positive in slot 0, logaddexp(p_bj, LSE_b) - p_bj, computed as
-    softplus(LSE_b - p_bj); the negatives' log-sum-exp LSE_b is taken once per
-    row and serves all P positives. The result is the mean over all B*P
-    entries.
+    With s = inv * query, p_bj = s_b . positives[j]_b and the bank logits
+    n_b = negatives @ s_b, entry (b, j) is the cross-entropy of [p_bj, n_b1,
+    ..., n_bM] with the positive in slot 0, logaddexp(p_bj, LSE_b) - p_bj,
+    computed as softplus(LSE_b - p_bj); the bank's log-sum-exp LSE_b is taken
+    once per row and serves all P positives. The result is the mean over all
+    B*P entries. The (B, M) logits live in one buffer: their exponentials
+    overwrite them, and backward turns those into the logits' gradient in
+    place, so the node can be differentiated only once (as any graph).
     """
-    pv, nv = _value(positives), _value(negatives)
-    if pv.ndim != 2 or nv.ndim != 2 or pv.shape[0] != nv.shape[0] or 0 in pv.shape + nv.shape:
-        raise ShapeMismatchError("bank_cross_entropy", pv.shape, nv.shape)
-    count = pv.size
-    m = nv.max(axis=1, keepdims=True)
-    expd = np.exp(nv - m)
+    qv, pvs, nv = _value(query), [_value(p) for p in positives], _value(negatives)
+    if (qv.ndim != 2 or nv.ndim != 2 or 0 in qv.shape + nv.shape or not pvs
+            or nv.shape[1] != qv.shape[1] or any(pv.shape != qv.shape for pv in pvs)):
+        raise ShapeMismatchError("bank_cross_entropy", qv.shape, *[pv.shape for pv in pvs],
+                                 nv.shape)
+    inv = float(inv)
+    count = qv.shape[0] * len(pvs)
+    scaled = qv * inv
+    pos = np.stack([np.einsum("...i,...i->...", scaled, pv) for pv in pvs], axis=1)
+    expd = scaled @ nv.T
+    m = expd.max(axis=1, keepdims=True)
+    np.subtract(expd, m, out=expd)
+    np.exp(expd, out=expd)
     total = expd.sum(axis=1, keepdims=True)
-    margin = m + np.log(total) - pv
+    margin = m + np.log(total) - pos
     entries = np.logaddexp(0.0, margin)
     out = np.asarray(entries.sum() / count)
     # the bank's share of each entry's softmax, sigmoid(LSE - p) = 1 - softmax slot 0
     bank_share = np.exp(margin - entries)
 
-    def vjp_positives(g):
-        return bank_share * (-g / count)
+    def vjp_query(g):
+        if not expd.flags.writeable:
+            raise TapeError("bank_cross_entropy: its buffer already holds a gradient; "
+                            "re-record to differentiate again")
+        np.multiply(expd, bank_share.sum(axis=1, keepdims=True) / total * (g / count), out=expd)
+        expd.setflags(write=False)
+        grad = expd @ nv
+        pos_grad = bank_share * (-g / count)  # of the positive logits
+        for j, pv in enumerate(pvs):
+            grad += pos_grad[:, j:j + 1] * pv
+        return grad * inv
 
-    def vjp_negatives(g):
-        return expd * (bank_share.sum(axis=1, keepdims=True) / total * (g / count))
+    def vjp_positive(j):
+        return lambda g: (bank_share[:, j:j + 1] * (-g / count)) * scaled
 
-    return _make("bank_cross_entropy", out, ((positives, vjp_positives),
-                                             (negatives, vjp_negatives)))
+    return _make("bank_cross_entropy", out,
+                 ((query, vjp_query), *((p, vjp_positive(j)) for j, p in enumerate(positives))))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ and augmentation.
 A training step draws every random choice of its whole batch from one
 stream, one array call per field, before any frame is touched: segment
 indices, augmentation columns, shuffle flags and permutation ranks.
-Augmentation consumes no randomness; it is applied afterwards to the step's
-whole stack of frames at once, as two resampling matrices per frame (crop,
-resize, flip and blur) and one per-frame affine (brightness and contrast)."""
+Augmentation consumes no randomness; it is applied afterwards to the stack
+of frames the step reads, all at once, as two resampling matrices per frame
+(crop, resize and flip), a box blur and one per-frame affine (brightness and
+contrast)."""
 
 from __future__ import annotations
 
@@ -175,12 +176,12 @@ def augment_frames(frames, params: AugParams):
     clamp.
 
     The geometry of frame i is My[i] @ X[i] @ Mx[i].T: My and Mx resample
-    the crop (resize_matrices), a flip reverses the rows of Mx, and a blurred
-    frame has blur_matrix multiplied into both. Brightness b and contrast c
-    are then one affine, c * Y + (1 - c) * mean + b, where mean is the mean
-    of the un-blurred resize, read off the matrices' column sums; blur
-    commutes with it because its rows sum to 1. A frame's output does not
-    depend on the rest of the stack.
+    the crop (resize_matrices) and a flip reverses the rows of Mx. A blurred
+    frame is then Bh @ Y @ Bw.T, with Bh and Bw the blur_matrix of each axis.
+    Brightness b and contrast c are one affine, c * Y + (1 - c) * mean + b,
+    where mean is the mean of the un-blurred resize; blur commutes with it
+    because its rows sum to 1. A frame's output does not depend on the rest
+    of the stack.
     """
     frames = np.ascontiguousarray(frames, dtype=np.float64)
     n, height, width = frames.shape
@@ -203,12 +204,11 @@ def augment_frames(frames, params: AugParams):
     my = resize_matrices(top, crop_h, height)
     mx = resize_matrices(left, crop_w, width)
     mx[flip] = mx[flip, ::-1]
-    mean = (my.sum(1)[:, None, :] @ frames @ mx.sum(1)[:, :, None]) / (height * width)
-    my[blur] = blur_matrix(height) @ my[blur]
-    mx[blur] = blur_matrix(width) @ mx[blur]
     out = my @ frames @ mx.transpose(0, 2, 1)
+    mean = out.mean(axis=(1, 2))
+    out[blur] = blur_matrix(height) @ out[blur] @ blur_matrix(width).T
     out *= contrast[:, None, None]
-    out += (1 - contrast[:, None, None]) * mean + brightness[:, None, None]
+    out += ((1 - contrast) * mean + brightness)[:, None, None]
     return np.clip(out, 0.0, 1.0, out=out)
 
 

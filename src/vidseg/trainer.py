@@ -116,12 +116,16 @@ class Batch:
     key_views holds, per item, the second augmentation of the frame-level
     instance and then the two other same-video frames: the key side's inputs
     to the inter and intra losses.
+
+    A field no enabled loss reads is None: anchors and positives without the
+    segment and order losses, frame_anchors and key_views without the inter
+    and intra losses.
     """
 
-    anchors: np.ndarray  # (B, K, P) anchor tuples
-    positives: np.ndarray  # (B, K, P) positive tuples
-    frame_anchors: np.ndarray  # (B, P) frame-level instances, extra augmentation
-    key_views: np.ndarray  # (B, 3, P)
+    anchors: np.ndarray | None  # (B, K, P) anchor tuples
+    positives: np.ndarray | None  # (B, K, P) positive tuples
+    frame_anchors: np.ndarray | None  # (B, P) frame-level instances, extra augmentation
+    key_views: np.ndarray | None  # (B, 3, P)
     order_labels: np.ndarray  # (B,)
 
     def __len__(self):
@@ -203,6 +207,11 @@ def sample_batch(videos, cfg: TrainConfig, rng) -> Batch:
     around when there are fewer than three segments). With
     frame_source="uniform" all three frame slots are drawn uniformly from the
     whole timeline instead.
+
+    Everything is drawn whatever the enabled losses, but only the frames they
+    read are augmented: the tuples for the segment and order losses, the
+    frame-level views for the inter and intra losses, plus the anchor tuple
+    when its frames serve as key views.
     """
     draw = draw_batch(videos, cfg, rng)
     b, k = len(videos), cfg.segments
@@ -215,12 +224,22 @@ def sample_batch(videos, cfg: TrainConfig, rng) -> Batch:
         view_indices = draw.picks[:, [1, 2, 0, 0]]
         others = np.broadcast_to([2 * k, 2 * k + 1], (b, 2))
     indices = np.concatenate([tuple_indices, view_indices], axis=1)
-    aug = sampling.AugParams(*(np.concatenate([t.reshape(b, 2 * k), v], axis=1)
+    frames = cfg.use_inter or cfg.use_intra
+    tuples = cfg.use_segment or cfg.use_order
+    read = np.zeros(indices.shape[1], dtype=bool)
+    read[:k] = tuples or (frames and draw.picks is None)
+    read[k:2 * k] = tuples
+    read[2 * k:] = frames
+    used = np.flatnonzero(read)
+    aug = sampling.AugParams(*(np.concatenate([t.reshape(b, 2 * k), v], axis=1)[:, used]
                                for t, v in zip(draw.tuples.aug, draw.views)))
-    out = augmented_frames(videos, indices, aug)
+    out = augmented_frames(videos, indices[:, used], aug)
+    at = np.cumsum(read) - 1  # the column of out holding each read column
     key_rows = np.concatenate([np.full((b, 1), indices.shape[1] - 1), others], axis=1)
-    return Batch(anchors=out[:, :k], positives=out[:, k:2 * k], frame_anchors=out[:, -2],
-                 key_views=out[np.arange(b)[:, None], key_rows],
+    return Batch(anchors=out[:, at[0]:at[0] + k] if tuples else None,
+                 positives=out[:, at[k]:at[k] + k] if tuples else None,
+                 frame_anchors=out[:, at[-2]] if frames else None,
+                 key_views=out[np.arange(b)[:, None], at[key_rows]] if frames else None,
                  order_labels=draw.tuples.labels)
 
 

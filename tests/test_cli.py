@@ -111,6 +111,20 @@ def test_ablate_rejects_unknown_grid(tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds, message", [
+    (",", "--seeds: no seed in ','"),
+    ("x", "--seeds: 'x' is not an integer"),
+    ("0,-1", "--seeds: seed -1 is negative"),
+], ids=["empty", "non_integer", "negative"])
+def test_ablate_rejects_bad_seeds(tmp_path, capsys, seeds, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CONFIG)
+    assert cli.main(["ablate", "--config", str(cfg), "--grid", "losses",
+                     f"--seeds={seeds}", "--out", str(tmp_path / "x.csv")]) != 0
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_gradcheck_small_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL_CONFIG)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -301,59 +303,95 @@ def test_bank_terms_match_per_positive_reference(b, p, m, tau, seed):
 def test_bank_cross_entropy_matches_finite_differences():
     rng = np.random.default_rng(15)
     for b, p, m in ((1, 1, 1), (3, 2, 5), (4, 3, 9)):
-        report = nm.grad_check(nm.bank_cross_entropy,
-                               [rng.normal(scale=3.0, size=(b, p)),
-                                rng.normal(scale=3.0, size=(b, m))], step=1e-5, tol=1e-6)
+        negatives = rng.normal(size=(m, 4))
+
+        def f(query, *positives):
+            return nm.bank_cross_entropy(query, list(positives), negatives, 1.5)
+
+        report = nm.grad_check(f, [rng.normal(size=(b, 4)) for _ in range(1 + p)],
+                               step=1e-5, tol=1e-6)
         assert report.passed, f"{(b, p, m)}: {report}"
 
 
-def bank_oracle(positives, negatives):
-    """Loss and gradients from one max-shifted softmax per (row, positive)."""
-    b, p = positives.shape
+def bank_oracle(query, positives, negatives, inv):
+    """Loss and query/positive gradients from one max-shifted softmax per
+    (row, positive)."""
+    b, p = query.shape[0], len(positives)
+    scaled = query * inv
     loss = 0.0
-    grad_p, grad_n = np.zeros_like(positives), np.zeros_like(negatives)
+    grad_q = np.zeros_like(query)
+    grad_p = [np.zeros_like(x) for x in positives]
     for i in range(b):
         for j in range(p):
-            row = np.concatenate([[positives[i, j]], negatives[i]])
+            row = np.concatenate([[scaled[i] @ positives[j][i]], negatives @ scaled[i]])
             shifted = row - row.max()
             soft = np.exp(shifted) / np.exp(shifted).sum()
             loss += row.max() + np.log(np.exp(shifted).sum()) - row[0]
-            grad_p[i, j] = soft[0] - 1.0
-            grad_n[i] += soft[1:]
-    return loss / (b * p), grad_p / (b * p), grad_n / (b * p)
+            grad_q[i] += ((soft[0] - 1.0) * positives[j][i] + soft[1:] @ negatives) * inv
+            grad_p[j][i] = (soft[0] - 1.0) * scaled[i]
+    return loss / (b * p), grad_q / (b * p), [g / (b * p) for g in grad_p]
 
 
 def test_bank_cross_entropy_is_stable():
-    positives = np.array([[1000.0, -1000.0], [-1000.0, 1000.0], [0.0, 999.0]])
-    negatives = np.array([[1000.0, -1000.0, 0.0], [-1000.0, -1000.0, 1000.0],
-                          [1000.0, 1000.0, -1000.0]])
-    value, (grad_p, grad_n) = nm.forward_backward(nm.bank_cross_entropy, [positives, negatives])
-    want, want_p, want_n = bank_oracle(positives, negatives)
-    assert np.isfinite(value) and np.all(np.isfinite(grad_p)) and np.all(np.isfinite(grad_n))
+    # logits of +-1000 through inv: exp overflows unless every softmax is shifted
+    rng = np.random.default_rng(17)
+    query, negatives = unit_rows(rng, 3, 4), unit_rows(rng, 5, 4)
+    positives = [unit_rows(rng, 3, 4), query.copy()]
+    value, (grad_q, *grad_p) = nm.forward_backward(
+        lambda q, *ps: nm.bank_cross_entropy(q, list(ps), negatives, 1000.0),
+        [query, *positives])
+    want, want_q, want_p = bank_oracle(query, positives, negatives, 1000.0)
+    assert np.isfinite(value) and np.all(np.isfinite(grad_q))
+    assert all(np.all(np.isfinite(g)) for g in grad_p)
     assert_relative(value, want, 1e-12, "loss")
-    assert_relative(grad_p, want_p, 1e-12, "positive gradient")
-    assert_relative(grad_n, want_n, 1e-12, "negative gradient")
+    assert_relative(grad_q, want_q, 1e-12, "query gradient")
+    for j, (got, want_j) in enumerate(zip(grad_p, want_p)):
+        assert_relative(got, want_j, 1e-12, f"positive {j} gradient")
 
 
 def test_bank_cross_entropy_single_positive_is_softmax_cross_entropy():
     rng = np.random.default_rng(16)
-    positive, negatives = rng.normal(size=(5, 1)), rng.normal(size=(5, 7))
-    value, grads = nm.forward_backward(nm.bank_cross_entropy, [positive, negatives])
-    want, (want_joint,) = nm.forward_backward(
-        lambda joint: nm.softmax_cross_entropy(joint, np.zeros(5, dtype=int)),
-        [np.concatenate([positive, negatives], axis=1)])
+    query, positive, negatives = (rng.normal(size=shape) for shape in ((5, 4), (5, 4), (7, 4)))
+
+    def joint(q, p):
+        scaled = nm.scale(q, 2.5)
+        logits = nm.concat([nm.dot(scaled, p), nm.matmul(scaled, negatives.T)])
+        return nm.softmax_cross_entropy(logits, np.zeros(5, dtype=int))
+
+    value, grads = nm.forward_backward(
+        lambda q, p: nm.bank_cross_entropy(q, [p], negatives, 2.5), [query, positive])
+    want, want_grads = nm.forward_backward(joint, [query, positive])
     assert_relative(value, want, 1e-12, "loss")
-    assert_relative(grads[0], want_joint[:, :1], 1e-12, "positive gradient")
-    assert_relative(grads[1], want_joint[:, 1:], 1e-12, "negative gradient")
+    assert_relative(grads[0], want_grads[0], 1e-12, "query gradient")
+    assert_relative(grads[1], want_grads[1], 1e-12, "positive gradient")
 
 
-@pytest.mark.parametrize("positives, negatives", [
-    (np.zeros((3, 2)), np.zeros((4, 5))),
-    (np.zeros(3), np.zeros((3, 5))),
-    (np.zeros((3, 2)), np.zeros(5)),
-], ids=["batch_mismatch", "positives_1d", "negatives_1d"])
-def test_bank_cross_entropy_rejects_bad_shapes(positives, negatives):
+def test_bank_cross_entropy_backward_reuses_its_buffer():
+    # (B, M) = (4, 50000) is 1.6 MB; backward allocates only (B, E) and (B, P) arrays
+    rng = np.random.default_rng(18)
+    query = nm.Var(unit_rows(rng, 4, 8))
+    out = nm.bank_cross_entropy(query, [unit_rows(rng, 4, 8)], unit_rows(rng, 50000, 8), 14.0)
+    tracemalloc.start()
+    try:
+        out.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 50000 * 8 // 4
+    assert np.all(np.isfinite(query.grad))
+    with pytest.raises(nm.TapeError, match="re-record"):
+        nm.add(out, np.float64(0.0)).backward()
+
+
+@pytest.mark.parametrize("query, positives, negatives", [
+    (np.zeros((3, 4)), [np.zeros((2, 4))], np.zeros((5, 4))),
+    (np.zeros((3, 4)), [np.zeros(4)], np.zeros((5, 4))),
+    (np.zeros((3, 4)), [np.zeros((3, 4))], np.zeros(4)),
+    (np.zeros((3, 4)), [np.zeros((3, 4))], np.zeros((5, 3))),
+    (np.zeros((3, 4)), [], np.zeros((5, 4))),
+], ids=["batch_mismatch", "positives_1d", "negatives_1d", "bank_width", "no_positives"])
+def test_bank_cross_entropy_rejects_bad_shapes(query, positives, negatives):
     with pytest.raises(nm.ShapeMismatchError) as err:
-        nm.bank_cross_entropy(positives, negatives)
+        nm.bank_cross_entropy(query, positives, negatives, 1.0)
     assert err.value.op == "bank_cross_entropy"
-    assert err.value.shapes == (positives.shape, negatives.shape)
+    assert err.value.shapes == (query.shape, *[p.shape for p in positives], negatives.shape)

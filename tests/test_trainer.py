@@ -262,6 +262,37 @@ def test_assemble_batch_matches_per_frame_reference(variant, monkeypatch):
                                            err_msg=field.name)
 
 
+@pytest.mark.parametrize("losses_on, variant, read, columns", [
+    (("inter",), {}, 5, 8),
+    (("inter",), {"frame_source": "uniform"}, 4, 10),
+    (("segment", "order"), {}, 6, 8),
+    (trainer.LOSS_NAMES, {}, 8, 8),
+], ids=["inter", "inter_uniform", "segment_order", "all"])
+def test_sample_batch_augments_only_the_frames_read(losses_on, variant, read, columns,
+                                                    monkeypatch):
+    cfg = tiny_config(**variant)
+    assert cfg.segments == 3
+    selected = trainer.with_losses(cfg, losses_on)
+    train_videos, _ = synth.generate_dataset(cfg.dataset)
+    counts = []
+    augment = sampling.augment_frames
+    monkeypatch.setattr(sampling, "augment_frames",
+                        lambda frames, params: counts.append(len(frames)) or augment(frames, params))
+    full = trainer.assemble_batch(train_videos, [3, 1, 4, 0], cfg, 1, 1)
+    batch = trainer.assemble_batch(train_videos, [3, 1, 4, 0], selected, 1, 1)
+    assert counts == [4 * columns, 4 * read]
+    tuples = selected.use_segment or selected.use_order
+    frames = selected.use_inter or selected.use_intra
+    unread = {"anchors": not tuples, "positives": not tuples,
+              "frame_anchors": not frames, "key_views": not frames, "order_labels": False}
+    for field in dataclasses.fields(trainer.Batch):
+        got, want = getattr(batch, field.name), getattr(full, field.name)
+        if unread[field.name]:
+            assert got is None, field.name
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), field.name
+
+
 def test_assemble_batch_same_step_same_bytes():
     cfg = tiny_config(frame_source="uniform")
     train_videos, _ = synth.generate_dataset(cfg.dataset)
@@ -443,8 +474,8 @@ def test_loss_total_is_sum_of_terms():
 
 
 @pytest.mark.parametrize("losses_on, nodes", [
-    ({}, 81),
-    ({"use_intra": False, "use_segment": False, "use_order": False}, 26),
+    ({}, 71),
+    ({"use_intra": False, "use_segment": False, "use_order": False}, 20),
 ], ids=["default", "inter_only"])
 def test_step_graph_size(losses_on, nodes):
     """Nodes reachable from one step's loss with both banks partly filled;
