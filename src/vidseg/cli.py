@@ -90,7 +90,7 @@ def cmd_pretrain(args):
 
 
 def _load_checkpoint_for_eval(checkpoint_path, dataset_path):
-    """The checkpoint, its typed config echo and the dataset's videos. A bad
+    """The checkpoint, its typed config echo and the dataset's splits. A bad
     echo, or parameters of other shapes than the echo's model, is an
     ArtifactError naming the checkpoint; a dataset file whose spec is not
     the echo's dataset is one naming both files."""
@@ -107,7 +107,7 @@ def _load_checkpoint_for_eval(checkpoint_path, dataset_path):
                            if found.get(name) != shapes.get(name))
             raise formats.ArtifactError(f"{checkpoint_path}: config echo: {side} parameters "
                                         f"{wrong} do not have the shapes of its model")
-    spec_flat, train_videos, test_videos = formats.read_dataset(dataset_path)
+    spec_flat, train, test = formats.read_dataset(dataset_path)
     try:
         spec = config_mod.parse_flat_strings(spec_flat)
     except ValueError as err:
@@ -118,29 +118,26 @@ def _load_checkpoint_for_eval(checkpoint_path, dataset_path):
             f"{dataset_path}: spec differs from the dataset echo of {checkpoint_path}: "
             + ", ".join(f"{key}={formats.render_value(spec[key])} vs "
                         f"{formats.render_value(flat[key])}" for key in differ))
-    return ckpt, flat, train_videos, test_videos
+    return ckpt, flat, train, test
 
 
 def cmd_probe(args):
-    ckpt, flat, train_videos, test_videos = _load_checkpoint_for_eval(args.checkpoint,
-                                                                      args.dataset)
+    ckpt, flat, train, test = _load_checkpoint_for_eval(args.checkpoint, args.dataset)
     probe_cfg = config_mod.build_probe_config(flat)
-    train_table, test_table = evaluate.feature_tables(ckpt.query, train_videos, test_videos,
+    train_table, test_table = evaluate.feature_tables(ckpt.query, train, test,
                                                       probe_cfg.frames)
     accuracy = evaluate.linear_probe(train_table, test_table, probe_cfg)
     formats.write_csv(args.out, ("train_videos", "test_videos", "probe_accuracy"),
-                      [[len(train_videos), len(test_videos), accuracy]])
+                      [[len(train), len(test), accuracy]])
     print(f"probe accuracy {accuracy:.6g} -> {args.out}")
     return 0
 
 
 def cmd_retrieve(args):
-    ckpt, flat, train_videos, test_videos = _load_checkpoint_for_eval(args.checkpoint,
-                                                                      args.dataset)
+    ckpt, flat, train, test = _load_checkpoint_for_eval(args.checkpoint, args.dataset)
     probe_cfg = config_mod.build_probe_config(flat)
     retrieval_cfg = config_mod.build_retrieval_config(flat)
-    gallery, queries = evaluate.feature_tables(ckpt.query, train_videos, test_videos,
-                                               probe_cfg.frames)
+    gallery, queries = evaluate.feature_tables(ckpt.query, train, test, probe_cfg.frames)
     recalls = evaluate.retrieval_recall(queries, gallery, retrieval_cfg.ks)
     formats.write_csv(args.out, ("k", "recall"),
                       [[k, recalls[k]] for k in sorted(recalls)])

@@ -44,35 +44,32 @@ class FeatureTable:
             raise ValueError("feature row count does not match ids")
 
 
-def extract_video_feature(params, video: synth.Video, n_frames):
-    """Mean encoder feature over uniformly spaced, un-augmented frames.
+def extract_video_feature(params, frames, n_frames):
+    """Mean encoder feature over uniformly spaced, un-augmented frames of one
+    video's (T, H, W) array.
 
     Projection heads are deliberately not applied: downstream tasks consume
     the pretrained encoder only.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
-    t_count = video.frames.shape[0]
+    t_count = frames.shape[0]
     indices = [i * t_count // n_frames for i in range(n_frames)]
-    frames = video.frames[indices].reshape(len(indices), -1)
-    return np.asarray(model.encode(params, frames)).mean(axis=0)
+    rows = frames[indices].reshape(len(indices), -1)
+    return np.asarray(model.encode(params, rows)).mean(axis=0)
 
 
-def build_feature_table(params, videos, n_frames, source=""):
-    feats = np.stack([extract_video_feature(params, v, min(n_frames, v.frames.shape[0]))
-                      for v in videos])
-    return FeatureTable(
-        ids=np.array([v.id for v in videos]),
-        labels=np.array([v.class_id for v in videos]),
-        features=feats,
-        source=source,
-    )
+def build_feature_table(params, split: synth.Split, n_frames, source=""):
+    """The FeatureTable of a split, one encode per video (see extract_video_feature)."""
+    n_frames = min(n_frames, split.frames.shape[1])
+    feats = np.stack([extract_video_feature(params, frames, n_frames) for frames in split.frames])
+    return FeatureTable(ids=split.ids, labels=split.labels, features=feats, source=source)
 
 
-def feature_tables(params, train_videos, test_videos, n_frames):
+def feature_tables(params, train: synth.Split, test: synth.Split, n_frames):
     """The train and test feature tables that probing and retrieval share."""
-    return (build_feature_table(params, train_videos, n_frames, "train"),
-            build_feature_table(params, test_videos, n_frames, "test"))
+    return (build_feature_table(params, train, n_frames, "train"),
+            build_feature_table(params, test, n_frames, "test"))
 
 
 def linear_probe(train: FeatureTable, test: FeatureTable, cfg: ProbeConfig):
@@ -146,28 +143,27 @@ def retrieval_recall(queries: FeatureTable, gallery: FeatureTable, ks):
     return {k: float(np.mean(hits[:, :k].any(axis=1))) for k in ks}
 
 
-def order_prediction_accuracy(query_params, key_params, videos, cfg: trainer.TrainConfig,
-                              n_samples=200, seed=0):
+def order_prediction_accuracy(query_params, key_params, split: synth.Split,
+                              cfg: trainer.TrainConfig, n_samples=200, seed=0):
     """Accuracy of the trained order classifier on n_samples freshly drawn
-    pairs (videos taken in turn), drawn from one stream and scored with one
-    batched order_logits call.
+    pairs (the split's videos taken in turn), drawn from one stream and
+    scored with one batched order_logits call.
 
     The pairs are the tuples of a training batch (trainer.draw_batch), which
     also draws the frame-level views; only the tuple frames are augmented."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, _EVAL_STREAM]))
-    videos = [videos[i % len(videos)] for i in range(n_samples)]
-    tuples = trainer.draw_batch(videos, cfg, rng).tuples
-    frames = trainer.augmented_frames(videos, tuples.indices, tuples.aug)
+    rows = (np.arange(n_samples) % len(split))[:, None, None]
+    tuples = trainer.draw_batch(n_samples, split.frames.shape[1:], cfg, rng).tuples
+    frames = trainer.augmented_frames(split.frames, rows, tuples.indices, tuples.aug)
     logits = model.order_logits(query_params, key_params, frames[:, 0], frames[:, 1],
                                 cfg.model_config())
     return float(np.mean(np.argmax(logits, axis=1) == tuples.labels))
 
 
-def evaluate_encoder(query_params, key_params, train_videos, test_videos,
+def evaluate_encoder(query_params, key_params, train: synth.Split, test: synth.Split,
                      probe_cfg: ProbeConfig, retrieval_cfg: RetrievalConfig):
     """Shared protocol behind the ablation runner and the CLI commands."""
-    train_table, test_table = feature_tables(query_params, train_videos, test_videos,
-                                             probe_cfg.frames)
+    train_table, test_table = feature_tables(query_params, train, test, probe_cfg.frames)
     accuracy = linear_probe(train_table, test_table, probe_cfg)
     recalls = retrieval_recall(test_table, train_table, retrieval_cfg.ks)
     return accuracy, recalls
@@ -213,9 +209,8 @@ def run_ablation(base_cfg: trainer.TrainConfig, entries, seeds,
     for name, cfg in configs:
         for seed in seeds:
             run_cfg = replace(cfg, seed=int(seed))
-            state, train_videos, test_videos = trainer.fit(run_cfg)
-            accuracy, recalls = evaluate_encoder(state.query, state.key,
-                                                 train_videos, test_videos,
+            state, train, test = trainer.fit(run_cfg)
+            accuracy, recalls = evaluate_encoder(state.query, state.key, train, test,
                                                  probe_cfg, retrieval_cfg)
             r1 = recalls[min(recalls)]
             rows.append((name, int(seed), accuracy, r1))

@@ -159,7 +159,7 @@ def _split_header(blob, magic, path):
     except UnicodeDecodeError as err:
         raise ArtifactError(f"{path}: header is not UTF-8 ({err.reason})") from None
     (declared,) = _ints(_fields(payload_line, 2, path)[1:], path, payload_line)
-    body = blob[newline + 1:]
+    body = memoryview(blob)[newline + 1:]
     if len(body) != declared:
         raise ArtifactError(f"{path}: payload is {len(body)} bytes, header declares {declared}")
     return lines, body
@@ -231,28 +231,28 @@ def read_checkpoint(path):
 # ---------------------------------------------------------------------------
 
 
-def write_dataset(path, spec, train_videos, test_videos):
+def write_dataset(path, spec, train, test):
     """Header (spec echo + per-video manifest) then raw frames, float32, in
-    (video, frame, row) order."""
+    (video, frame, row) order: the train split's frame array, then the test
+    split's."""
     header = io.StringIO()
-    payload = io.BytesIO()
     header.write(DATASET_MAGIC + "\n")
     header.write("#config-begin\n")
     header.write(render_flat(flatten_config(spec)))
     header.write("#config-end\n")
-    for split, videos in (("train", train_videos), ("test", test_videos)):
-        for video in videos:
-            window = video.action_window if video.action_window else (-1, -1)
-            header.write(f"#video {video.id} {video.class_id} {split} {window[0]} {window[1]}\n")
-            payload.write(np.ascontiguousarray(video.frames, dtype="<f4").tobytes())
-    body = payload.getvalue()
+    for name, split in (("train", train), ("test", test)):
+        rows = np.column_stack([split.ids, split.labels, split.windows]).tolist()
+        for vid, label, w0, w1 in rows:
+            header.write(f"#video {vid} {label} {name} {w0} {w1}\n")
+    body = np.concatenate([train.frames, test.frames], dtype="<f4").tobytes()
     header.write(f"#payload {len(body)}\n")
     atomic_write_bytes(path, header.getvalue().encode("utf-8") + body)
 
 
 def read_dataset(path):
-    """Load a dataset file -> (spec_flat, train videos, test videos)."""
-    from .synth import Video
+    """Load a dataset file -> (spec_flat, train Split, test Split), each split's rows in
+    manifest order. A video id listed twice is an ArtifactError."""
+    from .synth import Split
 
     blob = Path(path).read_bytes()
     lines, body = _split_header(blob, DATASET_MAGIC, path)
@@ -267,21 +267,25 @@ def read_dataset(path):
             _, vid, class_id, split, w0, w1 = _fields(line, 6, path)
             if split not in ("train", "test"):
                 raise ArtifactError(f"{path}: video {vid} has unknown split '{split}'")
-            vid, class_id, w0, w1 = _ints((vid, class_id, w0, w1), path, line)
-            manifest.append((vid, class_id, split, w0, w1))
+            manifest.append([*_ints((vid, class_id, w0, w1), path, line), split == "test"])
         i += 1
     t, h, w = _ints((spec_flat.get(f"dataset.{key}", "") for key in ("frames", "height", "width")),
                     path, "#config dataset.frames/height/width")
-    frame_bytes = t * h * w * 4
-    if len(body) != frame_bytes * len(manifest):
+    if min(t, h, w) < 1:
+        raise ArtifactError(f"{path}: frame shape {t}x{h}x{w} is not positive")
+    if len(body) != t * h * w * 4 * len(manifest):
         raise ArtifactError(f"{path}: payload does not match the video manifest")
-    train, test = [], []
-    for n, (vid, class_id, split, w0, w1) in enumerate(manifest):
-        frames = np.frombuffer(body, dtype="<f4", count=t * h * w, offset=n * frame_bytes)
-        video = Video(id=vid, class_id=class_id,
-                      frames=frames.reshape(t, h, w).astype(np.float64),
-                      action_window=None if w0 < 0 else (w0, w1))
-        (train if split == "train" else test).append(video)
+    try:
+        manifest = np.array(manifest, dtype=np.int64).reshape(-1, 5)
+    except OverflowError:
+        raise ArtifactError(f"{path}: a '#video' field is out of range") from None
+    ids, counts = np.unique(manifest[:, 0], return_counts=True)
+    if np.any(counts > 1):
+        raise ArtifactError(f"{path}: video id {ids[counts > 1][0]} appears more than once")
+    frames = np.frombuffer(body, dtype="<f4").reshape(len(manifest), t, h, w)
+    train, test = (Split(frames=frames[rows].astype(np.float64), ids=manifest[rows, 0],
+                         labels=manifest[rows, 1], windows=manifest[rows, 2:4])
+                   for rows in (manifest[:, 4] == 0, manifest[:, 4] == 1))
     return spec_flat, train, test
 
 

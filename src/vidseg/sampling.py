@@ -18,8 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .synth import Video
-
 CROP_SCALE_RANGE = (0.6, 1.0)
 BRIGHTNESS_LIMIT = 0.2
 CONTRAST_RANGE = (0.8, 1.2)
@@ -210,8 +208,3 @@ def augment_frames(frames, params: AugParams):
     out *= contrast[:, None, None]
     out += ((1 - contrast) * mean + brightness)[:, None, None]
     return np.clip(out, 0.0, 1.0, out=out)
-
-
-def frame_at(video: Video, index):
-    """Frame at a (possibly tiled) timeline index; (K, H, W) for K indices."""
-    return video.frames[np.asarray(index) % video.frames.shape[0]]

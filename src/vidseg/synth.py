@@ -1,7 +1,8 @@
 """Seeded synthetic videos: a textured Gaussian blob translating along a
 class-specific direction, optionally confined to an action window so the rest
 of the timeline is pure noise (the untrimmed regime where naive frame
-sampling produces false positive pairs)."""
+sampling produces false positive pairs). A split is one Split of arrays with
+a row per video: (T, H, W) frames, id, class label and action window."""
 
 from __future__ import annotations
 
@@ -49,12 +50,17 @@ class DatasetSpec:
             raise ValueError("train_fraction must be in (0, 1)")
 
 
-@dataclass
-class Video:
-    id: int
-    class_id: int
-    frames: np.ndarray  # (T, H, W) float64 in [0, 1]
-    action_window: tuple | None = None  # [start, end) when untrimmed
+@dataclass(frozen=True)
+class Split:
+    """The videos of one split, row b of each array describing video b."""
+
+    frames: np.ndarray  # (n, T, H, W) float64 in [0, 1]
+    ids: np.ndarray  # (n,)
+    labels: np.ndarray  # (n,) class ids
+    windows: np.ndarray  # (n, 2) [start, end) action windows; (-1, -1) when trimmed
+
+    def __len__(self):
+        return self.ids.shape[0]
 
 
 def class_direction(spec: DatasetSpec, class_id: int):
@@ -116,8 +122,9 @@ def trajectory_start(spec: DatasetSpec, class_id: int, u_phase: float, u_perp: f
             center_x + along * dx - perp * dy)
 
 
-def generate_video(spec: DatasetSpec, class_id: int, video_index: int) -> Video:
-    """Deterministic function of (spec.seed, class_id, video_index).
+def generate_video(spec: DatasetSpec, class_id: int, video_index: int):
+    """(frames (T, H, W), [start, end) action window, (-1, -1) when trimmed)
+    of one video. Deterministic function of (spec.seed, class_id, video_index).
 
     The per-video RNG is derived by hashing the triple, so generation order
     never matters. Draw order: phase, perpendicular offset, window placement,
@@ -155,12 +162,7 @@ def generate_video(spec: DatasetSpec, class_id: int, video_index: int) -> Video:
         else:
             frames[t] = np.clip(noise[t], 0.0, 1.0)
 
-    return Video(
-        id=class_id * spec.videos_per_class + video_index,
-        class_id=class_id,
-        frames=frames,
-        action_window=window if spec.untrimmed else None,
-    )
+    return frames, window if spec.untrimmed else (-1, -1)
 
 
 def split_counts(spec: DatasetSpec):
@@ -171,7 +173,8 @@ def split_counts(spec: DatasetSpec):
 
 
 def generate_dataset(spec: DatasetSpec):
-    """All videos of the spec, split per class into (train, test) lists.
+    """All videos of the spec as (train, test) Splits, rows in (class, index)
+    order, video (c, i) with id c * videos_per_class + i.
 
     The split is stratified: within each class the first train-count indices
     go to train, the rest to test.
@@ -179,9 +182,13 @@ def generate_dataset(spec: DatasetSpec):
     if spec.videos_per_class < 2:
         raise ValueError("videos_per_class must be >= 2 to split")
     n_train, _ = split_counts(spec)
-    train, test = [], []
-    for class_id in range(spec.classes):
-        for index in range(spec.videos_per_class):
-            video = generate_video(spec, class_id, index)
-            (train if index < n_train else test).append(video)
-    return train, test
+    splits = []
+    for indices in (range(n_train), range(n_train, spec.videos_per_class)):
+        pairs = np.array([(c, i) for c in range(spec.classes) for i in indices])
+        frames = np.empty((len(pairs), spec.frames, spec.height, spec.width))
+        windows = np.empty((len(pairs), 2), dtype=np.int64)
+        for row, (class_id, index) in enumerate(pairs.tolist()):
+            frames[row], windows[row] = generate_video(spec, class_id, index)
+        splits.append(Split(frames=frames, ids=pairs[:, 0] * spec.videos_per_class + pairs[:, 1],
+                            labels=pairs[:, 0], windows=windows))
+    return tuple(splits)

@@ -111,7 +111,8 @@ class TrainState:
 @dataclass(frozen=True)
 class Batch:
     """One step's samples stacked over the B items, as flattened frames of P
-    pixels. All but key_views are views into the step's augmented frames.
+    pixels. All but key_views are views into the step's (B, c, P) augmented
+    frames, the c slots per item that the enabled losses read.
 
     key_views holds, per item, the second augmentation of the frame-level
     instance and then the two other same-video frames: the key side's inputs
@@ -171,35 +172,37 @@ class BatchDraw:
     views: sampling.AugParams  # columns (B, 4) with picks, (B, 2) without
 
 
-def draw_batch(videos, cfg: TrainConfig, rng) -> BatchDraw:
-    """Draw a batch of one item per video from one stream, one array call per
-    field: the tuples (see sampling.draw_tuples), the uniform-mode picks,
-    then the frame-view columns."""
-    t_counts = np.array([v.frames.shape[0] for v in videos])
-    height, width = videos[0].frames.shape[1:]
+def draw_batch(b, shape, cfg: TrainConfig, rng) -> BatchDraw:
+    """Draw a batch of b items from videos of (T, H, W) frames from one
+    stream, one array call per field: the tuples (see sampling.draw_tuples),
+    the uniform-mode picks, then the frame-view columns."""
+    t_count, height, width = shape
+    t_counts = np.full(b, t_count)
     tuples = sampling.draw_tuples(rng, t_counts, cfg.segments, height, width,
                                   share_augment=cfg.share_tuple_augment)
     picks = None
     if cfg.frame_source == "uniform":
-        picks = rng.integers(0, t_counts[:, None], size=(len(videos), 3))
-    views = sampling.draw_aug(rng, (len(videos), 2 if picks is None else 4), height, width)
+        picks = rng.integers(0, t_counts[:, None], size=(b, 3))
+    views = sampling.draw_aug(rng, (b, 2 if picks is None else 4), height, width)
     return BatchDraw(tuples=tuples, picks=picks, views=views)
 
 
-def augmented_frames(videos, indices, aug: sampling.AugParams):
-    """The frames of videos[b] at timeline indices[b], augmented by the
-    columns of aug (one entry per index, in the same order) in one
-    augment_frames call: shape indices.shape + (P,), frames flattened."""
-    raw = np.stack([sampling.frame_at(v, i) for v, i in zip(videos, indices)])
+def augmented_frames(frames, rows, indices, aug: sampling.AugParams):
+    """The frames frames[rows, indices % T] of the (n, T, H, W) array, rows
+    broadcast against the timeline indices, augmented by the columns of aug
+    (one entry per index, in the same order) in one augment_frames call:
+    shape indices.shape + (P,), frames flattened."""
+    raw = frames[rows, indices % frames.shape[1]]
     out = sampling.augment_frames(raw.reshape(-1, *raw.shape[-2:]), aug)
     return out.reshape(*indices.shape, -1)
 
 
-def sample_batch(videos, cfg: TrainConfig, rng) -> Batch:
-    """The Batch of one item per video, drawn from rng by draw_batch and then
-    augmented in one augment_frames call.
+def sample_batch(frames, rows, cfg: TrainConfig, rng) -> Batch:
+    """The Batch of one item per video frames[rows[b]] of the (n, T, H, W)
+    array, drawn from rng by draw_batch and then augmented in one
+    augment_frames call.
 
-    Each item's frames are its anchor tuple, its positive tuple and then its
+    Each item's slots are its anchor tuple, its positive tuple and then its
     frame-level views, ending with the frame anchor and its second view. The
     frame anchor and its second view are two fresh augmentations of the raw
     frame behind the anchor tuple's first segment; the anchor tuple's other
@@ -208,13 +211,13 @@ def sample_batch(videos, cfg: TrainConfig, rng) -> Batch:
     frame_source="uniform" all three frame slots are drawn uniformly from the
     whole timeline instead.
 
-    Everything is drawn whatever the enabled losses, but only the frames they
-    read are augmented: the tuples for the segment and order losses, the
-    frame-level views for the inter and intra losses, plus the anchor tuple
-    when its frames serve as key views.
+    Everything is drawn whatever the enabled losses, but only the slots they
+    read are gathered and augmented, the same number per item: the tuples
+    for the segment and order losses, the frame-view slots and the key-view
+    slots for the inter and intra losses.
     """
-    draw = draw_batch(videos, cfg, rng)
-    b, k = len(videos), cfg.segments
+    b, k = len(rows), cfg.segments
+    draw = draw_batch(b, frames.shape[1:], cfg, rng)
     tuple_indices = draw.tuples.indices.reshape(b, 2 * k)
     if draw.picks is None:
         view_indices = np.repeat(tuple_indices[:, :k].min(axis=1, keepdims=True), 2, axis=1)
@@ -224,32 +227,32 @@ def sample_batch(videos, cfg: TrainConfig, rng) -> Batch:
         view_indices = draw.picks[:, [1, 2, 0, 0]]
         others = np.broadcast_to([2 * k, 2 * k + 1], (b, 2))
     indices = np.concatenate([tuple_indices, view_indices], axis=1)
-    frames = cfg.use_inter or cfg.use_intra
-    tuples = cfg.use_segment or cfg.use_order
-    read = np.zeros(indices.shape[1], dtype=bool)
-    read[:k] = tuples or (frames and draw.picks is None)
-    read[k:2 * k] = tuples
-    read[2 * k:] = frames
-    used = np.flatnonzero(read)
-    aug = sampling.AugParams(*(np.concatenate([t.reshape(b, 2 * k), v], axis=1)[:, used]
-                               for t, v in zip(draw.tuples.aug, draw.views)))
-    out = augmented_frames(videos, indices[:, used], aug)
-    at = np.cumsum(read) - 1  # the column of out holding each read column
+    items = np.arange(b)[:, None]
     key_rows = np.concatenate([np.full((b, 1), indices.shape[1] - 1), others], axis=1)
-    return Batch(anchors=out[:, at[0]:at[0] + k] if tuples else None,
-                 positives=out[:, at[k]:at[k] + k] if tuples else None,
-                 frame_anchors=out[:, at[-2]] if frames else None,
-                 key_views=out[np.arange(b)[:, None], at[key_rows]] if frames else None,
+    frames_on = cfg.use_inter or cfg.use_intra
+    tuples_on = cfg.use_segment or cfg.use_order
+    read = np.zeros(indices.shape, dtype=bool)
+    read[:, :2 * k] = tuples_on
+    read[:, 2 * k:] = frames_on
+    read[items, key_rows] |= frames_on
+    aug = sampling.AugParams(*(np.concatenate([t.reshape(b, 2 * k), v], axis=1)[read]
+                               for t, v in zip(draw.tuples.aug, draw.views)))
+    out = augmented_frames(frames, rows[:, None], indices[read].reshape(b, -1), aug)
+    at = np.cumsum(read, axis=1) - 1  # the column of out holding each read slot
+    return Batch(anchors=out[:, :k] if tuples_on else None,
+                 positives=out[:, k:2 * k] if tuples_on else None,
+                 frame_anchors=out[:, -2] if frames_on else None,
+                 key_views=out[items, at[items, key_rows]] if frames_on else None,
                  order_labels=draw.tuples.labels)
 
 
-def assemble_batch(videos, indices, cfg: TrainConfig, epoch, step_in_epoch) -> Batch:
-    """Deterministic batch of videos[indices]: the step owns one stream,
-    derived from (seed, epoch, step_in_epoch), that sample_batch draws every
-    random choice of the whole batch from."""
+def assemble_batch(frames, rows, cfg: TrainConfig, epoch, step_in_epoch) -> Batch:
+    """Deterministic batch of the videos frames[rows]: the step owns one
+    stream, derived from (seed, epoch, step_in_epoch), that sample_batch
+    draws every random choice of the whole batch from."""
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, STREAM_SAMPLE, epoch, step_in_epoch]))
-    return sample_batch([videos[int(v)] for v in indices], cfg, rng)
+    return sample_batch(frames, np.asarray(rows), cfg, rng)
 
 
 def key_targets(key_params, batch: Batch, cfg: TrainConfig):
@@ -407,17 +410,14 @@ def steps_per_epoch(n_videos, batch_size):
 def fit(cfg: TrainConfig, dataset=None, on_epoch=None):
     """Run the whole pretraining loop in memory.
 
-    Returns (state, train_videos, test_videos). Deterministic given the
-    config: dataset generation, parameter init, epoch shuffling, sampling and
-    augmentation all derive from the run seed. `on_epoch(state)` runs after
-    each completed epoch (checkpoint hooks).
+    Returns (state, train, test), the dataset's synth.Splits. Deterministic
+    given the config: dataset generation, parameter init, epoch shuffling,
+    sampling and augmentation all derive from the run seed. `on_epoch(state)`
+    runs after each completed epoch (checkpoint hooks).
     """
     cfg.validate()
-    if dataset is None:
-        train_videos, test_videos = synth.generate_dataset(cfg.dataset)
-    else:
-        train_videos, test_videos = dataset
-    n = len(train_videos)
+    train, test = synth.generate_dataset(cfg.dataset) if dataset is None else dataset
+    n = len(train)
     per_epoch = steps_per_epoch(n, cfg.batch_size)
     state = init_state(cfg, total_steps=cfg.epochs * per_epoch)
     effective_batch = min(cfg.batch_size, n)
@@ -427,7 +427,7 @@ def fit(cfg: TrainConfig, dataset=None, on_epoch=None):
         epoch_metrics = []
         for s in range(per_epoch):
             indices = perm[s * effective_batch:(s + 1) * effective_batch]
-            batch = assemble_batch(train_videos, indices, cfg, epoch, s)
+            batch = assemble_batch(train.frames, indices, cfg, epoch, s)
             epoch_metrics.append(train_step(state, batch, cfg))
         state.epoch += 1
         row = {"epoch": epoch, "lr": epoch_metrics[-1]["lr"]}
@@ -436,7 +436,7 @@ def fit(cfg: TrainConfig, dataset=None, on_epoch=None):
         state.history.append(row)
         if on_epoch is not None:
             on_epoch(state)
-    return state, train_videos, test_videos
+    return state, train, test
 
 
 METRICS_COLUMNS = ("epoch", "lr", "loss_total", "loss_inter", "loss_intra",
@@ -504,9 +504,10 @@ def gradient_suite(cfg: TrainConfig, n_seeds=10, probes_per_param=4, step=1e-5, 
         mcfg = cfg.model_config()
         query = model.init_params(mcfg, rng)
         key = model.init_params(mcfg, rng)
-        videos = [synth.generate_video(cfg.dataset, (seed + slot) % cfg.dataset.classes, 0)
-                  for slot in range(2)]
-        batch = sample_batch(videos, everything, np.random.default_rng(
+        frames = np.stack([
+            synth.generate_video(cfg.dataset, (seed + slot) % cfg.dataset.classes, 0)[0]
+            for slot in range(2)])
+        batch = sample_batch(frames, np.arange(2), everything, np.random.default_rng(
             np.random.SeedSequence([cfg.seed, STREAM_GRADCHECK, seed, 1])))
         inter_negatives = _unit_rows(rng, 16, cfg.embed_dim)
         segment_negatives = _unit_rows(rng, 16, cfg.embed_dim)

@@ -190,10 +190,61 @@ def test_dataset_file_round_trip(tmp_path):
     spec_flat, train2, test2 = formats.read_dataset(path)
     assert int(spec_flat["dataset.classes"]) == 2
     assert len(train2) == len(train) and len(test2) == len(test)
-    for a, b in zip(train + test, train2 + test2):
-        assert a.id == b.id and a.class_id == b.class_id
-        assert a.action_window == b.action_window
+    for a, b in ((train, train2), (test, test2)):
+        assert np.array_equal(a.ids, b.ids) and np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.windows, b.windows)
         assert np.allclose(a.frames, b.frames, atol=1e-7)
+    # what was read writes back to the same bytes
+    formats.write_dataset(tmp_path / "again.ds", spec, train2, test2)
+    assert (tmp_path / "again.ds").read_bytes() == path.read_bytes()
+
+
+def test_dataset_splits_keep_manifest_order(tmp_path):
+    # a hand-made file whose manifest alternates train and test videos
+    t, h, w = 2, 3, 4
+    rows = [(7, 1, "test"), (2, 0, "train"), (5, 1, "train"), (0, 0, "test"), (9, 1, "train")]
+    frames = (np.arange(len(rows) * t * h * w) / 100).astype("<f4").reshape(-1, t, h, w)
+    header = [formats.DATASET_MAGIC, "#config-begin", f"dataset.frames={t}",
+              f"dataset.height={h}", f"dataset.width={w}", "#config-end"]
+    header += [f"#video {vid} {label} {split} {vid} {vid + 2}" for vid, label, split in rows]
+    body = frames.tobytes()
+    path = tmp_path / "videos.ds"
+    path.write_bytes(("\n".join(header) + f"\n#payload {len(body)}\n").encode() + body)
+    _, train, test = formats.read_dataset(path)
+    for split, name in ((train, "train"), (test, "test")):
+        keep = [i for i, row in enumerate(rows) if row[2] == name]
+        assert split.ids.tolist() == [rows[i][0] for i in keep]
+        assert split.labels.tolist() == [rows[i][1] for i in keep]
+        assert split.windows.tolist() == [[rows[i][0], rows[i][0] + 2] for i in keep]
+        assert split.frames.dtype == np.float64
+        assert split.frames.tobytes() == frames[keep].astype(np.float64).tobytes()
+
+
+def test_dataset_frame_shape_must_be_positive(tmp_path):
+    path = tmp_path / "videos.ds"
+    path.write_bytes(f"{formats.DATASET_MAGIC}\n#config-begin\ndataset.frames=-1\n"
+                     "dataset.height=8\ndataset.width=8\n#config-end\n#payload 0\n".encode())
+    with pytest.raises(formats.ArtifactError, match="videos.ds: frame shape -1x8x8"):
+        formats.read_dataset(path)
+
+
+@pytest.mark.parametrize("split, vid, message", [
+    ("train", b"0", "video id 0 appears more than once"),
+    ("test", b"0", "video id 0 appears more than once"),
+    ("test", b"99999999999999999999", "a '#video' field is out of range"),
+], ids=["repeated_in_train", "repeated_across_splits", "out_of_range"])
+def test_dataset_bad_video_id_rejected(tmp_path, split, vid, message):
+    # the last video of the split takes the id; 0 is the first train video's
+    spec = synth.DatasetSpec(classes=2, videos_per_class=3, frames=5, seed=4)
+    path = tmp_path / "videos.ds"
+    formats.write_dataset(path, spec, *synth.generate_dataset(spec))
+    blob = path.read_bytes()
+    start = blob.rindex(f" {split} ".encode())
+    start = blob.rindex(b"#video ", 0, start) + len(b"#video ")
+    end = blob.index(b" ", start)
+    path.write_bytes(blob[:start] + vid + blob[end:])
+    with pytest.raises(formats.ArtifactError, match=f"videos.ds: {message}"):
+        formats.read_dataset(path)
 
 
 def test_dataset_version_mismatch(tmp_path):

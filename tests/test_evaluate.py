@@ -29,8 +29,7 @@ def test_extract_feature_constant_video():
     cfg = model.ModelConfig(frame_pixels=64, hidden_dim=8, feature_dim=6)
     params = model.init_params(cfg, np.random.default_rng(0))
     frames = np.tile(np.random.default_rng(1).uniform(size=(8, 8)), (5, 1, 1))
-    video = synth.Video(id=0, class_id=0, frames=frames)
-    feat = evaluate.extract_video_feature(params, video, 4)
+    feat = evaluate.extract_video_feature(params, frames, 4)
     single = np.asarray(model.encode(params, frames[0].reshape(1, -1)))[0]
     assert np.allclose(feat, single, atol=1e-12)
 
@@ -39,10 +38,10 @@ def test_extract_feature_all_frames_is_plain_mean():
     cfg = model.ModelConfig(frame_pixels=64, hidden_dim=8, feature_dim=6)
     params = model.init_params(cfg, np.random.default_rng(2))
     rng = np.random.default_rng(3)
-    video = synth.Video(id=0, class_id=0, frames=rng.uniform(size=(6, 8, 8)))
-    feat = evaluate.extract_video_feature(params, video, 6)
+    frames = rng.uniform(size=(6, 8, 8))
+    feat = evaluate.extract_video_feature(params, frames, 6)
     oracle = np.mean([np.asarray(model.encode(params, f.reshape(1, -1)))[0]
-                      for f in video.frames], axis=0)
+                      for f in frames], axis=0)
     assert np.allclose(feat, oracle, atol=1e-12)
 
 
@@ -50,11 +49,11 @@ def test_extract_feature_matches_loop_oracle():
     cfg = model.ModelConfig(frame_pixels=64, hidden_dim=8, feature_dim=6)
     params = model.init_params(cfg, np.random.default_rng(4))
     rng = np.random.default_rng(5)
-    video = synth.Video(id=0, class_id=0, frames=rng.uniform(size=(10, 8, 8)))
+    frames = rng.uniform(size=(10, 8, 8))
     n = 4
-    rows = [video.frames[i * 10 // n].reshape(1, -1) for i in range(n)]
+    rows = [frames[i * 10 // n].reshape(1, -1) for i in range(n)]
     expected = np.mean([np.asarray(model.encode(params, row))[0] for row in rows], axis=0)
-    assert np.allclose(evaluate.extract_video_feature(params, video, n), expected, atol=1e-12)
+    assert np.allclose(evaluate.extract_video_feature(params, frames, n), expected, atol=1e-12)
 
 
 def test_probe_separable_features_are_perfect():
@@ -193,7 +192,7 @@ def test_order_prediction_augments_only_the_tuple_frames(monkeypatch):
     _, test_videos = synth.generate_dataset(spec)
     # the same pairs as the tuples of a whole training batch, views included
     rng = np.random.default_rng(np.random.SeedSequence([7, evaluate._EVAL_STREAM]))
-    batch = trainer.sample_batch([test_videos[i % len(test_videos)] for i in range(200)],
+    batch = trainer.sample_batch(test_videos.frames, np.arange(200) % len(test_videos),
                                  cfg, rng)
     logits = model.order_logits(state.query, state.key, batch.anchors, batch.positives,
                                 cfg.model_config())

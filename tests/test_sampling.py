@@ -7,10 +7,10 @@ from hypothesis.extra import numpy as hnp
 from vidseg import sampling, synth
 
 
-def make_video(t=12, h=16, w=16, seed=0):
+def make_frames(t=12, h=16, w=16, seed=0):
     spec = synth.DatasetSpec(classes=8, videos_per_class=2, frames=t, height=h, width=w,
                              untrimmed=False, seed=seed)
-    return synth.generate_video(spec, 0, 0)
+    return synth.generate_video(spec, 0, 0)[0]
 
 
 def _resize_grid(in_extent, out_extent):
@@ -225,16 +225,16 @@ def test_anchor_positive_draws_are_exchangeable():
 
 
 def test_identity_augmentation_is_identity():
-    video = make_video()
-    frame = video.frames[0]
+    video_frames = make_frames()
+    frame = video_frames[0]
     identity = sampling.AugParams(0, 0, 16, 16, False, 0.0, 1.0, False)
     out = augment_one(frame, identity)
     assert np.array_equal(out, frame)
 
 
 def test_flip_twice_restores_frame():
-    video = make_video()
-    frame = video.frames[0]
+    video_frames = make_frames()
+    frame = video_frames[0]
     params = sampling.AugParams(0, 0, 16, 16, True, 0.0, 1.0, False)
     assert np.array_equal(augment_one(augment_one(frame, params), params), frame)
 
@@ -260,13 +260,13 @@ def test_degenerate_crop_rejected():
 
 
 def test_augmented_frames_clamped_and_shaped():
-    video = make_video()
+    video_frames = make_frames()
     params = sampling.draw_aug(np.random.default_rng(5), (30,), 16, 16)
     for i in range(30):
-        out = augment_one(video.frames[1], frame_params(params, i))
+        out = augment_one(video_frames[1], frame_params(params, i))
         assert out.shape == (16, 16)
         assert out.min() >= 0.0 and out.max() <= 1.0
-    out = sampling.augment_frames(video.frames[np.arange(30) % 12], params)
+    out = sampling.augment_frames(video_frames[np.arange(30) % 12], params)
     assert out.shape == (30, 16, 16) and out.min() >= 0.0 and out.max() <= 1.0
 
 
@@ -320,8 +320,8 @@ def test_augment_frames_matches_per_frame_reference(stack):
 
 
 def test_augment_frames_edge_cases_match_reference():
-    video = make_video()
-    frames = np.concatenate([video.frames[:4], video.frames[:4]])
+    video_frames = make_frames()
+    frames = np.concatenate([video_frames[:4], video_frames[:4]])
     P = sampling.AugParams
     params = [
         P(5, 7, 2, 2, False, 0.1, 0.9, False),  # 2x2 crop
@@ -342,9 +342,9 @@ def test_augment_frames_edge_cases_match_reference():
 
 
 def test_augment_frames_matches_reference_on_drawn_params():
-    video = make_video(t=32)
+    video_frames = make_frames(t=32)
     rng = np.random.default_rng(17)
-    frames = video.frames[rng.integers(0, 32, size=2000)]
+    frames = video_frames[rng.integers(0, 32, size=2000)]
     params = sampling.draw_aug(rng, (2000,), 16, 16)
     reference = reference_augment_frames(frames, [frame_params(params, i) for i in range(2000)])
     np.testing.assert_allclose(sampling.augment_frames(frames, params), reference,
@@ -374,7 +374,7 @@ def test_resize_matrices_rows_are_two_tap_and_stochastic(case):
 
 
 def test_flip_reverses_the_rows_of_the_column_matrix():
-    frame = make_video().frames[3]
+    frame = make_frames()[3]
     P = sampling.AugParams
     plain = augment_one(frame, P(2, 3, 12, 10, False, 0.0, 1.0, False))
     flipped = augment_one(frame, P(2, 3, 12, 10, True, 0.0, 1.0, False))

@@ -13,17 +13,17 @@ def spec_with(**kw):
 
 def test_generation_is_deterministic():
     spec = spec_with()
-    a = synth.generate_video(spec, 2, 1)
-    b = synth.generate_video(spec, 2, 1)
-    assert a.frames.tobytes() == b.frames.tobytes()
-    assert a.id == b.id and a.class_id == 2
+    a, a_window = synth.generate_video(spec, 2, 1)
+    b, b_window = synth.generate_video(spec, 2, 1)
+    assert a.tobytes() == b.tobytes()
+    assert a_window == b_window == (-1, -1)
 
 
 def test_noise_free_frames_follow_construction_rule():
     # reproduce the documented draw order (phase, perp, window, noise) and
     # compare every frame against the analytic render
     spec = spec_with(noise=0.0, frames=20)
-    video = synth.generate_video(spec, 0, 0)
+    frames, _ = synth.generate_video(spec, 0, 0)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0, 0]))
     u_phase, u_perp = rng.uniform(), rng.uniform()
     sy, sx = synth.trajectory_start(spec, 0, u_phase, u_perp)
@@ -32,17 +32,17 @@ def test_noise_free_frames_follow_construction_rule():
     for t in range(spec.frames):
         expected = np.clip(
             synth._render_blob(16, 16, sy + vy * t, sx + vx * t, sigma, amplitude), 0.0, 1.0)
-        assert np.array_equal(expected, video.frames[t])
+        assert np.array_equal(expected, frames[t])
 
 
 def test_shift_rule_between_consecutive_frames():
     # with zero noise, frame t+1 equals frame t advanced by the class
     # velocity: compare against re-rendering at the shifted center
     spec = spec_with(noise=0.0, frames=20)
-    video = synth.generate_video(spec, 0, 1)
+    frames, _ = synth.generate_video(spec, 0, 1)
     vy, vx = synth.class_motion(spec, 0)
     # find a frame where the blob is well inside, then check the shift rule
-    energies = video.frames.reshape(spec.frames, -1).max(axis=1)
+    energies = frames.reshape(spec.frames, -1).max(axis=1)
     t = int(np.argmax(energies))
     assert 0 < t < spec.frames - 1
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0, 1]))
@@ -50,13 +50,13 @@ def test_shift_rule_between_consecutive_frames():
     sigma, amplitude = synth.class_appearance(spec, 0)
     shifted = synth._render_blob(16, 16, (sy + vy * t) + vy, (sx + vx * t) + vx,
                                  sigma, amplitude)
-    assert np.array_equal(np.clip(shifted, 0.0, 1.0), video.frames[t + 1])
+    assert np.array_equal(np.clip(shifted, 0.0, 1.0), frames[t + 1])
 
 
 def test_blob_crosses_the_frame():
     spec = spec_with(noise=0.0, frames=32)
-    video = synth.generate_video(spec, 2, 0)
-    energies = video.frames.reshape(spec.frames, -1).max(axis=1)
+    frames, _ = synth.generate_video(spec, 2, 0)
+    energies = frames.reshape(spec.frames, -1).max(axis=1)
     # dark at both ends of the timeline, bright in the middle
     assert energies[0] < 0.05 and energies[-1] < 0.05
     assert energies.max() > 0.3
@@ -64,8 +64,8 @@ def test_blob_crosses_the_frame():
 
 def test_pixels_stay_in_unit_interval():
     spec = spec_with(noise=0.3, untrimmed=True)
-    video = synth.generate_video(spec, 5, 2)
-    assert video.frames.min() >= 0.0 and video.frames.max() <= 1.0
+    frames, _ = synth.generate_video(spec, 5, 2)
+    assert frames.min() >= 0.0 and frames.max() <= 1.0
 
 
 def test_between_class_distance_exceeds_within():
@@ -73,7 +73,7 @@ def test_between_class_distance_exceeds_within():
     means = {c: [] for c in (0, 1)}
     for c in (0, 1):
         for i in range(20):
-            means[c].append(synth.generate_video(spec, c, i).frames.mean(axis=0).ravel())
+            means[c].append(synth.generate_video(spec, c, i)[0].mean(axis=0).ravel())
     m0, m1 = np.array(means[0]), np.array(means[1])
 
     def mean_pair_dist(a, b):
@@ -94,58 +94,60 @@ def test_dataset_split_counts_and_ids():
     spec = spec_with(classes=8, videos_per_class=25)
     train, test = synth.generate_dataset(spec)
     assert len(train) == 160 and len(test) == 40
-    per_class_train = np.bincount([v.class_id for v in train], minlength=8)
-    per_class_test = np.bincount([v.class_id for v in test], minlength=8)
+    per_class_train = np.bincount(train.labels, minlength=8)
+    per_class_test = np.bincount(test.labels, minlength=8)
     assert np.all(per_class_train == 20) and np.all(per_class_test == 5)
-    ids = [v.id for v in train] + [v.id for v in test]
+    ids = train.ids.tolist() + test.ids.tolist()
     assert len(set(ids)) == len(ids)
+    assert np.array_equal(train.ids // 25, train.labels)
+    assert np.array_equal(test.ids // 25, test.labels)
+    assert train.frames.shape == (160, 16, 16, 16) and test.frames.shape == (40, 16, 16, 16)
 
 
 def test_dataset_split_is_deterministic():
     spec = spec_with()
     t1, s1 = synth.generate_dataset(spec)
     t2, s2 = synth.generate_dataset(spec)
-    assert [v.id for v in t1] == [v.id for v in t2]
-    assert all(a.frames.tobytes() == b.frames.tobytes() for a, b in zip(s1, s2))
+    assert t1.ids.tolist() == t2.ids.tolist()
+    assert s1.frames.tobytes() == s2.frames.tobytes()
 
 
 def test_untrimmed_full_coverage_matches_trimmed():
     trimmed = spec_with(untrimmed=False)
     covered = spec_with(untrimmed=True, action_coverage=1.0)
     for c, i in [(0, 0), (3, 2), (7, 3)]:
-        a = synth.generate_video(trimmed, c, i)
-        b = synth.generate_video(covered, c, i)
-        assert a.frames.tobytes() == b.frames.tobytes()
-        assert a.action_window is None
-        assert b.action_window == (0, trimmed.frames)
+        a, a_window = synth.generate_video(trimmed, c, i)
+        b, b_window = synth.generate_video(covered, c, i)
+        assert a.tobytes() == b.tobytes()
+        assert a_window == (-1, -1)
+        assert b_window == (0, trimmed.frames)
 
 
 def test_untrimmed_window_bounds_and_noise_outside():
     spec = spec_with(untrimmed=True, action_coverage=0.5, noise=0.0)
-    video = synth.generate_video(spec, 1, 0)
-    start, end = video.action_window
+    frames, (start, end) = synth.generate_video(spec, 1, 0)
     assert 0 <= start < end <= spec.frames
     assert end - start == round(0.5 * spec.frames)
     outside = [t for t in range(spec.frames) if not start <= t < end]
     assert outside, "half coverage must leave frames outside the window"
     for t in outside:
-        assert video.frames[t].max() == 0.0
-    inside_energy = video.frames[start:end].max()
+        assert frames[t].max() == 0.0
+    inside_energy = frames[start:end].max()
     assert inside_energy > 0.1
 
 
 def test_nearest_class_mean_beats_chance():
     spec = spec_with(classes=8, videos_per_class=10, untrimmed=True)
     train, test = synth.generate_dataset(spec)
-    feats = {v.id: v.frames.mean(axis=0).ravel() for v in train + test}
+    train_feats = train.frames.mean(axis=1).reshape(len(train), -1)
     class_means = {}
     for c in range(8):
-        rows = [feats[v.id] for v in train if v.class_id == c]
+        rows = train_feats[train.labels == c]
         class_means[c] = np.mean(rows, axis=0)
     hits = 0
-    for v in test:
-        dists = {c: np.linalg.norm(feats[v.id] - m) for c, m in class_means.items()}
-        if min(dists, key=dists.get) == v.class_id:
+    for feat, label in zip(test.frames.mean(axis=1).reshape(len(test), -1), test.labels):
+        dists = {c: np.linalg.norm(feat - m) for c, m in class_means.items()}
+        if min(dists, key=dists.get) == label:
             hits += 1
     accuracy = hits / len(test)
     assert accuracy > 1.0 / 8.0 + 0.1

@@ -59,7 +59,7 @@ def test_order_only_first_step_loss_is_ln4():
     state = trainer.init_state(cfg, total_steps=4)
     state.query["order_clf.weight"][...] = 0.0
     state.query["order_clf.bias"][...] = 0.0
-    batch = trainer.assemble_batch(train_videos, range(4), cfg, 0, 0)
+    batch = trainer.assemble_batch(train_videos.frames, range(4), cfg, 0, 0)
     metrics = trainer.train_step(state, batch, cfg)
     assert metrics["loss_order"] == pytest.approx(np.log(4.0), abs=1e-12)
     assert metrics["loss_inter"] == 0.0
@@ -73,7 +73,7 @@ def test_key_momentum_one_freezes_key_params():
     state = trainer.init_state(cfg, total_steps=4)
     before = {k: v.tobytes() for k, v in state.key.items()}
     for s in range(2):
-        batch = trainer.assemble_batch(train_videos, range(4), cfg, 0, s)
+        batch = trainer.assemble_batch(train_videos.frames, range(4), cfg, 0, s)
         trainer.train_step(state, batch, cfg)
     assert {k: v.tobytes() for k, v in state.key.items()} == before
 
@@ -83,7 +83,7 @@ def test_zero_lr_keeps_query_but_fills_banks():
     train_videos, _ = synth.generate_dataset(cfg.dataset)
     state = trainer.init_state(cfg, total_steps=4)
     before = {k: v.tobytes() for k, v in state.query.items()}
-    batch = trainer.assemble_batch(train_videos, range(4), cfg, 0, 0)
+    batch = trainer.assemble_batch(train_videos.frames, range(4), cfg, 0, 0)
     trainer.train_step(state, batch, cfg)
     assert {k: v.tobytes() for k, v in state.query.items()} == before
     assert state.bank_inter.fill == 3 * 4  # three frame embeddings per sample
@@ -150,7 +150,7 @@ def test_loss_decreases_on_a_fixed_batch():
     for seed in (5, 6, 7):
         cfg = dataclasses.replace(base, seed=seed)
         state = trainer.init_state(cfg, total_steps=20)
-        batch = trainer.assemble_batch(train_videos, range(4), cfg, 0, 0)
+        batch = trainer.assemble_batch(train_videos.frames, range(4), cfg, 0, 0)
         losses = [trainer.train_step(state, batch, cfg)["loss_total"] for _ in range(20)]
         assert losses[-1] < losses[0], (seed, losses[0], losses[-1])
 
@@ -187,19 +187,20 @@ def test_gradient_suite_passes_on_small_model():
 
 
 def reference_batch_item(video, drawn, slot, cfg):
-    """One batch item one frame at a time, built from the drawn record: the
-    item's rows of each Batch array, frames flattened."""
+    """One batch item one frame at a time, built from the drawn record and
+    the video's (T, H, W) frames: the item's rows of each Batch array, frames
+    flattened."""
     k = cfg.segments
     tuples = drawn.tuples
 
     def tuple_frames(t):
         return np.stack([
-            reference_augment_frame(sampling.frame_at(video, tuples.indices[slot, t, j]),
+            reference_augment_frame(video[tuples.indices[slot, t, j] % len(video)],
                                     frame_params(tuples.aug, (slot, t, j)))
             for j in range(k)])
 
     def view(index, j):
-        return reference_augment_frame(sampling.frame_at(video, index),
+        return reference_augment_frame(video[index % len(video)],
                                        frame_params(drawn.views, (slot, j)))
 
     a_frames, p_frames = tuple_frames(0), tuple_frames(1)
@@ -244,15 +245,16 @@ def test_assemble_batch_matches_per_frame_reference(variant, monkeypatch):
     for epoch, step in ((0, 0), (1, 1), (3, 0), (3, 1)):
         indices = step_indices(cfg, len(train_videos), epoch, step)
         calls.clear()
-        batch = trainer.assemble_batch(train_videos, indices, cfg, epoch, step)
+        batch = trainer.assemble_batch(train_videos.frames, indices, cfg, epoch, step)
         assert len(calls) == 1
         assert len(batch) == len(indices)
         # the stacked arrays are views into the one augment_frames output
         assert batch.anchors.base is not None
         assert batch.positives.base is batch.anchors.base
         assert batch.frame_anchors.base is batch.anchors.base
-        videos = [train_videos[int(v)] for v in indices]
-        drawn = trainer.draw_batch(videos, cfg, step_stream(cfg, epoch, step))
+        videos = train_videos.frames[indices]
+        drawn = trainer.draw_batch(len(videos), videos.shape[1:], cfg,
+                                   step_stream(cfg, epoch, step))
         for slot, video in enumerate(videos):
             expected = reference_batch_item(video, drawn, slot, cfg)
             for field in dataclasses.fields(trainer.Batch):
@@ -263,7 +265,7 @@ def test_assemble_batch_matches_per_frame_reference(variant, monkeypatch):
 
 
 @pytest.mark.parametrize("losses_on, variant, read, columns", [
-    (("inter",), {}, 5, 8),
+    (("inter",), {}, 4, 8),
     (("inter",), {"frame_source": "uniform"}, 4, 10),
     (("segment", "order"), {}, 6, 8),
     (trainer.LOSS_NAMES, {}, 8, 8),
@@ -278,8 +280,8 @@ def test_sample_batch_augments_only_the_frames_read(losses_on, variant, read, co
     augment = sampling.augment_frames
     monkeypatch.setattr(sampling, "augment_frames",
                         lambda frames, params: counts.append(len(frames)) or augment(frames, params))
-    full = trainer.assemble_batch(train_videos, [3, 1, 4, 0], cfg, 1, 1)
-    batch = trainer.assemble_batch(train_videos, [3, 1, 4, 0], selected, 1, 1)
+    full = trainer.assemble_batch(train_videos.frames, [3, 1, 4, 0], cfg, 1, 1)
+    batch = trainer.assemble_batch(train_videos.frames, [3, 1, 4, 0], selected, 1, 1)
     assert counts == [4 * columns, 4 * read]
     tuples = selected.use_segment or selected.use_order
     frames = selected.use_inter or selected.use_intra
@@ -298,13 +300,14 @@ def test_assemble_batch_same_step_same_bytes():
     train_videos, _ = synth.generate_dataset(cfg.dataset)
 
     def batch_bytes(epoch, step):
-        batch = trainer.assemble_batch(train_videos, [3, 1, 4, 0], cfg, epoch, step)
+        batch = trainer.assemble_batch(train_videos.frames, [3, 1, 4, 0], cfg, epoch, step)
         return [getattr(batch, f.name).tobytes() for f in dataclasses.fields(trainer.Batch)]
 
     assert batch_bytes(2, 1) == batch_bytes(2, 1)
     assert batch_bytes(2, 1) != batch_bytes(2, 0)
     assert batch_bytes(2, 1) != batch_bytes(1, 1)
-    drawn = [trainer.draw_batch(train_videos[:4], cfg, step_stream(cfg, 2, 1)) for _ in range(2)]
+    drawn = [trainer.draw_batch(4, train_videos.frames.shape[1:], cfg, step_stream(cfg, 2, 1))
+             for _ in range(2)]
     for a, b in zip(drawn[0].tuples.aug + drawn[0].views, drawn[1].tuples.aug + drawn[1].views):
         assert a.tobytes() == b.tobytes()
     assert drawn[0].picks.tobytes() == drawn[1].picks.tobytes()
@@ -416,7 +419,7 @@ def test_batch_losses_match_per_sample_reference(variant, bank_rows):
     cfg = TrainConfig(dataset=spec, epochs=4, batch_size=8, bank_capacity=256,
                       hidden_dim=32, feature_dim=16, embed_dim=8, seed=3, **variant)
     train_videos, _ = synth.generate_dataset(spec)
-    batch = trainer.assemble_batch(train_videos, range(8), cfg, 1, 0)
+    batch = trainer.assemble_batch(train_videos.frames, range(8), cfg, 1, 0)
     state = trainer.init_state(cfg, total_steps=4)
     rng = np.random.default_rng(bank_rows)
     # a key side distinct from the query, so a positive from the wrong side shows
@@ -467,7 +470,7 @@ def test_loss_total_is_sum_of_terms():
     state = trainer.init_state(cfg, total_steps=4)
     for s in range(2):
         metrics = trainer.train_step(
-            state, trainer.assemble_batch(train_videos, range(4), cfg, 0, s), cfg)
+            state, trainer.assemble_batch(train_videos.frames, range(4), cfg, 0, s), cfg)
     parts = [metrics[f"loss_{name}"] for name in trainer.LOSS_NAMES]
     assert all(part > 0.0 for part in parts)
     assert metrics["loss_total"] == ((parts[0] + parts[1]) + parts[2]) + parts[3]
@@ -486,7 +489,7 @@ def test_step_graph_size(losses_on, nodes):
     rng = np.random.default_rng(0)
     state.bank_inter.enqueue(unit_rows(rng, 20, cfg.embed_dim))
     state.bank_segment.enqueue(unit_rows(rng, 10, cfg.embed_dim))
-    batch = trainer.assemble_batch(train_videos, range(4), cfg, 0, 0)
+    batch = trainer.assemble_batch(train_videos.frames, range(4), cfg, 0, 0)
     targets = trainer.key_targets(state.key, batch, cfg)
     terms = trainer.batch_losses(model.as_vars(state.query), targets, batch,
                                  state.bank_inter.negatives_view(),
@@ -565,7 +568,7 @@ def test_train_step_matches_per_name_reference(losses_on, key_momentum):
     for step in range(6):
         epoch, s = divmod(step, per_epoch)
         indices = step_indices(cfg, len(train_videos), epoch, s)
-        batch = trainer.assemble_batch(train_videos, indices, cfg, epoch, s)
+        batch = trainer.assemble_batch(train_videos.frames, indices, cfg, epoch, s)
         trainer.train_step(state, batch, cfg)
         reference_train_step(ref, batch, cfg)
         for row, side in zip(state.params, (ref.query, ref.key, ref.velocity)):
@@ -617,7 +620,7 @@ def test_non_finite_parameter_stops_the_first_step_unchanged():
     state = trainer.init_state(cfg, total_steps=4)
     state.query["encoder.fc1.weight"][0, 0] = np.nan
     before = snapshot(state)
-    batch = trainer.assemble_batch(train_videos, range(4), cfg, 0, 0)
+    batch = trainer.assemble_batch(train_videos.frames, range(4), cfg, 0, 0)
     # numpy warns inside the forward pass first; the step's check is under test
     with np.errstate(invalid="ignore"), \
             pytest.raises(FloatingPointError, match=r"^epoch 0 step 0: loss term 'intra'"):
@@ -632,7 +635,7 @@ def test_collapsed_key_embedding_names_epoch_and_step():
     state.key["head_inter.fc2.weight"][...] = 0.0
     state.key["head_inter.fc2.bias"][...] = 0.0
     before = snapshot(state)
-    batch = trainer.assemble_batch(train_videos, range(4), cfg, 0, 0)
+    batch = trainer.assemble_batch(train_videos.frames, range(4), cfg, 0, 0)
     with pytest.raises(nm.DegenerateNormError, match=r"^epoch 0 step 0: "):
         trainer.train_step(state, batch, cfg)
     assert snapshot(state) == before
