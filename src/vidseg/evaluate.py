@@ -35,7 +35,6 @@ class FeatureTable:
     ids: np.ndarray
     labels: np.ndarray
     features: np.ndarray  # (n, D)
-    source: str = ""
 
     def __post_init__(self):
         if len(set(self.ids.tolist())) != len(self.ids):
@@ -59,17 +58,17 @@ def extract_video_feature(params, frames, n_frames):
     return np.asarray(model.encode(params, rows)).mean(axis=0)
 
 
-def build_feature_table(params, split: synth.Split, n_frames, source=""):
+def build_feature_table(params, split: synth.Split, n_frames):
     """The FeatureTable of a split, one encode per video (see extract_video_feature)."""
     n_frames = min(n_frames, split.frames.shape[1])
     feats = np.stack([extract_video_feature(params, frames, n_frames) for frames in split.frames])
-    return FeatureTable(ids=split.ids, labels=split.labels, features=feats, source=source)
+    return FeatureTable(ids=split.ids, labels=split.labels, features=feats)
 
 
 def feature_tables(params, train: synth.Split, test: synth.Split, n_frames):
     """The train and test feature tables that probing and retrieval share."""
-    return (build_feature_table(params, train, n_frames, "train"),
-            build_feature_table(params, test, n_frames, "test"))
+    return (build_feature_table(params, train, n_frames),
+            build_feature_table(params, test, n_frames))
 
 
 def linear_probe(train: FeatureTable, test: FeatureTable, cfg: ProbeConfig):

@@ -143,11 +143,10 @@ def write_checkpoint(path, config_flat, query_params, key_params, banks, rng_met
 
 
 def _split_header(blob, magic, path):
-    try:
-        first, _ = blob.split(b"\n", 1)
-    except ValueError:
-        raise ArtifactError(f"{path}: not a recognized artifact") from None
-    if first.decode("utf-8", "replace") != magic:
+    end = blob.find(b"\n")  # slice the first line only; the payload is not copied
+    if end < 0:
+        raise ArtifactError(f"{path}: not a recognized artifact")
+    if blob[:end].decode("utf-8", "replace") != magic:
         raise ArtifactError(f"{path}: version mismatch, expected '{magic}'")
     marker = blob.find(b"#payload ")
     newline = blob.find(b"\n", marker) if marker >= 0 else -1

@@ -2,8 +2,9 @@
 the momentum update that tracks the query parameters on the key side.
 
 Parameters are name -> float64 array mappings, in training the param_views of
-one flat vector per side. Forward functions run on arrays (no gradients, used
-for the key side) or on tape Vars (query side).
+one flat vector per side. Every layer is one numerics.linear call, so one
+tape node. Forward functions run on arrays (no gradients, used for the key
+side) or on tape Vars (query side).
 """
 
 from __future__ import annotations
@@ -70,19 +71,17 @@ def param_views(vector, cfg: ModelConfig):
 
 
 def encode(params, frames):
-    """(n, P) flattened frames -> (n, F) features: fc1, ReLU, fc2."""
-    hidden = nm.relu(nm.add(nm.matmul(frames, params["encoder.fc1.weight"]),
-                            params["encoder.fc1.bias"]))
-    return nm.add(nm.matmul(hidden, params["encoder.fc2.weight"]),
-                  params["encoder.fc2.bias"])
+    """(n, P) flattened frames -> (n, F) features: fc1 with ReLU, then fc2."""
+    hidden = nm.linear(frames, params["encoder.fc1.weight"], params["encoder.fc1.bias"],
+                       relu=True)
+    return nm.linear(hidden, params["encoder.fc2.weight"], params["encoder.fc2.bias"])
 
 
 def head_mlp(params, head, features):
-    """Projection head without the final normalization."""
-    hidden = nm.relu(nm.add(nm.matmul(features, params[f"head_{head}.fc1.weight"]),
-                            params[f"head_{head}.fc1.bias"]))
-    return nm.add(nm.matmul(hidden, params[f"head_{head}.fc2.weight"]),
-                  params[f"head_{head}.fc2.bias"])
+    """Projection head without the final normalization: fc1 with ReLU, then fc2."""
+    hidden = nm.linear(features, params[f"head_{head}.fc1.weight"],
+                       params[f"head_{head}.fc1.bias"], relu=True)
+    return nm.linear(hidden, params[f"head_{head}.fc2.weight"], params[f"head_{head}.fc2.bias"])
 
 
 def project(params, head, features):
@@ -111,8 +110,7 @@ def order_classifier(query_params, anchor_embedding, positive_embedding):
     """Linear 4-way classifier of the query side over (anchor, positive)
     order embeddings, anchor first -> (B, 4) logits."""
     joint = nm.concat([anchor_embedding, positive_embedding])
-    return nm.add(nm.matmul(joint, query_params["order_clf.weight"]),
-                  query_params["order_clf.bias"])
+    return nm.linear(joint, query_params["order_clf.weight"], query_params["order_clf.bias"])
 
 
 def order_logits(query_params, key_params, anchor_frames, positive_frames, cfg: ModelConfig):

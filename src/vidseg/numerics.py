@@ -5,14 +5,15 @@ computes the result (fast path, used for the momentum/key side of training).
 With at least one `Var` argument it records the computation so that
 `Var.backward()` can fill exact gradients afterwards.
 
-Supported op set: matmul, add, scale, relu, dot (row-wise), mean_rows (over
-the K axis), concat (along the last axis), reshape, slice_rows, l2_normalize,
-softmax_cross_entropy (row-wise, with a label vector), bank_cross_entropy (the
-query rows' InfoNCE against P positives and one constant bank). The ops take
-rows over a leading batch axis, so a training step records one small graph
-over (B, ...) arrays and a single sample is a batch of one. Only the
-elementwise ops, reshape and slice_rows take any rank, and dot also takes two
-vectors: their 0-d product is a scalar root for backward.
+Supported op set: linear (a fully connected layer, with an optional ReLU),
+add, scale, dot (row-wise), mean_rows (over the K axis), concat (along the
+last axis), reshape, slice_rows, l2_normalize, softmax_cross_entropy
+(row-wise, with a label vector), bank_cross_entropy (the query rows' InfoNCE
+against P positives and one constant bank). The ops take rows over a leading
+batch axis, so a training step records one small graph over (B, ...) arrays
+and a single sample is a batch of one. Only the elementwise ops (add, scale),
+reshape and slice_rows take any rank, and dot also takes two vectors: their
+0-d product is a scalar root for backward.
 """
 
 from __future__ import annotations
@@ -124,15 +125,11 @@ def _make(op, out, parents):
 
 
 def add(a, b):
-    """Elementwise sum; also supports (n, m) + (m,) row broadcast for biases."""
+    """Elementwise sum of two equal-shape arrays."""
     av, bv = _value(a), _value(b)
-    if av.shape == bv.shape:
-        out = av + bv
-        return _make("add", out, ((a, lambda g: g), (b, lambda g: g)))
-    if av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]:
-        out = av + bv
-        return _make("add", out, ((a, lambda g: g), (b, lambda g: g.sum(axis=0))))
-    raise ShapeMismatchError("add", av.shape, bv.shape)
+    if av.shape != bv.shape:
+        raise ShapeMismatchError("add", av.shape, bv.shape)
+    return _make("add", av + bv, ((a, lambda g: g), (b, lambda g: g)))
 
 
 def scale(a, c):
@@ -142,13 +139,30 @@ def scale(a, c):
     return _make("scale", out, ((a, lambda g: g * c),))
 
 
-def matmul(a, b):
-    """Matrix product (n, k) @ (k, m)."""
-    av, bv = _value(a), _value(b)
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-        raise ShapeMismatchError("matmul", av.shape, bv.shape)
-    out = av @ bv
-    return _make("matmul", out, ((a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)))
+def linear(x, weight, bias, relu=False):
+    """A fully connected layer over rows as one node: (n, k) @ (k, m) + (m,),
+    then max(., 0) when relu is set.
+
+    The ReLU gate reads the output, which is > 0 exactly where the
+    pre-activation is; the gradient at exactly 0 is 0.
+    """
+    xv, wv, bv = _value(x), _value(weight), _value(bias)
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != wv.shape[1:]:
+        raise ShapeMismatchError("linear", xv.shape, wv.shape, bv.shape)
+    out = xv @ wv + bv
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    gated = []
+
+    def delta(g):
+        # the gradient before the ReLU gate, computed once for the three vjps
+        if not gated:
+            gated.append(g * (out > 0.0) if relu else g)
+        return gated[0]
+
+    return _make("linear+relu" if relu else "linear", out,
+                 ((x, lambda g: delta(g) @ wv.T), (weight, lambda g: xv.T @ delta(g)),
+                  (bias, lambda g: delta(g).sum(axis=0))))
 
 
 def dot(a, b):
@@ -159,13 +173,6 @@ def dot(a, b):
         raise ShapeMismatchError("dot", av.shape, bv.shape)
     out = np.asarray(np.einsum("...i,...i->...", av, bv))
     return _make("dot", out, ((a, lambda g: g[..., None] * bv), (b, lambda g: g[..., None] * av)))
-
-
-def relu(a):
-    av = _value(a)
-    out = np.maximum(av, 0.0)
-    # gradient at exactly 0 is 0
-    return _make("relu", out, ((a, lambda g: g * (av > 0.0)),))
 
 
 def mean_rows(a):
@@ -379,16 +386,13 @@ def _eval_plain(f, arrays):
     return float(out.value if isinstance(out, Var) else out)
 
 
-def _relu_preactivations(f, arrays):
-    """ReLU input arrays of one forward pass, in graph construction order."""
+def _relu_outputs(f, arrays):
+    """Outputs of the ReLU layers of one forward pass, in graph construction
+    order; each is > 0 exactly where its pre-activation is."""
     out = f(*[Var(x) for x in arrays])
     if not isinstance(out, Var):
         return []
-    pres = []
-    for node in _toposort(out):
-        if node._op == "relu":
-            pres.append(node._parents[0][0].value)
-    return pres
+    return [node.value for node in _toposort(out) if node._op == "linear+relu"]
 
 
 def _kink_suspected(f, arrays, i, j, step):
@@ -397,8 +401,8 @@ def _kink_suspected(f, arrays, i, j, step):
     minus = [x.copy() for x in arrays]
     plus[i].flat[j] += step
     minus[i].flat[j] -= step
-    for pre_p, pre_m in zip(_relu_preactivations(f, plus), _relu_preactivations(f, minus)):
-        if np.any((pre_p > 0.0) != (pre_m > 0.0)):
+    for out_p, out_m in zip(_relu_outputs(f, plus), _relu_outputs(f, minus)):
+        if np.any((out_p > 0.0) != (out_m > 0.0)):
             return True
     return False
 

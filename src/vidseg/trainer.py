@@ -255,6 +255,21 @@ def assemble_batch(frames, rows, cfg: TrainConfig, epoch, step_in_epoch) -> Batc
     return sample_batch(frames, np.asarray(rows), cfg, rng)
 
 
+def _encode_blocks(params, blocks):
+    """Features of named (n_i, P) row blocks from one model.encode pass over
+    the blocks stacked in order: name -> its (n_i, F) rows, a slice_rows of
+    the pass. No blocks, no pass."""
+    if not blocks:
+        return {}
+    features = model.encode(params, np.concatenate(list(blocks.values())))
+    feats = {}
+    start = 0
+    for name, rows in blocks.items():
+        feats[name] = nm.slice_rows(features, start, start + len(rows))
+        start += len(rows)
+    return feats
+
+
 def key_targets(key_params, batch: Batch, cfg: TrainConfig):
     """The key side of a step, as plain arrays computed without a tape.
 
@@ -263,22 +278,25 @@ def key_targets(key_params, batch: Batch, cfg: TrainConfig):
     embeddings, and "order", when order_positive_uses_key, the (B, K*E) order
     embeddings of the positive tuples. Only enabled losses get entries. The
     inter and segment arrays are also the step's bank rows, in enqueue order.
+    The key views and the positive tuples go through one encoder pass.
     """
     b, k = len(batch), cfg.segments
-    out = {}
-    if cfg.use_inter or cfg.use_intra:
-        features = model.encode(key_params, batch.key_views.reshape(3 * b, -1))
-        if cfg.use_inter:
-            out["inter"] = model.project(key_params, "inter", features).reshape(b, 3, -1)
-        if cfg.use_intra:
-            out["intra"] = model.project(key_params, "intra", features).reshape(b, 3, -1)
     key_order = cfg.use_order and cfg.order_positive_uses_key
+    blocks = {}
+    if cfg.use_inter or cfg.use_intra:
+        blocks["views"] = batch.key_views.reshape(3 * b, -1)
     if cfg.use_segment or key_order:
-        features = model.encode(key_params, batch.positives.reshape(b * k, -1))
-        if cfg.use_segment:
-            out["segment"] = model.segment_embedding(key_params, features, k)
-        if key_order:
-            out["order"] = model.order_embedding(key_params, features, cfg.model_config())
+        blocks["positive"] = batch.positives.reshape(b * k, -1)
+    feats = _encode_blocks(key_params, blocks)
+    out = {}
+    if cfg.use_inter:
+        out["inter"] = model.project(key_params, "inter", feats["views"]).reshape(b, 3, -1)
+    if cfg.use_intra:
+        out["intra"] = model.project(key_params, "intra", feats["views"]).reshape(b, 3, -1)
+    if cfg.use_segment:
+        out["segment"] = model.segment_embedding(key_params, feats["positive"], k)
+    if key_order:
+        out["order"] = model.order_embedding(key_params, feats["positive"], cfg.model_config())
     return out
 
 
@@ -299,12 +317,7 @@ def batch_losses(query_params, targets, batch: Batch, inter_negatives, segment_n
         blocks["anchor"] = batch.anchors.reshape(b * k, -1)
     if cfg.use_order and not cfg.order_positive_uses_key:
         blocks["positive"] = batch.positives.reshape(b * k, -1)
-    features = model.encode(query_params, np.concatenate(list(blocks.values())))
-    feats = {}
-    start = 0
-    for name, rows in blocks.items():
-        feats[name] = nm.slice_rows(features, start, start + len(rows))
-        start += len(rows)
+    feats = _encode_blocks(query_params, blocks)
 
     out = {}
     if cfg.use_inter:

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,25 @@ def test_dataset_version_mismatch(tmp_path):
     path.write_bytes(b"#vidseg-dataset v0\n#payload 0\n")
     with pytest.raises(formats.ArtifactError, match="version"):
         formats.read_dataset(path)
+
+
+def test_header_split_does_not_copy_the_file(tmp_path):
+    # readers hand _split_header the whole file as one blob; copying it to
+    # find the first line costs about the file's size
+    spec = synth.DatasetSpec(classes=2, videos_per_class=5, frames=8, seed=4)
+    path = tmp_path / "videos.ds"
+    formats.write_dataset(path, spec, *synth.generate_dataset(spec))
+    blob = path.read_bytes()
+    tracemalloc.start()
+    try:
+        lines, body = formats._split_header(blob, formats.DATASET_MAGIC, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lines[0] == formats.DATASET_MAGIC and len(body) > len(blob) // 2
+    assert peak < len(blob) // 4
+    with pytest.raises(formats.ArtifactError, match="videos.ds: not a recognized artifact"):
+        formats._split_header(blob[:blob.index(b"\n")], formats.DATASET_MAGIC, path)
 
 
 def test_csv_formatting(tmp_path):

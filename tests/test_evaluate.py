@@ -5,9 +5,9 @@ from vidseg import evaluate, model, sampling, synth, trainer
 from vidseg.evaluate import FeatureTable, ProbeConfig, RetrievalConfig
 
 
-def table(ids, labels, features, source=""):
+def table(ids, labels, features):
     return FeatureTable(ids=np.array(ids), labels=np.array(labels),
-                        features=np.asarray(features, dtype=float), source=source)
+                        features=np.asarray(features, dtype=float))
 
 
 def one_hot_tables(classes=4, per_class=6):

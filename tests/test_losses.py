@@ -259,7 +259,8 @@ def reference_bank_terms(query, positives, negatives, inv):
     if negatives is None or negatives.shape[0] == 0:
         return np.float64(0.0)
     zeros = np.zeros(query.shape[0], dtype=int)
-    neg = nm.scale(nm.matmul(query, np.asarray(negatives).T), inv)
+    negatives = np.asarray(negatives)
+    neg = nm.scale(nm.linear(query, negatives.T, np.zeros(len(negatives))), inv)
     total = None
     for positive in positives:
         logits = nm.concat([nm.scale(nm.dot(query, positive), inv), neg])
@@ -355,7 +356,7 @@ def test_bank_cross_entropy_single_positive_is_softmax_cross_entropy():
 
     def joint(q, p):
         scaled = nm.scale(q, 2.5)
-        logits = nm.concat([nm.dot(scaled, p), nm.matmul(scaled, negatives.T)])
+        logits = nm.concat([nm.dot(scaled, p), nm.linear(scaled, negatives.T, np.zeros(7))])
         return nm.softmax_cross_entropy(logits, np.zeros(5, dtype=int))
 
     value, grads = nm.forward_backward(

@@ -25,15 +25,53 @@ def test_quadratic_value_and_grad():
     assert np.array_equal(grads[0], np.array([2.0, 4.0]))
 
 
+def relu(x):
+    """max(x, 0) of a (n, m) array as a ReLU layer with identity weights."""
+    return nm.linear(x, np.eye(x.shape[1]), np.zeros(x.shape[1]), relu=True)
+
+
 def test_relu_sum_value_and_grad():
-    value, grads = nm.forward_backward(lambda x: total(nm.relu(x)), [np.array([-1.0, 3.0])])
+    value, grads = nm.forward_backward(lambda x: total(relu(x)), [np.array([[-1.0, 3.0]])])
     assert value == 3.0
-    assert np.array_equal(grads[0], np.array([0.0, 1.0]))
+    assert np.array_equal(grads[0], np.array([[0.0, 1.0]]))
 
 
 def test_relu_grad_at_zero_is_zero():
-    _, grads = nm.forward_backward(lambda x: total(nm.relu(x)), [np.array([0.0])])
-    assert grads[0][0] == 0.0
+    _, grads = nm.forward_backward(lambda x: total(relu(x)), [np.array([[0.0]])])
+    assert grads[0][0, 0] == 0.0
+
+
+@pytest.mark.parametrize("use_relu", [False, True], ids=["plain", "relu"])
+def test_linear_forward_bytes(use_relu):
+    rng = np.random.default_rng(41)
+    x, w, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+    want = x @ w + b
+    if use_relu:
+        want = np.maximum(want, 0.0)
+        assert 0 < np.count_nonzero(want) < want.size
+    out = nm.linear(x, w, b, relu=use_relu)
+    assert isinstance(out, np.ndarray)
+    assert out.tobytes() == want.tobytes()
+    assert nm.linear(nm.Var(x), w, b, relu=use_relu).value.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tracked_x", [False, True], ids=["plain_x", "tracked_x"])
+@pytest.mark.parametrize("use_relu", [False, True], ids=["plain", "relu"])
+def test_linear_gradients_match_numpy_formulas(use_relu, tracked_x):
+    rng = np.random.default_rng(43)
+    x, w, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+    g = rng.normal(size=(5, 3))  # the output's gradient: weighted passes it through exactly
+    inputs = [x, w, b] if tracked_x else [w, b]
+
+    def f(*vs):
+        xv, wv, bv = vs if tracked_x else (x, *vs)
+        return weighted(nm.linear(xv, wv, bv, relu=use_relu), g)
+
+    _, grads = nm.forward_backward(f, inputs)
+    delta = g * (x @ w + b > 0.0) if use_relu else g
+    want = [delta @ w.T, x.T @ delta, delta.sum(axis=0)]
+    for got, expected in zip(grads, want if tracked_x else want[1:]):
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_two_layer_network_matches_fd():
@@ -41,13 +79,15 @@ def test_two_layer_network_matches_fd():
     x = rng.normal(size=(1, 6))
     w1 = rng.normal(size=(6, 5))
     w2 = rng.normal(size=(5, 4))
+    b1 = rng.normal(size=5)
+    b2 = rng.normal(size=4)
 
-    def f(xv, w1v, w2v):
-        hidden = nm.relu(nm.matmul(xv, w1v))
-        logits = nm.matmul(hidden, w2v)
+    def f(xv, w1v, b1v, w2v, b2v):
+        hidden = nm.linear(xv, w1v, b1v, relu=True)
+        logits = nm.linear(hidden, w2v, b2v)
         return nm.softmax_cross_entropy(logits, [2])
 
-    report = nm.grad_check(f, [x, w1, w2], step=1e-5, tol=1e-6)
+    report = nm.grad_check(f, [x, w1, b1, w2, b2], step=1e-5, tol=1e-6)
     assert report.passed, str(report)
 
 
@@ -73,12 +113,24 @@ def test_grad_check_exp_like_at_zero():
 def test_grad_check_resamples_relu_kink():
     # place a coordinate exactly on the kink: plain FD would disagree there
     def f(x):
-        return total(nm.relu(x))
+        return total(relu(x))
 
-    report = nm.grad_check(f, [np.array([0.0, 1.0])], step=1e-5, tol=1e-6,
+    report = nm.grad_check(f, [np.array([[0.0, 1.0]])], step=1e-5, tol=1e-6,
                            rng=np.random.default_rng(3))
     assert report.passed, str(report)
     assert report.resampled >= 1
+
+
+def test_grad_check_keeps_a_zero_crossing_without_relu():
+    # the layer's output is 0 at the probe and changes sign across it, but
+    # with no ReLU there is no kink: a miss above the tiny tol is judged as is
+    def f(x):
+        out = nm.linear(x, np.eye(1), np.array([-0.5]))
+        return nm.softmax_cross_entropy(nm.concat([out, nm.scale(out, 2.0)]), [0])
+
+    report = nm.grad_check(f, [np.array([[0.5]])], step=1e-5, tol=1e-15)
+    assert report.max_rel_error >= report.tol
+    assert report.resampled == 0 and report.checked == 1
 
 
 def test_backward_twice_is_an_error():
@@ -90,8 +142,8 @@ def test_backward_twice_is_an_error():
 
 
 def test_backward_requires_scalar():
-    x = nm.Var(np.array([1.0, 2.0]))
-    out = nm.relu(x)
+    x = nm.Var(np.array([[1.0, 2.0]]))
+    out = relu(x)
     with pytest.raises(nm.TapeError):
         out.backward()
 
@@ -100,20 +152,26 @@ def test_grads_match_input_shapes():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 2))
+    c = rng.normal(size=2)
 
-    def f(av, bv):
-        return total(nm.relu(nm.matmul(av, bv)))
+    def f(av, bv, cv):
+        return total(nm.linear(av, bv, cv, relu=True))
 
-    _, grads = nm.forward_backward(f, [a, b])
-    assert grads[0].shape == a.shape
-    assert grads[1].shape == b.shape
+    _, grads = nm.forward_backward(f, [a, b, c])
+    assert [g.shape for g in grads] == [a.shape, b.shape, c.shape]
 
 
 def test_shape_mismatch_is_structured():
     with pytest.raises(nm.ShapeMismatchError) as err:
-        nm.matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-    assert err.value.op == "matmul"
-    assert err.value.shapes == ((2, 3), (4, 2))
+        nm.linear(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
+    assert err.value.op == "linear"
+    assert err.value.shapes == ((2, 3), (4, 2), (2,))
+    with pytest.raises(nm.ShapeMismatchError) as err:
+        nm.linear(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros((2, 2)))
+    assert err.value.shapes == ((2, 3), (3, 2), (2, 2))
+    with pytest.raises(nm.ShapeMismatchError) as err:
+        nm.add(np.zeros((2, 3)), np.zeros(3))
+    assert err.value.op == "add"
 
 
 def test_untracked_inputs_get_zero_grads():
@@ -203,10 +261,11 @@ def test_concat_columns_values_and_gradient():
     out = nm.concat([col, block, col])
     assert np.array_equal(out, np.column_stack([col, block, col]))
     assert nm.concat([block, block]).shape == (4, 6)
-    w = rng.normal(size=(4, 5))
+    w = rng.normal(size=(5, 3))
+    bias = rng.normal(size=3)
 
     def f(c, m):
-        return total(nm.relu(nm.add(nm.concat([c, m, nm.scale(c, 2.0)]), w)))
+        return total(nm.linear(nm.concat([c, m, nm.scale(c, 2.0)]), w, bias, relu=True))
 
     report = nm.grad_check(f, [col, block], step=1e-5, tol=1e-8)
     assert report.passed, str(report)
@@ -246,8 +305,8 @@ def test_mean_rows_batched_is_per_item_bit_exact():
     for item in range(4):
         assert out[item].tobytes() == nm.mean_rows(x[item:item + 1])[0].tobytes()
         assert nm.mean_rows(x[:, [2, 0, 1]])[item].tobytes() == out[item].tobytes()
-    w = rng.normal(size=(4, 6))
-    report = nm.grad_check(lambda a: total(nm.relu(nm.add(nm.mean_rows(a), w))), [x],
+    w, bias = rng.normal(size=(6, 4)), rng.normal(size=4)
+    report = nm.grad_check(lambda a: total(nm.linear(nm.mean_rows(a), w, bias, relu=True)), [x],
                            step=1e-5, tol=1e-8)
     assert report.passed, str(report)
 
@@ -255,11 +314,11 @@ def test_mean_rows_batched_is_per_item_bit_exact():
 def test_slice_rows_gradient_and_full_slice():
     rng = np.random.default_rng(29)
     x = rng.normal(size=(6, 3))
-    w = rng.normal(size=(2, 3))
+    w, bias = rng.normal(size=(3, 2)), rng.normal(size=2)
 
     def f(a):
         top = nm.slice_rows(a, 1, 3)
-        return nm.add(total(nm.relu(nm.add(top, w))), total(nm.slice_rows(a, 4, 6)))
+        return nm.add(total(nm.linear(top, w, bias, relu=True)), total(nm.slice_rows(a, 4, 6)))
 
     report = nm.grad_check(f, [x], step=1e-5, tol=1e-8)
     assert report.passed, str(report)
@@ -294,7 +353,8 @@ def test_softmax_cross_entropy_label_vector_gradient():
     logits = rng.normal(size=(5, 4))
     labels = np.array([0, 3, 1, 1, 2])
     w = rng.normal(size=(4, 4))
-    report = nm.grad_check(lambda x: nm.softmax_cross_entropy(nm.matmul(x, w), labels),
+    report = nm.grad_check(lambda x: nm.softmax_cross_entropy(nm.linear(x, w, np.zeros(4)),
+                                                              labels),
                            [logits], step=1e-5, tol=1e-8)
     assert report.passed, str(report)
     with pytest.raises(nm.ShapeMismatchError):
@@ -310,11 +370,12 @@ def test_ops_are_deterministic():
     rng = np.random.default_rng(31)
     a = rng.normal(size=(5, 7))
     b = rng.normal(size=(7, 3))
+    c = rng.normal(size=3)
     v = rng.normal(size=(1, 7))
     runs = []
     for _ in range(2):
         runs.append((
-            nm.matmul(a, b).tobytes(),
+            nm.linear(a, b, c, relu=True).tobytes(),
             nm.mean_rows(a[None]).tobytes(),
             nm.l2_normalize(a).tobytes(),
             np.asarray(nm.softmax_cross_entropy(v, [3])).tobytes(),
@@ -323,13 +384,13 @@ def test_ops_are_deterministic():
 
 
 @pytest.mark.parametrize("op, args", [
-    ("matmul", (np.ones(3), np.ones((3, 2)))),
-    ("matmul", (np.ones((2, 3)), np.ones(3))),
+    ("linear", (np.ones(3), np.ones((3, 2)), np.ones(2))),
+    ("linear", (np.ones((2, 3)), np.ones(3), np.ones(1))),
     ("l2_normalize", (np.ones(3),)),
     ("softmax_cross_entropy", (np.ones(4), 0)),
     ("mean_rows", (np.ones((3, 4)),)),
     ("concat", ([nm.dot(np.ones(2), np.ones(2)), nm.dot(np.ones(2), np.zeros(2))],)),
-], ids=["matmul_vector_left", "matmul_vector_right", "l2_normalize_vector",
+], ids=["linear_vector_left", "linear_vector_right", "l2_normalize_vector",
         "softmax_cross_entropy_vector", "mean_rows_2d", "concat_scalars"])
 def test_row_ops_reject_single_vectors(op, args):
     """The row ops take a leading batch axis only; one sample is a batch of one."""
@@ -339,9 +400,9 @@ def test_row_ops_reject_single_vectors(op, args):
 
 
 def test_plain_arrays_take_plain_path():
-    out = nm.matmul(np.eye(2), np.ones((2, 2)))
+    out = nm.linear(np.eye(2), np.ones((2, 2)), np.zeros(2))
     assert isinstance(out, np.ndarray)
-    var_out = nm.matmul(nm.Var(np.eye(2)), np.ones((2, 2)))
+    var_out = nm.linear(nm.Var(np.eye(2)), np.ones((2, 2)), np.zeros(2))
     assert isinstance(var_out, nm.Var)
 
 

@@ -321,7 +321,7 @@ def reference_info_nce(query, positive, negatives, temperature):
         return np.float64(0.0)
     inv = 1.0 / temperature
     pos = nm.scale(nm.dot(query, positive), inv)
-    neg = nm.scale(nm.matmul(query, negatives.T), inv)
+    neg = nm.scale(nm.linear(query, negatives.T, np.zeros(len(negatives))), inv)
     return nm.softmax_cross_entropy(nm.concat([pos, neg]), [0])
 
 
@@ -368,8 +368,8 @@ def reference_sample_losses(query_params, key_params, item, inter_negatives,
         positive_params = key_params if cfg.order_positive_uses_key else query_params
         joint = nm.concat([nm.reshape(per_frame(query_params, anchor), (1, -1)),
                            nm.reshape(per_frame(positive_params, positive), (1, -1))])
-        logits = nm.add(nm.matmul(joint, query_params["order_clf.weight"]),
-                        query_params["order_clf.bias"])
+        logits = nm.linear(joint, query_params["order_clf.weight"],
+                           query_params["order_clf.bias"])
         out["order"] = nm.softmax_cross_entropy(logits, [int(item["order_labels"])])
     return out, enqueue
 
@@ -476,9 +476,60 @@ def test_loss_total_is_sum_of_terms():
     assert metrics["loss_total"] == ((parts[0] + parts[1]) + parts[2]) + parts[3]
 
 
+def reference_key_targets(key_params, batch, cfg):
+    """The two-pass key side: the key views and the positive tuples each go
+    through an encoder pass of their own."""
+    b, k = len(batch), cfg.segments
+    out = {}
+    if cfg.use_inter or cfg.use_intra:
+        features = model.encode(key_params, batch.key_views.reshape(3 * b, -1))
+        if cfg.use_inter:
+            out["inter"] = model.project(key_params, "inter", features).reshape(b, 3, -1)
+        if cfg.use_intra:
+            out["intra"] = model.project(key_params, "intra", features).reshape(b, 3, -1)
+    key_order = cfg.use_order and cfg.order_positive_uses_key
+    if cfg.use_segment or key_order:
+        features = model.encode(key_params, batch.positives.reshape(b * k, -1))
+        if cfg.use_segment:
+            out["segment"] = model.segment_embedding(key_params, features, k)
+        if key_order:
+            out["order"] = model.order_embedding(key_params, features, cfg.model_config())
+    return out
+
+
+@pytest.mark.parametrize("variant, key_passes", [
+    ({}, 1), ({"hidden_dim": 128, "feature_dim": 64, "embed_dim": 32}, 1), ({"segments": 1}, 1),
+    ({"share_tuple_augment": True, "segments": 4}, 1), ({"order_positive_uses_key": False}, 1),
+    ({"use_inter": False, "use_intra": False, "use_segment": False,
+      "order_positive_uses_key": False}, 0),
+], ids=["tiny", "default_dims", "k1", "share_k4", "query_positive", "order_only_query_positive"])
+def test_key_targets_encode_once_per_side(variant, key_passes, monkeypatch):
+    cfg = tiny_config(**variant)
+    train_videos, _ = synth.generate_dataset(cfg.dataset)
+    state = trainer.init_state(cfg, total_steps=4)
+    batch = trainer.assemble_batch(train_videos.frames, range(4), cfg, 0, 0)
+    want = reference_key_targets(state.key, batch, cfg)
+    sides = []
+    encode = model.encode
+
+    def noted(params, frames):
+        sides.append("query" if isinstance(params["encoder.fc1.weight"], nm.Var) else "key")
+        return encode(params, frames)
+
+    monkeypatch.setattr(model, "encode", noted)
+    got = trainer.key_targets(state.key, batch, cfg)
+    assert sides == ["key"] * key_passes
+    assert set(got) == set(want)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+    sides.clear()
+    trainer.train_step(state, batch, cfg)
+    assert sorted(sides) == ["key"] * key_passes + ["query"]
+
+
 @pytest.mark.parametrize("losses_on, nodes", [
-    ({}, 71),
-    ({"use_intra": False, "use_segment": False, "use_order": False}, 20),
+    ({}, 55),
+    ({"use_intra": False, "use_segment": False, "use_order": False}, 14),
 ], ids=["default", "inter_only"])
 def test_step_graph_size(losses_on, nodes):
     """Nodes reachable from one step's loss with both banks partly filled;
