@@ -31,8 +31,13 @@ BUILTIN_GRIDS = {
 }
 
 
+GRID_KEYS = ("name", "losses", "segments")
+
+
 def parse_grid_spec(spec):
-    """A built-in grid name, or a file of `name=<id> [losses=..] [segments=N]` lines."""
+    """A built-in grid name, or a file of `name=<id> [losses=..] [segments=N]`
+    lines. An unknown or repeated key and a name used on two lines are errors
+    naming the file and line(s)."""
     if spec in BUILTIN_GRIDS:
         return BUILTIN_GRIDS[spec]
     path = Path(spec)
@@ -40,13 +45,26 @@ def parse_grid_spec(spec):
         raise ValueError(f"grid '{spec}' is neither a builtin "
                          f"({', '.join(sorted(BUILTIN_GRIDS))}) nor a file")
     entries = []
+    name_lines = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = dict(token.partition("=")[::2] for token in line.split())
+        fields = {}
+        for token in line.split():
+            key, _, value = token.partition("=")
+            if key not in GRID_KEYS:
+                raise ValueError(f"{spec}:{lineno}: unknown grid key '{key}' "
+                                 f"(expected {', '.join(GRID_KEYS)})")
+            if key in fields:
+                raise ValueError(f"{spec}:{lineno}: grid key '{key}' given twice")
+            fields[key] = value
         if "name" not in fields:
             raise ValueError(f"{spec}:{lineno}: grid entry needs name=<id>")
+        first = name_lines.setdefault(fields["name"], lineno)
+        if first != lineno:
+            raise ValueError(f"{spec}:{lineno}: grid entry name '{fields['name']}' "
+                             f"repeats line {first}")
         segments = fields.get("segments")
         if segments is not None:
             try:

@@ -14,10 +14,16 @@ batch axis, so a training step records one small graph over (B, ...) arrays
 and a single sample is a batch of one. Only the elementwise ops (add, scale),
 reshape and slice_rows take any rank, and dot also takes two vectors: their
 0-d product is a scalar root for backward.
+
+A node also records how it was made: its op's name and the arguments of the
+call. So a recorded graph can re-run any part of itself on plain arrays, and
+grad_check re-runs, per finite-difference probe, only the nodes downstream of
+the array it perturbs, reusing every other node's recorded value.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,13 +59,14 @@ class Var:
     differentiated once; rebuild it to differentiate again.
     """
 
-    __slots__ = ("value", "grad", "_parents", "_op", "_done")
+    __slots__ = ("value", "grad", "_parents", "_op", "_recipe", "_done")
 
     def __init__(self, value, _parents=(), _op="leaf"):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self._parents = _parents  # tuple of (Var, vjp callable)
         self._op = _op
+        self._recipe = None  # (op name, args, kwargs) of the call that made the node
         self._done = False
 
     @property
@@ -119,11 +126,27 @@ def _make(op, out, parents):
     return Var(out, _parents=tuple(tracked), _op=op)
 
 
+def _recorded(op):
+    """Make op note its call on the node it returns, so that the node can be
+    re-run on other values (a leaf or an input passed through is left as is)."""
+    name = op.__name__
+
+    @functools.wraps(op)
+    def recording(*args, **kwargs):
+        out = op(*args, **kwargs)
+        if isinstance(out, Var) and out._parents and out._recipe is None:
+            out._recipe = (name, args, kwargs)
+        return out
+
+    return recording
+
+
 # ---------------------------------------------------------------------------
 # ops
 # ---------------------------------------------------------------------------
 
 
+@_recorded
 def add(a, b):
     """Elementwise sum of two equal-shape arrays."""
     av, bv = _value(a), _value(b)
@@ -132,6 +155,7 @@ def add(a, b):
     return _make("add", av + bv, ((a, lambda g: g), (b, lambda g: g)))
 
 
+@_recorded
 def scale(a, c):
     """Multiply by a python scalar constant."""
     c = float(c)
@@ -139,6 +163,7 @@ def scale(a, c):
     return _make("scale", out, ((a, lambda g: g * c),))
 
 
+@_recorded
 def linear(x, weight, bias, relu=False):
     """A fully connected layer over rows as one node: (n, k) @ (k, m) + (m,),
     then max(., 0) when relu is set.
@@ -165,6 +190,7 @@ def linear(x, weight, bias, relu=False):
                   (bias, lambda g: delta(g).sum(axis=0))))
 
 
+@_recorded
 def dot(a, b):
     """Inner products over the last axis of two equal-shape arrays: two
     vectors give a scalar, two (B, E) arrays the (B,) row-wise products."""
@@ -175,6 +201,7 @@ def dot(a, b):
     return _make("dot", out, ((a, lambda g: g[..., None] * bv), (b, lambda g: g[..., None] * av)))
 
 
+@_recorded
 def mean_rows(a):
     """Mean over the rows of each item of a (B, n, m) array -> (B, m).
 
@@ -189,6 +216,7 @@ def mean_rows(a):
     return _make("mean_rows", out, ((a, lambda g: np.repeat(g[:, None] / n, n, axis=1)),))
 
 
+@_recorded
 def concat(parts):
     """Concatenate (B, n_i) blocks and (B,) columns along the last axis into
     one (B, sum n_i) array; a (B,) part counts as one column."""
@@ -210,6 +238,7 @@ def concat(parts):
     return _make("concat", out, tuple(parents))
 
 
+@_recorded
 def reshape(a, shape):
     """The same values in a new shape (row-major order, as numpy reshape)."""
     av = _value(a)
@@ -220,6 +249,7 @@ def reshape(a, shape):
     return _make("reshape", out, ((a, lambda g: g.reshape(av.shape)),))
 
 
+@_recorded
 def slice_rows(a, start, stop):
     """Rows start:stop of an array; a slice covering every row is the input
     itself, so it records nothing."""
@@ -237,6 +267,7 @@ def slice_rows(a, start, stop):
     return _make("slice_rows", av[start:stop], ((a, vjp),))
 
 
+@_recorded
 def l2_normalize(a):
     """Scale each row of a (B, E) array to unit Euclidean norm.
 
@@ -259,6 +290,7 @@ def l2_normalize(a):
     return _make("l2_normalize", out, ((a, vjp),))
 
 
+@_recorded
 def softmax_cross_entropy(logits, labels):
     """Mean over the rows of (B, C) logits of the cross-entropy of
     softmax(row) against its integer class in the (B,) label vector."""
@@ -286,6 +318,7 @@ def softmax_cross_entropy(logits, labels):
     return _make("softmax_cross_entropy", out, ((logits, vjp),))
 
 
+@_recorded
 def bank_cross_entropy(query, positives, negatives, inv):
     """Mean InfoNCE of the (B, E) query rows scaled by inv against each of the
     P (B, E) positives and the constant (M, E) bank shared by every row.
@@ -343,14 +376,12 @@ def bank_cross_entropy(query, positives, negatives, inv):
 # ---------------------------------------------------------------------------
 
 
-def forward_backward(f, inputs):
-    """Evaluate a scalar-valued composite of the supported ops and its gradients.
-
-    Returns (value, grads) where grads[i] has the shape of inputs[i]. Inputs
-    the function never touches get zero gradients.
-    """
-    tracked = [Var(np.asarray(x, dtype=np.float64)) for x in inputs]
-    out = f(*tracked)
+def _record(f, inputs):
+    """Record f on tracked copies of the inputs and run backward: returns the
+    input leaves, the scalar root and the inputs' gradients (zeros for an
+    input the root does not depend on)."""
+    leaves = [Var(np.asarray(x, dtype=np.float64)) for x in inputs]
+    out = f(*leaves)
     if not isinstance(out, Var):
         raise TapeError("function did not produce a tracked result; did it touch any input?")
     if out.value.size != 1:
@@ -359,8 +390,17 @@ def forward_backward(f, inputs):
     if not np.isfinite(value):
         raise FloatingPointError(f"non-finite forward value {value}")
     out.backward()
-    grads = [v.grad if v.grad is not None else np.zeros_like(v.value) for v in tracked]
-    return value, grads
+    return leaves, out, [v.grad if v.grad is not None else np.zeros_like(v.value) for v in leaves]
+
+
+def forward_backward(f, inputs):
+    """Evaluate a scalar-valued composite of the supported ops and its gradients.
+
+    Returns (value, grads) where grads[i] has the shape of inputs[i]. Inputs
+    the function never touches get zero gradients.
+    """
+    _, out, grads = _record(f, inputs)
+    return float(out.value), grads
 
 
 @dataclass
@@ -381,39 +421,96 @@ class GradCheckReport:
                f"coords={self.checked} resampled={self.resampled}"
 
 
-def _eval_plain(f, arrays):
-    out = f(*arrays)
-    return float(out.value if isinstance(out, Var) else out)
+def _vars_in(arg):
+    """The Vars in a recorded op argument, found as _plain finds them."""
+    if isinstance(arg, Var):
+        return [arg]
+    if isinstance(arg, (list, tuple)):
+        return [v for a in arg for v in _vars_in(a)]
+    return []
 
 
-def _relu_outputs(f, arrays):
-    """Outputs of the ReLU layers of one forward pass, in graph construction
-    order; each is > 0 exactly where its pre-activation is."""
-    out = f(*[Var(x) for x in arrays])
-    if not isinstance(out, Var):
+def _recorded_inputs(node):
+    """The Vars among the arguments node was made from (none for a leaf)."""
+    if node._recipe is None:
         return []
-    return [node.value for node in _toposort(out) if node._op == "linear+relu"]
+    _, args, kwargs = node._recipe
+    return _vars_in((args, tuple(kwargs.values())))
 
 
-def _kink_suspected(f, arrays, i, j, step):
-    """True when perturbing coordinate (i, j) by +-step flips a ReLU sign."""
-    plus = [x.copy() for x in arrays]
-    minus = [x.copy() for x in arrays]
-    plus[i].flat[j] += step
-    minus[i].flat[j] -= step
-    for out_p, out_m in zip(_relu_outputs(f, plus), _relu_outputs(f, minus)):
-        if np.any((out_p > 0.0) != (out_m > 0.0)):
-            return True
-    return False
+def _downstream(root, leaves):
+    """Per leaf, the nodes whose value depends on it, in evaluation order; None
+    for a leaf the root does not depend on. Dependence is read from the
+    recorded arguments, not from the backward edges, so an op that leaves an
+    input out of its gradient is still re-run and the miss shows in the check."""
+    inputs = {}  # node id -> the Vars among its recorded arguments
+    order = []  # each node after its inputs
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in inputs:
+            inputs[id(node)] = _recorded_inputs(node)
+            stack.append((node, True))
+            stack.extend((v, False) for v in inputs[id(node)])
+    lists = []
+    for leaf in leaves:
+        reached = {id(leaf)}
+        nodes = []
+        for node in order:
+            if any(id(v) in reached for v in inputs[id(node)]):
+                reached.add(id(node))
+                nodes.append(node)
+        lists.append(nodes if id(root) in reached else None)
+    return lists
+
+
+def _plain(arg, values):
+    """A recorded op argument with each Var replaced by its value in values,
+    or by its recorded value."""
+    if isinstance(arg, Var):
+        return values.get(id(arg), arg.value)
+    if isinstance(arg, (list, tuple)):
+        return type(arg)(_plain(a, values) for a in arg)
+    return arg
+
+
+def _rerun(nodes, leaf, value):
+    """Node id -> value with the leaf set to value and each of nodes re-run on
+    plain arrays; every other node keeps its recorded value. Ops are called
+    through the module's names, as f calls them."""
+    values = {id(leaf): value}
+    ops = globals()
+    for node in nodes:
+        name, args, kwargs = node._recipe
+        values[id(node)] = ops[name](*[_plain(a, values) for a in args],
+                                     **{key: _plain(a, values) for key, a in kwargs.items()})
+    return values
+
+
+def _relu_flips(nodes, at_plus, at_minus):
+    """True when a re-run ReLU layer's output changes sign between the two
+    probes; a layer that is not re-run cannot. Its output is > 0 exactly where
+    its pre-activation is."""
+    return any(np.any((at_plus[id(node)] > 0.0) != (at_minus[id(node)] > 0.0))
+               for node in nodes if node._op == "linear+relu")
 
 
 def grad_check(f, inputs, step, tol, max_coords_per_input=None, rng=None):
     """Compare analytic gradients of f against central finite differences.
 
+    f must be a composite of the tape ops whose control flow does not depend
+    on the input values: it is recorded once (and again after a resample),
+    and each probe re-runs only the recorded nodes downstream of the array it
+    perturbs, so an input f never reaches costs no evaluation (its difference
+    is exactly 0).
+
     Relative error per coordinate is |analytic - fd| / max(1, |analytic|, |fd|);
     the report carries the per-input and overall maxima. Coordinates whose
     disagreement comes from a ReLU kink within `step` of zero pre-activation
-    are not judged there: the coordinate is re-sampled and checked again.
+    (a re-run ReLU layer output changing sign between the two probes) are not
+    judged there: the coordinate is re-sampled and checked again.
     When max_coords_per_input is set (at least 1), that many coordinates per
     input are drawn at random instead of sweeping all of them.
     """
@@ -424,8 +521,12 @@ def grad_check(f, inputs, step, tol, max_coords_per_input=None, rng=None):
                          f">= 1, got {max_coords_per_input}")
     rng = rng if rng is not None else np.random.default_rng(0)
     xs = [np.array(x, dtype=np.float64) for x in inputs]
-    _, grads = forward_backward(f, xs)
 
+    def record():
+        leaves, root, grads = _record(f, xs)
+        return leaves, root, grads, _downstream(root, leaves)
+
+    leaves, root, grads, downstream = record()
     per_input_max = [0.0] * len(xs)
     checked = 0
     resampled = 0
@@ -440,30 +541,31 @@ def grad_check(f, inputs, step, tol, max_coords_per_input=None, rng=None):
         for j in coords:
             attempts = 0
             while True:
-                plus = x.copy()
-                minus = x.copy()
-                plus.flat[j] += step
-                minus.flat[j] -= step
-                f_plus = _eval_plain(f, xs[:i] + [plus] + xs[i + 1:])
-                f_minus = _eval_plain(f, xs[:i] + [minus] + xs[i + 1:])
-                if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                    raise FloatingPointError(
-                        f"grad_check: non-finite value at input {i} coordinate {j}"
-                    )
-                fd = (f_plus - f_minus) / (2.0 * step)
+                nodes = downstream[i]
+                # an input f never reads has a difference of exactly 0, so rel is 0
+                fd, at_plus, at_minus = 0.0, {}, {}
+                if nodes is not None:
+                    plus = x.copy()
+                    minus = x.copy()
+                    plus.flat[j] += step
+                    minus.flat[j] -= step
+                    at_plus = _rerun(nodes, leaves[i], plus)
+                    at_minus = _rerun(nodes, leaves[i], minus)
+                    f_plus, f_minus = float(at_plus[id(root)]), float(at_minus[id(root)])
+                    if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                        raise FloatingPointError(
+                            f"grad_check: non-finite value at input {i} coordinate {j}"
+                        )
+                    fd = (f_plus - f_minus) / (2.0 * step)
                 analytic = float(grads[i].flat[j])
                 rel = abs(analytic - fd) / max(1.0, abs(analytic), abs(fd))
-                if rel < tol or attempts >= 5:
-                    per_input_max[i] = max(per_input_max[i], rel)
-                    checked += 1
-                    break
-                if not _kink_suspected(f, xs, i, j, step):
+                if rel < tol or attempts >= 5 or not _relu_flips(nodes or (), at_plus, at_minus):
                     per_input_max[i] = max(per_input_max[i], rel)
                     checked += 1
                     break
                 # FD straddles a ReLU kink: move this coordinate off it and retry
                 x.flat[j] += float(rng.choice([-1.0, 1.0]) * rng.uniform(0.02, 0.1))
-                _, grads = forward_backward(f, xs)
+                leaves, root, grads, downstream = record()
                 resampled += 1
                 attempts += 1
     return GradCheckReport(

@@ -164,3 +164,25 @@ def test_ablate_grid_file_rejects_non_integer_segments(tmp_path, capsys):
     assert capsys.readouterr().err == (f"error: {grid}:2: segments must be an integer, "
                                        "got 'two'\n")
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("name=full\nname=k2 segmnets=2\n",
+     "2: unknown grid key 'segmnets' (expected name, losses, segments)"),
+    ("name=inter_only loss=inter\n",
+     "1: unknown grid key 'loss' (expected name, losses, segments)"),
+    ("name=k2 segments=2 segments=3\n", "1: grid key 'segments' given twice"),
+    ("name=full\n# a comment\n\nname=k2\nname=full losses=inter\n",
+     "5: grid entry name 'full' repeats line 1"),
+], ids=["misspelt_key", "singular_key", "repeated_key", "repeated_name"])
+def test_ablate_grid_file_rejects_unknown_and_repeated_entries(tmp_path, capsys, text, message):
+    # a misspelt key would run the entry at the default, and a repeated name
+    # would pool two configs' seeds into one median row
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CONFIG)
+    grid = tmp_path / "grid.txt"
+    grid.write_text(text)
+    assert cli.main(["ablate", "--config", str(cfg), "--grid", str(grid),
+                     "--out", str(tmp_path / "x.csv")]) != 0
+    assert capsys.readouterr().err == f"error: {grid}:{message}\n"
+    assert not (tmp_path / "x.csv").exists()

@@ -1,9 +1,12 @@
+import collections
 import inspect
 import re
 
 import numpy as np
 import pytest
+from test_trainer import tiny_config
 
+from vidseg import model, synth, trainer
 from vidseg import numerics as nm
 
 
@@ -74,21 +77,148 @@ def test_linear_gradients_match_numpy_formulas(use_relu, tracked_x):
         assert got.tobytes() == expected.tobytes()
 
 
-def test_two_layer_network_matches_fd():
+def reference_grad_check(f, inputs, step, tol, max_coords_per_input=None, rng=None):
+    """grad_check as it was before probes re-ran only part of the graph: every
+    probe evaluates all of f on plain arrays, and a suspected kink runs two
+    more tracked forwards to compare every ReLU layer's output."""
+    rng = rng if rng is not None else np.random.default_rng(0)
+    xs = [np.array(x, dtype=np.float64) for x in inputs]
+    _, grads = nm.forward_backward(f, xs)
+
+    def eval_plain(arrays):
+        out = f(*arrays)
+        return float(out.value if isinstance(out, nm.Var) else out)
+
+    def relu_outputs(arrays):
+        out = f(*[nm.Var(x) for x in arrays])
+        if not isinstance(out, nm.Var):
+            return []
+        return [node.value for node in nm._toposort(out) if node._op == "linear+relu"]
+
+    def kink_suspected(i, j):
+        plus = [x.copy() for x in xs]
+        minus = [x.copy() for x in xs]
+        plus[i].flat[j] += step
+        minus[i].flat[j] -= step
+        return any(np.any((out_p > 0.0) != (out_m > 0.0))
+                   for out_p, out_m in zip(relu_outputs(plus), relu_outputs(minus)))
+
+    per_input_max = [0.0] * len(xs)
+    checked = resampled = 0
+    for i, x in enumerate(xs):
+        if x.size == 0:
+            continue
+        if max_coords_per_input is not None and max_coords_per_input < x.size:
+            coords = rng.choice(x.size, size=max_coords_per_input, replace=False)
+        else:
+            coords = range(x.size)
+        for j in coords:
+            attempts = 0
+            while True:
+                plus = x.copy()
+                minus = x.copy()
+                plus.flat[j] += step
+                minus.flat[j] -= step
+                fd = (eval_plain(xs[:i] + [plus] + xs[i + 1:])
+                      - eval_plain(xs[:i] + [minus] + xs[i + 1:])) / (2.0 * step)
+                analytic = float(grads[i].flat[j])
+                rel = abs(analytic - fd) / max(1.0, abs(analytic), abs(fd))
+                if rel < tol or attempts >= 5 or not kink_suspected(i, j):
+                    per_input_max[i] = max(per_input_max[i], rel)
+                    checked += 1
+                    break
+                x.flat[j] += float(rng.choice([-1.0, 1.0]) * rng.uniform(0.02, 0.1))
+                _, grads = nm.forward_backward(f, xs)
+                resampled += 1
+                attempts += 1
+    return nm.GradCheckReport(per_input_max=per_input_max,
+                              max_rel_error=max(per_input_max) if per_input_max else 0.0,
+                              tol=tol, checked=checked, resampled=resampled)
+
+
+def report_bytes(report):
+    return (np.array(report.per_input_max).tobytes(), np.float64(report.max_rel_error).tobytes(),
+            report.checked, report.resampled)
+
+
+def two_layer_case():
     rng = np.random.default_rng(7)
-    x = rng.normal(size=(1, 6))
-    w1 = rng.normal(size=(6, 5))
-    w2 = rng.normal(size=(5, 4))
-    b1 = rng.normal(size=5)
-    b2 = rng.normal(size=4)
+    x, w1, w2, b1, b2 = (rng.normal(size=shape) for shape in [(1, 6), (6, 5), (5, 4), 5, 4])
+    inputs = [x, w1, b1, w2, b2]
 
     def f(xv, w1v, b1v, w2v, b2v):
         hidden = nm.linear(xv, w1v, b1v, relu=True)
         logits = nm.linear(hidden, w2v, b2v)
         return nm.softmax_cross_entropy(logits, [2])
 
-    report = nm.grad_check(f, [x, w1, b1, w2, b2], step=1e-5, tol=1e-6)
+    return f, inputs, dict(step=1e-5, tol=1e-6)
+
+
+def kink_case():
+    # a coordinate exactly on the kink: plain FD would disagree there
+    return (lambda x: total(relu(x)), [np.array([[0.0, 1.0]])],
+            dict(step=1e-5, tol=1e-6, rng=np.random.default_rng(3)))
+
+
+def ignored_input_case():
+    rng = np.random.default_rng(8)
+    w, bias = rng.normal(size=(3, 2)), rng.normal(size=2)
+    return (lambda x, unused: total(nm.linear(x, w, bias, relu=True)),
+            [rng.normal(size=(2, 3)), rng.normal(size=(4, 2))], dict(step=1e-5, tol=1e-8))
+
+
+def test_two_layer_network_matches_fd():
+    f, inputs, kwargs = two_layer_case()
+    report = nm.grad_check(f, inputs, **kwargs)
     assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("case", [two_layer_case, kink_case, ignored_input_case],
+                         ids=["two_layer", "relu_kink", "ignored_input"])
+def test_grad_check_reports_match_full_recompute(case):
+    f, inputs, kwargs = case()
+    report = nm.grad_check(f, inputs, **kwargs)
+    f, inputs, kwargs = case()
+    assert report_bytes(report) == report_bytes(reference_grad_check(f, inputs, **kwargs))
+    if case is kink_case:
+        assert report.resampled >= 1
+
+
+def test_gradient_suite_reports_match_full_recompute(monkeypatch):
+    cfg = tiny_config()
+    got = trainer.gradient_suite(cfg, n_seeds=2)
+    monkeypatch.setattr(nm, "grad_check", reference_grad_check)
+    want = trainer.gradient_suite(cfg, n_seeds=2)
+    assert len(got) == len(want) == 10
+    for (name, seed, report), (want_name, want_seed, want_report) in zip(got, want):
+        assert (name, seed) == (want_name, want_seed)
+        assert report_bytes(report) == report_bytes(want_report), f"{name} seed {seed}"
+
+
+def dropping_bias_edges(make):
+    """_make as it would be if linear forgot its bias: a linear node keeps no
+    edge to its third argument, so the bias gets a zero analytic gradient."""
+    def dropping(op, out, parents):
+        return make(op, out, parents[:2] if op.startswith("linear") else parents)
+
+    return dropping
+
+
+@pytest.mark.parametrize("bias", [lambda b: b, lambda b: nm.scale(b, 2.0)],
+                         ids=["leaf_bias", "bias_reached_only_through_the_edge"])
+def test_grad_check_catches_a_dropped_gradient_edge(bias, monkeypatch):
+    monkeypatch.setattr(nm, "_make", dropping_bias_edges(nm._make))
+    rng = np.random.default_rng(11)
+    inputs = [rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)]
+
+    def f(x, w, b):
+        return total(nm.linear(x, w, bias(b)))
+
+    report = nm.grad_check(f, inputs, step=1e-5, tol=1e-6)
+    assert not report.passed
+    assert max(report.per_input_max[:2]) < 1e-6 < report.per_input_max[2]
+    assert report_bytes(report) == report_bytes(reference_grad_check(f, inputs, step=1e-5,
+                                                                     tol=1e-6))
 
 
 def test_grad_check_linear_is_exact():
@@ -111,12 +241,8 @@ def test_grad_check_exp_like_at_zero():
 
 
 def test_grad_check_resamples_relu_kink():
-    # place a coordinate exactly on the kink: plain FD would disagree there
-    def f(x):
-        return total(relu(x))
-
-    report = nm.grad_check(f, [np.array([[0.0, 1.0]])], step=1e-5, tol=1e-6,
-                           rng=np.random.default_rng(3))
+    f, inputs, kwargs = kink_case()
+    report = nm.grad_check(f, inputs, **kwargs)
     assert report.passed, str(report)
     assert report.resampled >= 1
 
@@ -406,11 +532,109 @@ def test_plain_arrays_take_plain_path():
     assert isinstance(var_out, nm.Var)
 
 
+def listed_ops():
+    """The op names of the module docstring's op list."""
+    listed = nm.__doc__.split("Supported op set:")[1].split(".")[0]
+    return {name.strip() for name in re.sub(r"\([^)]*\)", "", listed).split(",")}
+
+
 def test_docstring_op_list_names_every_op():
     # an op is a public function that records a tape node through _make
     ops = {name for name, fn in inspect.getmembers(nm, inspect.isfunction)
            if fn.__module__ == nm.__name__ and not name.startswith("_")
            and "_make(" in inspect.getsource(fn)}
-    listed = nm.__doc__.split("Supported op set:")[1].split(".")[0]
-    listed = {name.strip() for name in re.sub(r"\([^)]*\)", "", listed).split(",")}
-    assert listed == ops
+    assert listed_ops() == ops
+
+
+# one call per op with a tracked (2, 3) argument
+OP_EXAMPLES = {
+    "add": lambda v: (v, v),
+    "scale": lambda v: (v, 2.0),
+    "linear": lambda v: (v, np.ones((3, 2)), np.ones(2)),
+    "dot": lambda v: (v, v),
+    "mean_rows": lambda v: (nm.reshape(v, (2, 1, 3)),),
+    "concat": lambda v: ([v, v],),
+    "reshape": lambda v: (v, (3, 2)),
+    "slice_rows": lambda v: (v, 0, 1),
+    "l2_normalize": lambda v: (v,),
+    "softmax_cross_entropy": lambda v: (v, [0, 2]),
+    "bank_cross_entropy": lambda v: (v, [v], np.ones((4, 3)), 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OP_EXAMPLES))
+def test_every_op_records_its_recipe(name):
+    # a node without its recipe would be re-run as a constant, and the finite
+    # differences of everything upstream of it would silently read 0
+    assert set(OP_EXAMPLES) == listed_ops()
+    leaf = nm.Var(np.random.default_rng(47).normal(size=(2, 3)))
+    out = getattr(nm, name)(*OP_EXAMPLES[name](leaf))
+    assert isinstance(out, nm.Var) and out._recipe[0] == name
+    moved = leaf.value + 0.5
+    nodes = nm._downstream(out, [leaf])[0]
+    assert nodes[-1] is out
+    rerun = nm._rerun(nodes, leaf, moved)[id(out)]
+    want = getattr(nm, name)(*OP_EXAMPLES[name](nm.Var(moved)))
+    assert rerun.tobytes() == want.value.tobytes()
+
+
+@pytest.fixture()
+def op_calls(monkeypatch):
+    """Every op call made through the module's names, as (op name, args)."""
+    calls = []
+    for name in listed_ops():
+        def logged(*args, _name=name, _op=getattr(nm, name), **kwargs):
+            calls.append((_name, args))
+            return _op(*args, **kwargs)
+
+        monkeypatch.setattr(nm, name, logged)
+    return calls
+
+
+def test_probing_an_input_f_never_reads_runs_no_op(op_calls):
+    f, inputs, kwargs = ignored_input_case()
+    report = nm.grad_check(f, inputs, **kwargs)
+    assert report.checked == inputs[0].size + inputs[1].size and report.resampled == 0
+    # one recording (linear, reshape, dot), then both probes of each of the
+    # six coordinates of x re-run those three nodes; none for the unused input
+    assert [name for name, _ in op_calls].count("linear") == 1 + 2 * inputs[0].size
+    assert len(op_calls) == 3 * (1 + 2 * inputs[0].size)
+
+
+def test_probing_a_head_weight_reruns_only_its_head(op_calls):
+    cfg = tiny_config()
+    rng = np.random.default_rng(53)
+    mcfg = cfg.model_config()
+    query, key = model.init_params(mcfg, rng), model.init_params(mcfg, rng)
+    frames = np.stack([synth.generate_video(cfg.dataset, c, 0)[0] for c in range(2)])
+    everything = trainer.with_losses(cfg, trainer.LOSS_NAMES)
+    batch = trainer.sample_batch(frames, np.arange(2), everything, rng)
+    banks = [rng.normal(size=(16, cfg.embed_dim)) for _ in range(2)]
+    banks = [bank / np.linalg.norm(bank, axis=1, keepdims=True) for bank in banks]
+    targets = trainer.key_targets(key, batch, everything)
+    probed = "head_inter.fc2.weight"
+    layer_of_bias = {arr.tobytes(): name[:-len(".bias")] for name, arr in query.items()
+                     if name.endswith(".bias")}
+
+    def calls_of_check(names):
+        def f(*vars_):
+            params = {**query, **dict(zip(names, vars_))}
+            return trainer._sum_terms(trainer.batch_losses(params, targets, batch, *banks,
+                                                           everything))
+
+        del op_calls[:]
+        report = nm.grad_check(f, [query[n] for n in names], step=1e-5, tol=1e-4,
+                               max_coords_per_input=1, rng=np.random.default_rng(59))
+        assert report.passed and report.resampled == 0
+        # a linear call is named by its bias, which no probe of a weight moves
+        return collections.Counter(
+            (name, layer_of_bias.get(np.asarray(args[2]).tobytes()) if name == "linear"
+             else None) for name, args in op_calls)
+
+    every = calls_of_check(list(query))
+    without = calls_of_check([n for n in query if n != probed])
+    assert not without - every
+    # the probe's two evaluations re-run the layer, the inter head's
+    # normalization and InfoNCE, and the three adds of the loss sum
+    assert every - without == {("linear", "head_inter.fc2"): 2, ("l2_normalize", None): 2,
+                               ("bank_cross_entropy", None): 2, ("add", None): 6}
