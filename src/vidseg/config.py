@@ -61,8 +61,10 @@ def _typed(key, text):
 
 def parse_config_text(text):
     """Parse key=value lines (blank lines and # comments allowed) into a
-    complete flat config with defaults filled in."""
+    complete flat config with defaults filled in. A key given on two lines is
+    an error naming both."""
     flat = dict(DEFAULTS)
+    key_lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -71,6 +73,9 @@ def parse_config_text(text):
         key = key.strip()
         if not sep:
             raise ValueError(f"line {lineno}: expected key=value, got '{raw}'")
+        first = key_lines.setdefault(key, lineno)
+        if first != lineno:
+            raise ValueError(f"line {lineno}: config key '{key}' repeats line {first}")
         try:
             flat[key] = _typed(key, value)
         except ValueError as err:

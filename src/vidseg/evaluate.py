@@ -198,17 +198,21 @@ def run_ablation(base_cfg: trainer.TrainConfig, entries, seeds,
 
     Returns (rows, summary) where rows hold one record per run and summary
     one per configuration with the median probe accuracy and R@1. Every
-    derived config is validated before any training starts.
+    derived config is validated before any training starts, and each distinct
+    dataset is generated once.
     """
     configs = [(entry.name, entry.apply(base_cfg)) for entry in entries]
     for _, cfg in configs:
         cfg.validate()
     rows = []
     by_name = {}
+    datasets = {}
     for name, cfg in configs:
+        if cfg.dataset not in datasets:
+            datasets[cfg.dataset] = synth.generate_dataset(cfg.dataset)
         for seed in seeds:
             run_cfg = replace(cfg, seed=int(seed))
-            state, train, test = trainer.fit(run_cfg)
+            state, train, test = trainer.fit(run_cfg, dataset=datasets[cfg.dataset])
             accuracy, recalls = evaluate_encoder(state.query, state.key, train, test,
                                                  probe_cfg, retrieval_cfg)
             r1 = recalls[min(recalls)]

@@ -164,11 +164,13 @@ def _split_header(blob, magic, path):
     return lines, body
 
 
-def _parse_config_lines(lines, start):
+def _parse_config_lines(lines, start, path):
     flat = {}
     i = start
     while i < len(lines) and lines[i] != "#config-end":
         key, _, value = lines[i].partition("=")
+        if key in flat:
+            raise ArtifactError(f"{path}: config key '{key}' appears twice")
         flat[key] = value
         i += 1
     return flat, i + 1
@@ -186,7 +188,7 @@ def read_checkpoint(path):
     while i < len(lines):
         line = lines[i]
         if line == "#config-begin":
-            config_flat, i = _parse_config_lines(lines, i + 1)
+            config_flat, i = _parse_config_lines(lines, i + 1, path)
             continue
         if line.startswith("#param "):
             _, full_name, shape_tok, offset = _fields(line, 4, path)
@@ -201,6 +203,8 @@ def read_checkpoint(path):
             sides[side][name] = _payload_array(body, shape, offset, path, line)
         elif line.startswith("#bank "):
             _, name, *numbers = _fields(line, 7, path)
+            if name in banks:
+                raise ArtifactError(f"{path}: bank '{name}' appears twice")
             capacity, width, cursor, fill, offset = _ints(numbers, path, line)
             if capacity < 1 or width < 1:
                 raise ArtifactError(f"{path}: bank capacity and width must be positive in "
@@ -260,7 +264,7 @@ def read_dataset(path):
     while i < len(lines):
         line = lines[i]
         if line == "#config-begin":
-            spec_flat, i = _parse_config_lines(lines, i + 1)
+            spec_flat, i = _parse_config_lines(lines, i + 1, path)
             continue
         if line.startswith("#video "):
             _, vid, class_id, split, w0, w1 = _fields(line, 6, path)

@@ -15,15 +15,15 @@ and a single sample is a batch of one. Only the elementwise ops (add, scale),
 reshape and slice_rows take any rank, and dot also takes two vectors: their
 0-d product is a scalar root for backward.
 
-A node also records how it was made: its op's name and the arguments of the
-call. So a recorded graph can re-run any part of itself on plain arrays, and
-grad_check re-runs, per finite-difference probe, only the nodes downstream of
-the array it perturbs, reusing every other node's recorded value.
+Every op builds its node through _make, which also stores the op's arguments
+on the node. So a recorded graph can re-run any part of itself on plain
+arrays: grad_check compiles, per input array, a plan of the nodes downstream
+of it, and each finite-difference probe re-runs only those, reusing every
+other node's recorded value.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,12 +61,12 @@ class Var:
 
     __slots__ = ("value", "grad", "_parents", "_op", "_recipe", "_done")
 
-    def __init__(self, value, _parents=(), _op="leaf"):
+    def __init__(self, value, _parents=(), _op="leaf", _recipe=()):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self._parents = _parents  # tuple of (Var, vjp callable)
         self._op = _op
-        self._recipe = None  # (op name, args, kwargs) of the call that made the node
+        self._recipe = _recipe  # the arguments of the op call that made the node
         self._done = False
 
     @property
@@ -118,27 +118,18 @@ def _value(x):
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
-def _make(op, out, parents):
-    """Return a Var if any parent is tracked, else the plain array."""
+def _make(op, out, parents, *args):
+    """Return a Var if any parent is tracked, else the plain array.
+
+    op names the node: the name of the op function that made it, with a
+    "+relu" suffix for a linear layer's gate. args are the arguments of that
+    call, all passed positionally; a Var keeps them as its recipe, so that
+    calling the op again on args gives its value.
+    """
     tracked = [(p, vjp) for p, vjp in parents if isinstance(p, Var)]
     if not tracked:
         return out
-    return Var(out, _parents=tuple(tracked), _op=op)
-
-
-def _recorded(op):
-    """Make op note its call on the node it returns, so that the node can be
-    re-run on other values (a leaf or an input passed through is left as is)."""
-    name = op.__name__
-
-    @functools.wraps(op)
-    def recording(*args, **kwargs):
-        out = op(*args, **kwargs)
-        if isinstance(out, Var) and out._parents and out._recipe is None:
-            out._recipe = (name, args, kwargs)
-        return out
-
-    return recording
+    return Var(out, _parents=tuple(tracked), _op=op, _recipe=args)
 
 
 # ---------------------------------------------------------------------------
@@ -146,24 +137,21 @@ def _recorded(op):
 # ---------------------------------------------------------------------------
 
 
-@_recorded
 def add(a, b):
     """Elementwise sum of two equal-shape arrays."""
     av, bv = _value(a), _value(b)
     if av.shape != bv.shape:
         raise ShapeMismatchError("add", av.shape, bv.shape)
-    return _make("add", av + bv, ((a, lambda g: g), (b, lambda g: g)))
+    return _make("add", av + bv, ((a, lambda g: g), (b, lambda g: g)), a, b)
 
 
-@_recorded
 def scale(a, c):
     """Multiply by a python scalar constant."""
     c = float(c)
     out = _value(a) * c
-    return _make("scale", out, ((a, lambda g: g * c),))
+    return _make("scale", out, ((a, lambda g: g * c),), a, c)
 
 
-@_recorded
 def linear(x, weight, bias, relu=False):
     """A fully connected layer over rows as one node: (n, k) @ (k, m) + (m,),
     then max(., 0) when relu is set.
@@ -187,10 +175,9 @@ def linear(x, weight, bias, relu=False):
 
     return _make("linear+relu" if relu else "linear", out,
                  ((x, lambda g: delta(g) @ wv.T), (weight, lambda g: xv.T @ delta(g)),
-                  (bias, lambda g: delta(g).sum(axis=0))))
+                  (bias, lambda g: delta(g).sum(axis=0))), x, weight, bias, relu)
 
 
-@_recorded
 def dot(a, b):
     """Inner products over the last axis of two equal-shape arrays: two
     vectors give a scalar, two (B, E) arrays the (B,) row-wise products."""
@@ -198,10 +185,10 @@ def dot(a, b):
     if av.ndim not in (1, 2) or av.shape != bv.shape:
         raise ShapeMismatchError("dot", av.shape, bv.shape)
     out = np.asarray(np.einsum("...i,...i->...", av, bv))
-    return _make("dot", out, ((a, lambda g: g[..., None] * bv), (b, lambda g: g[..., None] * av)))
+    return _make("dot", out, ((a, lambda g: g[..., None] * bv), (b, lambda g: g[..., None] * av)),
+                 a, b)
 
 
-@_recorded
 def mean_rows(a):
     """Mean over the rows of each item of a (B, n, m) array -> (B, m).
 
@@ -213,10 +200,9 @@ def mean_rows(a):
         raise ShapeMismatchError("mean_rows", av.shape)
     n = av.shape[1]
     out = np.sort(av, axis=1).sum(axis=1) / n
-    return _make("mean_rows", out, ((a, lambda g: np.repeat(g[:, None] / n, n, axis=1)),))
+    return _make("mean_rows", out, ((a, lambda g: np.repeat(g[:, None] / n, n, axis=1)),), a)
 
 
-@_recorded
 def concat(parts):
     """Concatenate (B, n_i) blocks and (B,) columns along the last axis into
     one (B, sum n_i) array; a (B,) part counts as one column."""
@@ -235,10 +221,9 @@ def concat(parts):
 
         parents.append((p, vjp))
         offset = hi
-    return _make("concat", out, tuple(parents))
+    return _make("concat", out, parents, parts)
 
 
-@_recorded
 def reshape(a, shape):
     """The same values in a new shape (row-major order, as numpy reshape)."""
     av = _value(a)
@@ -246,10 +231,9 @@ def reshape(a, shape):
         out = av.reshape(shape)
     except ValueError:
         raise ShapeMismatchError("reshape", av.shape, shape) from None
-    return _make("reshape", out, ((a, lambda g: g.reshape(av.shape)),))
+    return _make("reshape", out, ((a, lambda g: g.reshape(av.shape)),), a, shape)
 
 
-@_recorded
 def slice_rows(a, start, stop):
     """Rows start:stop of an array; a slice covering every row is the input
     itself, so it records nothing."""
@@ -264,10 +248,9 @@ def slice_rows(a, start, stop):
         full[start:stop] = g
         return full
 
-    return _make("slice_rows", av[start:stop], ((a, vjp),))
+    return _make("slice_rows", av[start:stop], ((a, vjp),), a, start, stop)
 
 
-@_recorded
 def l2_normalize(a):
     """Scale each row of a (B, E) array to unit Euclidean norm.
 
@@ -287,10 +270,9 @@ def l2_normalize(a):
     def vjp(g):
         return (g - out * (out * g).sum(axis=1, keepdims=True)) / norms[:, None]
 
-    return _make("l2_normalize", out, ((a, vjp),))
+    return _make("l2_normalize", out, ((a, vjp),), a)
 
 
-@_recorded
 def softmax_cross_entropy(logits, labels):
     """Mean over the rows of (B, C) logits of the cross-entropy of
     softmax(row) against its integer class in the (B,) label vector."""
@@ -315,10 +297,9 @@ def softmax_cross_entropy(logits, labels):
         grad *= g / n
         return grad
 
-    return _make("softmax_cross_entropy", out, ((logits, vjp),))
+    return _make("softmax_cross_entropy", out, ((logits, vjp),), logits, labels)
 
 
-@_recorded
 def bank_cross_entropy(query, positives, negatives, inv):
     """Mean InfoNCE of the (B, E) query rows scaled by inv against each of the
     P (B, E) positives and the constant (M, E) bank shared by every row.
@@ -368,7 +349,8 @@ def bank_cross_entropy(query, positives, negatives, inv):
         return lambda g: (bank_share[:, j:j + 1] * (-g / count)) * scaled
 
     return _make("bank_cross_entropy", out,
-                 ((query, vjp_query), *((p, vjp_positive(j)) for j, p in enumerate(positives))))
+                 ((query, vjp_query), *((p, vjp_positive(j)) for j, p in enumerate(positives))),
+                 query, positives, negatives, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -421,29 +403,20 @@ class GradCheckReport:
                f"coords={self.checked} resampled={self.resampled}"
 
 
-def _vars_in(arg):
-    """The Vars in a recorded op argument, found as _plain finds them."""
-    if isinstance(arg, Var):
-        return [arg]
-    if isinstance(arg, (list, tuple)):
-        return [v for a in arg for v in _vars_in(a)]
-    return []
+def _plans(root, leaves):
+    """Per leaf, the plan that re-runs the nodes whose value depends on it, in
+    evaluation order; None for a leaf the root does not depend on.
 
-
-def _recorded_inputs(node):
-    """The Vars among the arguments node was made from (none for a leaf)."""
-    if node._recipe is None:
-        return []
-    _, args, kwargs = node._recipe
-    return _vars_in((args, tuple(kwargs.values())))
-
-
-def _downstream(root, leaves):
-    """Per leaf, the nodes whose value depends on it, in evaluation order; None
-    for a leaf the root does not depend on. Dependence is read from the
-    recorded arguments, not from the backward edges, so an op that leaves an
-    input out of its gradient is still re-run and the miss shows in the check."""
-    inputs = {}  # node id -> the Vars among its recorded arguments
+    An entry is (op, args, slots, name) for one node: its op function, looked
+    up through the module's names as f calls it; its recorded arguments, with
+    every Var the leaf does not reach replaced by its recorded value; a
+    (container, index, source) slot for each Var the leaf reaches, where
+    source indexes the values of _rerun; and the node's name. Dependence is
+    read from the recorded arguments, not from the backward edges, so an op
+    that leaves an input out of its gradient is still re-run and the miss
+    shows in the check.
+    """
+    inputs = {}  # node id -> (argument index, index in a list argument or None, Var) per Var
     order = []  # each node after its inputs
     stack = [(root, False)]
     while stack:
@@ -451,50 +424,55 @@ def _downstream(root, leaves):
         if expanded:
             order.append(node)
         elif id(node) not in inputs:
-            inputs[id(node)] = _recorded_inputs(node)
+            inputs[id(node)] = found = [
+                (k, j, v) for k, arg in enumerate(node._recipe)
+                for j, v in (enumerate(arg) if isinstance(arg, (list, tuple)) else [(None, arg)])
+                if isinstance(v, Var)]
             stack.append((node, True))
-            stack.extend((v, False) for v in inputs[id(node)])
-    lists = []
-    for leaf in leaves:
-        reached = {id(leaf)}
-        nodes = []
-        for node in order:
-            if any(id(v) in reached for v in inputs[id(node)]):
-                reached.add(id(node))
-                nodes.append(node)
-        lists.append(nodes if id(root) in reached else None)
-    return lists
-
-
-def _plain(arg, values):
-    """A recorded op argument with each Var replaced by its value in values,
-    or by its recorded value."""
-    if isinstance(arg, Var):
-        return values.get(id(arg), arg.value)
-    if isinstance(arg, (list, tuple)):
-        return type(arg)(_plain(a, values) for a in arg)
-    return arg
-
-
-def _rerun(nodes, leaf, value):
-    """Node id -> value with the leaf set to value and each of nodes re-run on
-    plain arrays; every other node keeps its recorded value. Ops are called
-    through the module's names, as f calls them."""
-    values = {id(leaf): value}
+            stack.extend((v, False) for _, _, v in found)
     ops = globals()
-    for node in nodes:
-        name, args, kwargs = node._recipe
-        values[id(node)] = ops[name](*[_plain(a, values) for a in args],
-                                     **{key: _plain(a, values) for key, a in kwargs.items()})
+    plans = []
+    for leaf in leaves:
+        source = {id(leaf): 0}
+        plan = []
+        for node in order:
+            found = inputs[id(node)]
+            if not any(id(v) in source for _, _, v in found):
+                continue
+            args = list(node._recipe)
+            for k in {k for k, j, _ in found if j is not None}:
+                args[k] = list(args[k])
+            slots = []
+            for k, j, v in found:
+                container, index = (args, k) if j is None else (args[k], j)
+                if id(v) in source:
+                    slots.append((container, index, source[id(v)]))
+                else:
+                    container[index] = v.value
+            plan.append((ops[node._op.partition("+")[0]], args, slots, node._op))
+            source[id(node)] = len(plan)
+        plans.append(plan if id(root) in source else None)
+    return plans
+
+
+def _rerun(plan, value):
+    """The leaf set to value, then the output of each entry of plan, re-run on
+    plain arrays once its slots are filled; the root's is the last."""
+    values = [value]
+    for op, args, slots, _ in plan:
+        for container, index, source in slots:
+            container[index] = values[source]
+        values.append(op(*args))
     return values
 
 
-def _relu_flips(nodes, at_plus, at_minus):
+def _relu_flips(plan, at_plus, at_minus):
     """True when a re-run ReLU layer's output changes sign between the two
     probes; a layer that is not re-run cannot. Its output is > 0 exactly where
     its pre-activation is."""
-    return any(np.any((at_plus[id(node)] > 0.0) != (at_minus[id(node)] > 0.0))
-               for node in nodes if node._op == "linear+relu")
+    return any(np.any((plus > 0.0) != (minus > 0.0))
+               for (*_, name), plus, minus in zip(plan, at_plus[1:], at_minus[1:])
+               if name == "linear+relu")
 
 
 def grad_check(f, inputs, step, tol, max_coords_per_input=None, rng=None):
@@ -524,9 +502,9 @@ def grad_check(f, inputs, step, tol, max_coords_per_input=None, rng=None):
 
     def record():
         leaves, root, grads = _record(f, xs)
-        return leaves, root, grads, _downstream(root, leaves)
+        return grads, _plans(root, leaves)
 
-    leaves, root, grads, downstream = record()
+    grads, plans = record()
     per_input_max = [0.0] * len(xs)
     checked = 0
     resampled = 0
@@ -541,17 +519,17 @@ def grad_check(f, inputs, step, tol, max_coords_per_input=None, rng=None):
         for j in coords:
             attempts = 0
             while True:
-                nodes = downstream[i]
+                plan = plans[i]
                 # an input f never reads has a difference of exactly 0, so rel is 0
-                fd, at_plus, at_minus = 0.0, {}, {}
-                if nodes is not None:
+                fd, at_plus, at_minus = 0.0, [], []
+                if plan is not None:
                     plus = x.copy()
                     minus = x.copy()
                     plus.flat[j] += step
                     minus.flat[j] -= step
-                    at_plus = _rerun(nodes, leaves[i], plus)
-                    at_minus = _rerun(nodes, leaves[i], minus)
-                    f_plus, f_minus = float(at_plus[id(root)]), float(at_minus[id(root)])
+                    at_plus = _rerun(plan, plus)
+                    at_minus = _rerun(plan, minus)
+                    f_plus, f_minus = float(at_plus[-1]), float(at_minus[-1])
                     if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                         raise FloatingPointError(
                             f"grad_check: non-finite value at input {i} coordinate {j}"
@@ -559,13 +537,13 @@ def grad_check(f, inputs, step, tol, max_coords_per_input=None, rng=None):
                     fd = (f_plus - f_minus) / (2.0 * step)
                 analytic = float(grads[i].flat[j])
                 rel = abs(analytic - fd) / max(1.0, abs(analytic), abs(fd))
-                if rel < tol or attempts >= 5 or not _relu_flips(nodes or (), at_plus, at_minus):
+                if rel < tol or attempts >= 5 or not _relu_flips(plan or (), at_plus, at_minus):
                     per_input_max[i] = max(per_input_max[i], rel)
                     checked += 1
                     break
                 # FD straddles a ReLU kink: move this coordinate off it and retry
                 x.flat[j] += float(rng.choice([-1.0, 1.0]) * rng.uniform(0.02, 0.1))
-                leaves, root, grads, downstream = record()
+                grads, plans = record()
                 resampled += 1
                 attempts += 1
     return GradCheckReport(

@@ -35,6 +35,11 @@ def test_bad_value_reports_line():
         config_mod.parse_config_text("train.epochs=3\ntrain.batch_size=huge\n")
 
 
+def test_repeated_key_rejected_naming_both_lines():
+    with pytest.raises(ValueError, match="line 3: config key 'train.epochs' repeats line 1"):
+        config_mod.parse_config_text("train.epochs=60\n# a comment\ntrain.epochs=4\n")
+
+
 def test_comments_and_blank_lines_allowed():
     flat = config_mod.parse_config_text("# a comment\n\ntrain.epochs=7\n")
     assert flat["train.epochs"] == 7
@@ -428,12 +433,26 @@ def test_non_finite_payload_rejected(tmp_path, prefix, index, value):
      "parameter 'query.encoder.fc1.weight' appears twice"),
     (b"#param key.encoder.fc1.weight ", b"fc1", b"fc9",
      r"query and key parameter names differ: \['encoder.fc1.weight', 'encoder.fc9.weight'\]"),
-], ids=["unknown_side", "duplicate_name", "side_names_differ"])
+    (b"#bank segment ", b"segment", b"inter", "bank 'inter' appears twice"),
+], ids=["unknown_side", "duplicate_name", "side_names_differ", "duplicate_bank"])
 def test_checkpoint_param_sides_rejected(tmp_path, prefix, old, new, message):
     checkpoint, _ = written_artifacts(tmp_path)
     rewrite_header_line(checkpoint, prefix, lambda line: line.replace(old, new, 1))
     with pytest.raises(formats.ArtifactError, match=f"model.ckpt.*{message}"):
         formats.read_checkpoint(checkpoint)
+
+
+@pytest.mark.parametrize("artifact", ["checkpoint", "dataset"])
+def test_repeated_config_echo_key_rejected(tmp_path, artifact):
+    path = dict(zip(["checkpoint", "dataset"], written_artifacts(tmp_path)))[artifact]
+    blob = path.read_bytes()
+    first = blob.index(b"#config-begin\n") + len(b"#config-begin\n")
+    second = blob.index(b"\n", first) + 1
+    key = blob[first:blob.index(b"=", first)]
+    path.write_bytes(blob[:second] + key + blob[blob.index(b"=", second):])
+    with pytest.raises(formats.ArtifactError,
+                       match=f"{path.name}: config key '{key.decode()}' appears twice"):
+        read(path)
 
 
 @pytest.mark.parametrize("old, new, message", [

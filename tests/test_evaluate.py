@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,29 @@ def test_run_ablation_row_counts_and_rejects_bad_grid():
     bad = [evaluate.AblationEntry(name="intra_only", losses=("intra",))]
     with pytest.raises(ValueError):
         evaluate.run_ablation(base, bad, seeds=[0])
+
+
+def test_run_ablation_generates_each_dataset_once(monkeypatch):
+    spec = synth.DatasetSpec(classes=4, videos_per_class=4, frames=8, seed=6)
+    base = trainer.TrainConfig(dataset=spec, epochs=1, batch_size=4, bank_capacity=32,
+                               hidden_dim=12, feature_dim=8, embed_dim=6)
+    entries = [evaluate.AblationEntry(name="full"),
+               evaluate.AblationEntry(name="k2", segments=2)]
+    # each run on a dataset of its own, as fit generates it without one
+    want = []
+    for entry in entries:
+        for seed in (0, 1):
+            state, train, test = trainer.fit(dataclasses.replace(entry.apply(base), seed=seed))
+            accuracy, recalls = evaluate.evaluate_encoder(state.query, state.key, train, test,
+                                                          ProbeConfig(), RetrievalConfig(ks=(1,)))
+            want.append((entry.name, seed, accuracy, recalls[1]))
+    generated = []
+    generate = synth.generate_dataset
+    monkeypatch.setattr(synth, "generate_dataset",
+                        lambda s: generated.append(s) or generate(s))
+    rows, _ = evaluate.run_ablation(base, entries, seeds=[0, 1])
+    assert generated == [spec]
+    assert rows == want
 
 
 def test_order_prediction_accuracy_range():
