@@ -59,27 +59,29 @@ def _typed(key, text):
         raise ValueError(f"bad value for '{key}': {err}") from None
 
 
-def parse_config_text(text):
+def parse_config_text(text, source=None):
     """Parse key=value lines (blank lines and # comments allowed) into a
     complete flat config with defaults filled in. A key given on two lines is
-    an error naming both."""
+    an error naming both. Errors start `{source}:{line}: ` when the text
+    came from the file source, else `line {line}: `."""
     flat = dict(DEFAULTS)
     key_lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{source}:{lineno}" if source is not None else f"line {lineno}"
         key, sep, value = line.partition("=")
         key = key.strip()
         if not sep:
-            raise ValueError(f"line {lineno}: expected key=value, got '{raw}'")
+            raise ValueError(f"{where}: expected key=value, got '{raw}'")
         first = key_lines.setdefault(key, lineno)
         if first != lineno:
-            raise ValueError(f"line {lineno}: config key '{key}' repeats line {first}")
+            raise ValueError(f"{where}: config key '{key}' repeats line {first}")
         try:
             flat[key] = _typed(key, value)
         except ValueError as err:
-            raise ValueError(f"line {lineno}: {err}") from None
+            raise ValueError(f"{where}: {err}") from None
     return flat
 
 
@@ -98,7 +100,10 @@ def resolve_config_path(path):
 
 
 def load_config(path):
-    return parse_config_text(resolve_config_path(path).read_text())
+    """The flat config of a file, found by resolve_config_path; parse errors
+    name the resolved path."""
+    resolved = resolve_config_path(path)
+    return parse_config_text(resolved.read_text(), source=resolved)
 
 
 def parse_flat_strings(flat_strings):

@@ -43,25 +43,21 @@ class FeatureTable:
             raise ValueError("feature row count does not match ids")
 
 
-def extract_video_feature(params, frames, n_frames):
-    """Mean encoder feature over uniformly spaced, un-augmented frames of one
-    video's (T, H, W) array.
+def build_feature_table(params, split: synth.Split, n_frames):
+    """The FeatureTable of a split: each video's mean encoder feature over
+    n_frames uniformly spaced, un-augmented frames (capped at the video
+    length), from one encode of all the split's picked frames.
 
     Projection heads are deliberately not applied: downstream tasks consume
     the pretrained encoder only.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
-    t_count = frames.shape[0]
-    indices = [i * t_count // n_frames for i in range(n_frames)]
-    rows = frames[indices].reshape(len(indices), -1)
-    return np.asarray(model.encode(params, rows)).mean(axis=0)
-
-
-def build_feature_table(params, split: synth.Split, n_frames):
-    """The FeatureTable of a split, one encode per video (see extract_video_feature)."""
-    n_frames = min(n_frames, split.frames.shape[1])
-    feats = np.stack([extract_video_feature(params, frames, n_frames) for frames in split.frames])
+    n, t_count = split.frames.shape[:2]
+    n_frames = min(n_frames, t_count)
+    indices = np.arange(n_frames) * t_count // n_frames
+    rows = split.frames[:, indices].reshape(n * n_frames, -1)
+    feats = np.asarray(model.encode(params, rows)).reshape(n, n_frames, -1).mean(axis=1)
     return FeatureTable(ids=split.ids, labels=split.labels, features=feats)
 
 
@@ -80,15 +76,11 @@ def linear_probe(train: FeatureTable, test: FeatureTable, cfg: ProbeConfig):
     """
     if train.features.shape[1] != test.features.shape[1]:
         raise ValueError("train and test feature widths differ")
-    train_classes = set(train.labels.tolist())
-    missing = set(test.labels.tolist()) - train_classes
-    if missing:
-        raise ValueError(f"classes {sorted(missing)} present in test but absent in train")
-
-    class_list = sorted(train_classes)
-    class_index = {c: i for i, c in enumerate(class_list)}
+    class_list, y = np.unique(train.labels, return_inverse=True)
+    missing = np.setdiff1d(test.labels, class_list)
+    if missing.size:
+        raise ValueError(f"classes {missing.tolist()} present in test but absent in train")
     n_classes = len(class_list)
-    y = np.array([class_index[c] for c in train.labels])
 
     mu = train.features.mean(axis=0)
     x_train = train.features - mu
@@ -112,8 +104,7 @@ def linear_probe(train: FeatureTable, test: FeatureTable, cfg: ProbeConfig):
         bias -= cfg.learning_rate * grad_logits.sum(axis=0)
 
     predictions = np.argmax(x_test @ weights.T + bias, axis=1)
-    predicted_classes = np.array(class_list)[predictions]
-    return float(np.mean(predicted_classes == test.labels))
+    return float(np.mean(class_list[predictions] == test.labels))
 
 
 def retrieval_recall(queries: FeatureTable, gallery: FeatureTable, ks):
@@ -148,15 +139,15 @@ def order_prediction_accuracy(query_params, key_params, split: synth.Split,
     pairs (the split's videos taken in turn), drawn from one stream and
     scored with one batched order_logits call.
 
-    The pairs are the tuples of a training batch (trainer.draw_batch), which
-    also draws the frame-level views; only the tuple frames are augmented."""
+    The pairs are the tuples of a training batch (trainer.sample_batch with
+    the order loss alone), which also draws the frame-level views; only the
+    tuple frames are augmented."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, _EVAL_STREAM]))
-    rows = (np.arange(n_samples) % len(split))[:, None, None]
-    tuples = trainer.draw_batch(n_samples, split.frames.shape[1:], cfg, rng).tuples
-    frames = trainer.augmented_frames(split.frames, rows, tuples.indices, tuples.aug)
-    logits = model.order_logits(query_params, key_params, frames[:, 0], frames[:, 1],
+    rows = np.arange(n_samples) % len(split)
+    batch = trainer.sample_batch(split.frames, rows, trainer.with_losses(cfg, ("order",)), rng)
+    logits = model.order_logits(query_params, key_params, batch.anchors, batch.positives,
                                 cfg.model_config())
-    return float(np.mean(np.argmax(logits, axis=1) == tuples.labels))
+    return float(np.mean(np.argmax(logits, axis=1) == batch.order_labels))
 
 
 def evaluate_encoder(query_params, key_params, train: synth.Split, test: synth.Split,

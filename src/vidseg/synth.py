@@ -100,6 +100,8 @@ def class_appearance(spec: DatasetSpec, class_id: int):
 
 
 def _render_blob(height, width, cy, cx, sigma, amplitude):
+    """The blob image centered at (cy, cx); centers of shape (n, 1, 1) give
+    an (n, H, W) stack."""
     ys = np.arange(height, dtype=np.float64)[:, None]
     xs = np.arange(width, dtype=np.float64)[None, :]
     return amplitude * np.exp(-((ys - cy) ** 2 + (xs - cx) ** 2) / (2.0 * sigma * sigma))
@@ -150,17 +152,11 @@ def generate_video(spec: DatasetSpec, class_id: int, video_index: int):
     window_start = int(rng.integers(0, t_count - window_len + 1))
     window = (window_start, window_start + window_len)
 
-    noise = rng.uniform(-spec.noise, spec.noise, size=(t_count, spec.height, spec.width))
-
-    frames = np.empty((t_count, spec.height, spec.width), dtype=np.float64)
-    for t in range(t_count):
-        if window[0] <= t < window[1]:
-            step = t - window[0]
-            blob = _render_blob(spec.height, spec.width,
-                                start_y + vy * step, start_x + vx * step, sigma, amplitude)
-            frames[t] = np.clip(blob + noise[t], 0.0, 1.0)
-        else:
-            frames[t] = np.clip(noise[t], 0.0, 1.0)
+    frames = rng.uniform(-spec.noise, spec.noise, size=(t_count, spec.height, spec.width))
+    steps = np.arange(window_len)[:, None, None]
+    frames[window[0]:window[1]] += _render_blob(
+        spec.height, spec.width, start_y + vy * steps, start_x + vx * steps, sigma, amplitude)
+    np.clip(frames, 0.0, 1.0, out=frames)
 
     return frames, window if spec.untrimmed else (-1, -1)
 

@@ -53,21 +53,17 @@ class TrainConfig:
     checkpoint_interval: int = 0  # epochs between mid-run checkpoints; 0 = final only
 
     def validate(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        for name in ("learning_rate", "sgd_momentum", "weight_decay"):
+        for name in ("epochs", "batch_size", "segments", "bank_capacity", "hidden_dim",
+                     "feature_dim", "embed_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("learning_rate", "sgd_momentum", "weight_decay", "checkpoint_interval"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
-        if self.segments < 1:
-            raise ValueError("segments must be >= 1")
         if not 0.0 <= self.key_momentum <= 1.0:
             raise ValueError("key_momentum must be in [0, 1]")
-        if self.bank_capacity < 1:
-            raise ValueError("bank_capacity must be >= 1")
         toggles = [self.use_inter, self.use_intra, self.use_segment, self.use_order]
         if not any(toggles):
             raise ValueError("at least one loss must be enabled")
@@ -187,16 +183,6 @@ def draw_batch(b, shape, cfg: TrainConfig, rng) -> BatchDraw:
     return BatchDraw(tuples=tuples, picks=picks, views=views)
 
 
-def augmented_frames(frames, rows, indices, aug: sampling.AugParams):
-    """The frames frames[rows, indices % T] of the (n, T, H, W) array, rows
-    broadcast against the timeline indices, augmented by the columns of aug
-    (one entry per index, in the same order) in one augment_frames call:
-    shape indices.shape + (P,), frames flattened."""
-    raw = frames[rows, indices % frames.shape[1]]
-    out = sampling.augment_frames(raw.reshape(-1, *raw.shape[-2:]), aug)
-    return out.reshape(*indices.shape, -1)
-
-
 def sample_batch(frames, rows, cfg: TrainConfig, rng) -> Batch:
     """The Batch of one item per video frames[rows[b]] of the (n, T, H, W)
     array, drawn from rng by draw_batch and then augmented in one
@@ -237,7 +223,9 @@ def sample_batch(frames, rows, cfg: TrainConfig, rng) -> Batch:
     read[items, key_rows] |= frames_on
     aug = sampling.AugParams(*(np.concatenate([t.reshape(b, 2 * k), v], axis=1)[read]
                                for t, v in zip(draw.tuples.aug, draw.views)))
-    out = augmented_frames(frames, rows[:, None], indices[read].reshape(b, -1), aug)
+    raw = frames[rows[:, None], indices[read].reshape(b, -1) % frames.shape[1]]
+    out = sampling.augment_frames(raw.reshape(-1, *raw.shape[2:]), aug)
+    out = out.reshape(*raw.shape[:2], -1)
     at = np.cumsum(read, axis=1) - 1  # the column of out holding each read slot
     return Batch(anchors=out[:, :k] if tuples_on else None,
                  positives=out[:, k:2 * k] if tuples_on else None,
@@ -509,9 +497,10 @@ def gradient_suite(cfg: TrainConfig, n_seeds=10, probes_per_param=4, step=1e-5, 
     """
     if n_seeds < 1:
         raise ValueError(f"gradient_suite: n_seeds must be >= 1, got {n_seeds}")
+    everything = with_losses(cfg, LOSS_NAMES)
+    everything.validate()
     results = []
     single = {name: with_losses(cfg, (name,)) for name in LOSS_NAMES}
-    everything = with_losses(cfg, LOSS_NAMES)
     for seed in range(n_seeds):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, STREAM_GRADCHECK, seed]))
         mcfg = cfg.model_config()

@@ -1,13 +1,17 @@
-"""The byte trail: checkpoint, metrics and gradient-report digests that a
-change to the hot path must keep.
+"""The byte trail: checkpoint, metrics, gradient-report and data-path digests
+that a change to the hot path must keep.
 
 `byte_trail.json` holds, for nine 4-epoch pretraining configs (the defaults
 plus the overrides of each entry), the sha256 of `checkpoint.ckpt` and
 `metrics.csv`, and the sha256 of the 10-seed default `gradient_suite` report
-list. A change that alters the arithmetic on purpose rewrites the table in
-the same commit (`PYTHONPATH=src python tests/test_byte_trail.py`) and says
-why; any other mismatch is a regression. The table records the numpy and
-BLAS build it was made with, since another build may round differently.
+list. It also checks the data path directly: the sha256 of the float64 train
+and test frames of three dataset specs, and, for the first pretraining
+config, the sha256 of its train and test feature tables and of its
+`evaluate_encoder` and `order_prediction_accuracy` results. A change that
+alters the arithmetic on purpose rewrites the table in the same commit
+(`PYTHONPATH=src python tests/test_byte_trail.py`) and says why; any other
+mismatch is a regression. The table records the numpy and BLAS build it was
+made with, since another build may round differently.
 """
 
 import hashlib
@@ -17,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vidseg import synth, trainer
+from vidseg import evaluate, synth, trainer
 from vidseg import config as config_mod
 
 TABLE = Path(__file__).resolve().parent / "byte_trail.json"
@@ -36,14 +40,39 @@ def train_config(overrides):
         config_mod.parse_config_text("\n".join(BASE + overrides)))
 
 
-def pretrain_digests(cfg, out_dir, datasets):
-    """sha256 of the run's checkpoint and metrics, each distinct dataset
-    generated once per datasets dict."""
+def dataset_of(cfg, datasets):
+    """The run's splits, each distinct dataset generated once per datasets dict."""
     if cfg.dataset not in datasets:
         datasets[cfg.dataset] = synth.generate_dataset(cfg.dataset)
-    trainer.pretrain(cfg, out_dir, dataset=datasets[cfg.dataset])
+    return datasets[cfg.dataset]
+
+
+def pretrain_digests(cfg, out_dir, datasets):
+    """sha256 of the run's checkpoint and metrics."""
+    trainer.pretrain(cfg, out_dir, dataset=dataset_of(cfg, datasets))
     return {name: hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()
             for name in ("checkpoint.ckpt", "metrics.csv")}
+
+
+def frames_digests(cfg):
+    """sha256 of the float64 frames of the spec's train and test splits."""
+    train, test = synth.generate_dataset(cfg.dataset)
+    return {"train": hashlib.sha256(train.frames.tobytes()).hexdigest(),
+            "test": hashlib.sha256(test.frames.tobytes()).hexdigest()}
+
+
+def evaluation_digests(cfg, datasets):
+    """sha256 of the run's feature tables at the default probe frame count,
+    and of the repr of its probe accuracy, recalls and order accuracy."""
+    state, train, test = trainer.fit(cfg, dataset=dataset_of(cfg, datasets))
+    probe_cfg, retrieval_cfg = evaluate.ProbeConfig(), evaluate.RetrievalConfig()
+    tables = evaluate.feature_tables(state.query, train, test, probe_cfg.frames)
+    results = (evaluate.evaluate_encoder(state.query, state.key, train, test, probe_cfg,
+                                         retrieval_cfg),
+               evaluate.order_prediction_accuracy(state.query, state.key, test, cfg))
+    features = b"".join(table.features.tobytes() for table in tables)
+    return {"features": hashlib.sha256(features).hexdigest(),
+            "results": hashlib.sha256(repr(results).encode()).hexdigest()}
 
 
 def suite_digest():
@@ -77,6 +106,22 @@ def test_gradient_suite_reports_match_the_table():
                                                     TRAIL["gradient_suite"])
 
 
+@pytest.mark.parametrize("entry", TRAIL["data"], ids=lambda entry: entry["name"])
+def test_generated_frames_match_the_table(entry):
+    got = frames_digests(train_config(entry["overrides"]))
+    for split, digest in got.items():
+        assert digest == entry[split], mismatch(
+            f"{entry['name']} {entry['overrides']} {split} frames", digest, entry[split])
+
+
+def test_evaluation_matches_the_table(datasets):
+    entry = TRAIL["evaluation"]
+    got = evaluation_digests(train_config(TRAIL["pretrain"][0]["overrides"]), datasets)
+    for what, digest in got.items():
+        assert digest == entry[what], mismatch(
+            f"{TRAIL['pretrain'][0]['name']} evaluation {what}", digest, entry[what])
+
+
 if __name__ == "__main__":
     # rewrite the digests of the table's configs from this tree
     import tempfile
@@ -85,5 +130,9 @@ if __name__ == "__main__":
     for entry in TRAIL["pretrain"]:
         with tempfile.TemporaryDirectory() as out_dir:
             entry.update(pretrain_digests(train_config(entry["overrides"]), out_dir, found))
-    TRAIL.update(made_with=build(), gradient_suite=suite_digest())
+    for entry in TRAIL["data"]:
+        entry.update(frames_digests(train_config(entry["overrides"])))
+    TRAIL.update(made_with=build(), gradient_suite=suite_digest(),
+                 evaluation=evaluation_digests(train_config(TRAIL["pretrain"][0]["overrides"]),
+                                               found))
     TABLE.write_text(json.dumps(TRAIL, indent=2) + "\n")

@@ -1,6 +1,8 @@
 import pytest
 
-from vidseg import cli, formats
+from vidseg import cli, formats, trainer
+from vidseg import config as config_mod
+from vidseg import numerics as nm
 
 SMALL_CONFIG = """\
 dataset.classes=4
@@ -132,6 +134,51 @@ def test_gradcheck_small_config(tmp_path, capsys):
                      "--probes", "3"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 5 and "FAIL" not in out
+
+
+def test_gradcheck_status_comes_from_the_reports(tmp_path, capsys, monkeypatch):
+    """A report under a stricter tolerance than the default fails its term."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CONFIG)
+
+    def report(error):
+        return nm.GradCheckReport(per_input_max=[error], max_rel_error=error, tol=1e-6,
+                                  checked=1, resampled=0)
+
+    monkeypatch.setattr(trainer, "gradient_suite", lambda cfg, n_seeds, probes_per_param: [
+        ("inter", 0, report(1e-7)), ("inter", 1, report(1e-5)), ("total", 0, report(1e-7))])
+    assert cli.main(["gradcheck", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().out == ("FAIL loss_inter: max_rel_error=1.000e-05\n"
+                                       "PASS loss_total: max_rel_error=1.000e-07\n")
+
+
+@pytest.mark.parametrize("key", ["hidden_dim", "feature_dim", "embed_dim"])
+def test_gradcheck_rejects_zero_sizes(tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CONFIG.replace(f"train.{key}=", f"train.{key}=0\n# was "))
+    assert cli.main(["gradcheck", "--config", str(cfg), "--seeds", "1"]) != 0
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err == f"error: {key} must be >= 1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("train.epochs=4\ntrain.epochs=5\n", "2: config key 'train.epochs' repeats line 1"),
+    ("train.epochs=4\n\ntrain.epoch=5\n", "3: unknown config key 'train.epoch'"),
+    ("train.epochs=four\n", "1: bad value for 'train.epochs': invalid literal for int() "
+                            "with base 10: 'four'"),
+    ("# a comment\ntrain.epochs\n", "2: expected key=value, got 'train.epochs'"),
+], ids=["repeated_key", "unknown_key", "bad_value", "no_value"])
+def test_config_errors_name_the_file_and_line(tmp_path, capsys, monkeypatch, text, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert cli.main(["gradcheck", "--config", str(bad)]) != 0
+    assert capsys.readouterr().err == f"error: {bad}:{message}\n"
+    # a file found under the search path is named by its resolved path
+    monkeypatch.chdir(tmp_path.parent)
+    monkeypatch.setenv(config_mod.CONFIG_PATH_ENV, str(tmp_path))
+    assert cli.main(["gradcheck", "--config", "bad.cfg"]) != 0
+    assert capsys.readouterr().err == f"error: {bad}:{message}\n"
 
 
 @pytest.mark.parametrize("flag, count", [("--probes", "probes"), ("--seeds", "seeds")])

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -27,12 +28,31 @@ def one_hot_tables(classes=4, per_class=6):
     return table(*train), table(*test)
 
 
+def split_of(frames):
+    """A Split of the (n, T, H, W) frames, video b with id and label b."""
+    n = len(frames)
+    return synth.Split(frames=frames, ids=np.arange(n), labels=np.arange(n),
+                       windows=np.full((n, 2), -1))
+
+
+def per_video_features(params, frames, n_frames):
+    """The reference per-video loop: one encode of each video's n_frames
+    uniformly spaced frames (capped at its length), averaged."""
+    feats = []
+    for video in frames:
+        t_count = video.shape[0]
+        n = min(n_frames, t_count)
+        rows = video[[i * t_count // n for i in range(n)]].reshape(n, -1)
+        feats.append(np.asarray(model.encode(params, rows)).mean(axis=0))
+    return np.stack(feats)
+
+
 def test_extract_feature_constant_video():
     cfg = model.ModelConfig(frame_pixels=64, hidden_dim=8, feature_dim=6)
     params = model.init_params(cfg, np.random.default_rng(0))
-    frames = np.tile(np.random.default_rng(1).uniform(size=(8, 8)), (5, 1, 1))
-    feat = evaluate.extract_video_feature(params, frames, 4)
-    single = np.asarray(model.encode(params, frames[0].reshape(1, -1)))[0]
+    frames = np.tile(np.random.default_rng(1).uniform(size=(8, 8)), (1, 5, 1, 1))
+    feat = evaluate.build_feature_table(params, split_of(frames), 4).features[0]
+    single = np.asarray(model.encode(params, frames[0, 0].reshape(1, -1)))[0]
     assert np.allclose(feat, single, atol=1e-12)
 
 
@@ -40,22 +60,35 @@ def test_extract_feature_all_frames_is_plain_mean():
     cfg = model.ModelConfig(frame_pixels=64, hidden_dim=8, feature_dim=6)
     params = model.init_params(cfg, np.random.default_rng(2))
     rng = np.random.default_rng(3)
-    frames = rng.uniform(size=(6, 8, 8))
-    feat = evaluate.extract_video_feature(params, frames, 6)
+    frames = rng.uniform(size=(1, 6, 8, 8))
+    feat = evaluate.build_feature_table(params, split_of(frames), 6).features[0]
     oracle = np.mean([np.asarray(model.encode(params, f.reshape(1, -1)))[0]
-                      for f in frames], axis=0)
+                      for f in frames[0]], axis=0)
     assert np.allclose(feat, oracle, atol=1e-12)
 
 
 def test_extract_feature_matches_loop_oracle():
+    # one encode over the whole split gives each video the bytes of its own
+    # encode; 25 frames are capped at the 10 there are
     cfg = model.ModelConfig(frame_pixels=64, hidden_dim=8, feature_dim=6)
     params = model.init_params(cfg, np.random.default_rng(4))
-    rng = np.random.default_rng(5)
-    frames = rng.uniform(size=(10, 8, 8))
-    n = 4
-    rows = [frames[i * 10 // n].reshape(1, -1) for i in range(n)]
-    expected = np.mean([np.asarray(model.encode(params, row))[0] for row in rows], axis=0)
-    assert np.allclose(evaluate.extract_video_feature(params, frames, n), expected, atol=1e-12)
+    for videos, n_frames in itertools.product([1, 5], [1, 2, 3, 4, 10, 25]):
+        frames = np.random.default_rng(5).uniform(size=(videos, 10, 8, 8))
+        table = evaluate.build_feature_table(params, split_of(frames), n_frames)
+        want = per_video_features(params, frames, n_frames)
+        if videos > 1 and n_frames == 1:
+            # a one-row encode is a matrix-vector product, which rounds apart
+            # from the matrix product over all videos by a few ulp
+            assert np.allclose(table.features, want, rtol=0.0, atol=1e-12)
+        else:
+            assert table.features.tobytes() == want.tobytes(), (videos, n_frames)
+
+
+def test_extract_feature_rejects_no_frames():
+    cfg = model.ModelConfig(frame_pixels=64, hidden_dim=8, feature_dim=6)
+    params = model.init_params(cfg, np.random.default_rng(6))
+    with pytest.raises(ValueError, match="n_frames must be >= 1"):
+        evaluate.build_feature_table(params, split_of(np.zeros((2, 4, 8, 8))), 0)
 
 
 def test_probe_separable_features_are_perfect():

@@ -35,6 +35,43 @@ def test_noise_free_frames_follow_construction_rule():
         assert np.array_equal(expected, frames[t])
 
 
+def per_frame_render(spec, class_id, video_index):
+    """The reference frame loop: each frame is its noise, plus the blob at
+    its step when it lies inside the action window, clipped to [0, 1]."""
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, class_id, video_index]))
+    start_y, start_x = synth.trajectory_start(spec, class_id, rng.uniform(), rng.uniform())
+    window_len = synth.window_length(spec)
+    start = int(rng.integers(0, spec.frames - window_len + 1))
+    noise = rng.uniform(-spec.noise, spec.noise, size=(spec.frames, spec.height, spec.width))
+    vy, vx = synth.class_motion(spec, class_id)
+    sigma, amplitude = synth.class_appearance(spec, class_id)
+    frames = np.empty_like(noise)
+    for t in range(spec.frames):
+        if start <= t < start + window_len:
+            step = t - start
+            blob = synth._render_blob(spec.height, spec.width, start_y + vy * step,
+                                      start_x + vx * step, sigma, amplitude)
+            frames[t] = np.clip(blob + noise[t], 0.0, 1.0)
+        else:
+            frames[t] = np.clip(noise[t], 0.0, 1.0)
+    return frames, (start, start + window_len)
+
+
+@pytest.mark.parametrize("overrides, window_len", [
+    ({}, 16),
+    ({"untrimmed": True, "action_coverage": 0.5}, 8),
+    ({"untrimmed": True, "action_coverage": 0.05, "height": 12}, 1),
+], ids=["trimmed", "untrimmed_half", "one_frame_window"])
+def test_generate_video_matches_per_frame_render(overrides, window_len):
+    spec = spec_with(**overrides)
+    assert synth.window_length(spec) == window_len
+    for class_id, index in [(0, 0), (3, 1), (6, 3)]:
+        frames, window = synth.generate_video(spec, class_id, index)
+        expected, expected_window = per_frame_render(spec, class_id, index)
+        assert frames.tobytes() == expected.tobytes()
+        assert window == (expected_window if spec.untrimmed else (-1, -1))
+
+
 def test_shift_rule_between_consecutive_frames():
     # with zero noise, frame t+1 equals frame t advanced by the class
     # velocity: compare against re-rendering at the shifted center

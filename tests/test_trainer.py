@@ -43,6 +43,14 @@ def test_config_validation():
         tiny_config(batch_size=0).validate()
     with pytest.raises(ValueError):
         tiny_config(learning_rate=-0.1).validate()
+    # a zero size would reach model.init_params; a negative interval would
+    # train as if it were 0
+    for name, bad, floor in [("hidden_dim", 0, 1), ("feature_dim", 0, 1), ("embed_dim", 0, 1),
+                             ("bank_capacity", 0, 1), ("segments", 0, 1),
+                             ("checkpoint_interval", -3, 0)]:
+        with pytest.raises(ValueError, match=f"^{name} must be >= {floor}$"):
+            tiny_config(**{name: bad}).validate()
+    tiny_config(checkpoint_interval=0).validate()
     with pytest.raises(ValueError):
         tiny_config(use_inter=False, use_intra=False, use_segment=False,
                     use_order=False).validate()
