@@ -115,7 +115,7 @@ def _load_checkpoint_for_eval(checkpoint_path, dataset_path):
     ckpt = formats.read_checkpoint(checkpoint_path)
     try:
         flat = config_mod.parse_flat_strings(ckpt.config_flat)
-        shapes = model.param_shapes(config_mod.build_train_config(flat).model_config())
+        shapes = model.param_shapes(config_mod.build_configs(flat)[0].model_config())
     except ValueError as err:
         raise formats.ArtifactError(f"{checkpoint_path}: config echo: {err}") from None
     for side, params in (("query", ckpt.query), ("key", ckpt.key)):

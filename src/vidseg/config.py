@@ -100,10 +100,16 @@ def resolve_config_path(path):
 
 
 def load_config(path):
-    """The flat config of a file, found by resolve_config_path; parse errors
-    name the resolved path."""
+    """The flat config of a file, found by resolve_config_path, with every
+    section built and validated; parse and validation errors name the
+    resolved path."""
     resolved = resolve_config_path(path)
-    return parse_config_text(resolved.read_text(), source=resolved)
+    flat = parse_config_text(resolved.read_text(), source=resolved)
+    try:
+        build_configs(flat)
+    except ValueError as err:
+        raise ValueError(f"{resolved}: {err}") from None
+    return flat
 
 
 def parse_flat_strings(flat_strings):
@@ -137,3 +143,11 @@ def build_probe_config(flat) -> ProbeConfig:
 
 def build_retrieval_config(flat) -> RetrievalConfig:
     return _build(_RETRIEVAL, flat)
+
+
+def build_configs(flat):
+    """The (train, probe, retrieval) configs of a flat config, each
+    validated; an error names the key at fault."""
+    train = build_train_config(flat)
+    train.validate()
+    return train, build_probe_config(flat), build_retrieval_config(flat)

@@ -23,11 +23,24 @@ class ProbeConfig:
     learning_rate: float = 1.0
     frames: int = 8  # capped at the video length during extraction
 
+    def __post_init__(self):
+        for name in ("iterations", "frames"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"probe.{name} must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError("probe.learning_rate must be > 0")
+        if not self.l2_penalty >= 0:
+            raise ValueError("probe.l2_penalty must be >= 0")
+
 
 @dataclass(frozen=True)
 class RetrievalConfig:
     SECTION: ClassVar[str] = "retrieval"
     ks: tuple = (1, 5, 10)
+
+    def __post_init__(self):
+        if not self.ks or min(self.ks) < 1:
+            raise ValueError(f"retrieval.ks must list values >= 1, got {list(self.ks)}")
 
 
 @dataclass

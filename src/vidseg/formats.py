@@ -4,6 +4,15 @@ Every artifact starts with a version tag and a canonical config echo; a
 reader that sees the wrong version stops before touching any payload. All
 writes go through a temp file and an atomic rename. Binary payloads are
 little-endian float32; the textual header carries a byte-offset manifest.
+
+Payloads stream between the file and their final arrays. `_read_header`
+reads a file only up to its `#payload` line, so a header can be inspected
+without loading the payload. Writers compute every offset up front and hand
+`atomic_write_bytes` the header, then one float32 array per video, parameter
+or bank. `read_dataset` reads each split's frames straight into one float32
+`(n, T, H, W)` array, kept float32 as stored; the math widens frames to
+float64 where it uses them. `read_checkpoint` reads each entry at its offset
+and widens only that entry, so parameters and banks come back float64.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ import io
 import math
 import os
 import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -61,13 +71,21 @@ def render_flat(flat):
     return "".join(f"{key}={render_value(flat[key])}\n" for key in sorted(flat))
 
 
-def atomic_write_bytes(path, payload):
+def atomic_write_bytes(path, *chunks):
+    """Write the chunks to path, in order, through a temp file and an atomic
+    rename. A chunk is a bytes-like object (a contiguous array writes its raw
+    bytes), or an iterator of them that is drawn only as it is written, so a
+    large payload can be converted one piece at a time."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            for chunk in chunks:
+                if isinstance(chunk, Iterator):
+                    handle.writelines(chunk)
+                else:
+                    handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -94,13 +112,55 @@ def _ints(tokens, path, line):
         raise ArtifactError(f"{path}: non-integer field in '{line}'") from None
 
 
-def _payload_array(body, shape, offset, path, line):
-    """float64 copy of the float32 array of `shape` at `offset` in body, which
-    must be finite."""
+def _float32(arr):
+    """arr as a contiguous little-endian float32 array, the payload's form."""
+    return np.ascontiguousarray(arr, dtype="<f4")
+
+
+def _read_into(handle, array, path):
+    """Fill the contiguous array with the handle's next bytes."""
+    if handle.readinto(array) != array.nbytes:
+        raise ArtifactError(f"{path}: payload ends early")
+
+
+def _read_header(handle, magic, path):
+    """(header lines, payload offset, declared payload length) of the artifact
+    open for binary reading in handle, read line by line only up to the end
+    of its '#payload' line. The declared length must be what follows it."""
+    first = handle.readline()
+    if not first.endswith(b"\n"):
+        raise ArtifactError(f"{path}: not a recognized artifact")
+    if first[:-1].decode("utf-8", "replace") != magic:
+        raise ArtifactError(f"{path}: version mismatch, expected '{magic}'")
+    head = [first]
+    while not (head[-1].startswith(b"#payload ") and head[-1].endswith(b"\n")):
+        head.append(handle.readline())
+        if not head[-1]:
+            raise ArtifactError(f"{path}: no complete '#payload' line")
+    try:
+        lines = b"".join(head[:-1]).decode("utf-8").splitlines()
+        payload_line = head[-1][:-1].decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ArtifactError(f"{path}: header is not UTF-8 ({err.reason})") from None
+    (declared,) = _ints(_fields(payload_line, 2, path)[1:], path, payload_line)
+    offset = handle.tell()
+    size = os.fstat(handle.fileno()).st_size - offset
+    if size != declared:
+        raise ArtifactError(f"{path}: payload is {size} bytes, header declares {declared}")
+    return lines, offset, declared
+
+
+def _payload_array(handle, payload, shape, offset, path, line):
+    """float64 copy of the float32 array of `shape` at `offset` in the
+    payload, which starts at byte payload[0] of the file and is payload[1]
+    bytes long; its values must be finite."""
+    start, length = payload
     count = math.prod(shape)
-    if offset < 0 or min(shape) < 0 or offset + 4 * count > len(body):
-        raise ArtifactError(f"{path}: '{line}' runs past the {len(body)}-byte payload")
-    values = np.frombuffer(body, dtype="<f4", count=count, offset=offset).reshape(shape)
+    if offset < 0 or min(shape) < 0 or offset + 4 * count > length:
+        raise ArtifactError(f"{path}: '{line}' runs past the {length}-byte payload")
+    values = np.empty(shape, dtype="<f4")
+    handle.seek(start + offset)
+    _read_into(handle, values, path)
     if not np.isfinite(values).all():
         raise ArtifactError(f"{path}: non-finite values in the payload of '{line}'")
     return values.astype(np.float64)
@@ -123,45 +183,24 @@ class Checkpoint:
 def write_checkpoint(path, config_flat, query_params, key_params, banks, rng_meta):
     """Persist params (query + key), both banks, and the run's RNG counters."""
     header = io.StringIO()
-    payload = io.BytesIO()
     header.write(CHECKPOINT_MAGIC + "\n")
     header.write("#config-begin\n")
     header.write(render_flat(config_flat))
     header.write("#config-end\n")
+    offset = 0
     for prefix, params in (("query", query_params), ("key", key_params)):
         for name, arr in params.items():
-            header.write(f"#param {prefix}.{name} {_shape_token(arr.shape)} {payload.tell()}\n")
-            payload.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            header.write(f"#param {prefix}.{name} {_shape_token(arr.shape)} {offset}\n")
+            offset += 4 * arr.size
     for name, bank in banks.items():
-        storage, cursor, fill = bank.state()
-        header.write(f"#bank {name} {bank.capacity} {bank.width} {cursor} {fill} {payload.tell()}\n")
-        payload.write(np.ascontiguousarray(storage, dtype="<f4").tobytes())
+        header.write(f"#bank {name} {bank.capacity} {bank.width} {bank.cursor} {bank.fill} "
+                     f"{offset}\n")
+        offset += 4 * bank.storage.size
     header.write(f"#rng seed={rng_meta['seed']} epoch={rng_meta['epoch']} step={rng_meta['step']}\n")
-    body = payload.getvalue()
-    header.write(f"#payload {len(body)}\n")
-    atomic_write_bytes(path, header.getvalue().encode("utf-8") + body)
-
-
-def _split_header(blob, magic, path):
-    end = blob.find(b"\n")  # slice the first line only; the payload is not copied
-    if end < 0:
-        raise ArtifactError(f"{path}: not a recognized artifact")
-    if blob[:end].decode("utf-8", "replace") != magic:
-        raise ArtifactError(f"{path}: version mismatch, expected '{magic}'")
-    marker = blob.find(b"#payload ")
-    newline = blob.find(b"\n", marker) if marker >= 0 else -1
-    if newline < 0:
-        raise ArtifactError(f"{path}: no complete '#payload' line")
-    try:
-        lines = blob[:marker].decode("utf-8").splitlines()
-        payload_line = blob[marker:newline].decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise ArtifactError(f"{path}: header is not UTF-8 ({err.reason})") from None
-    (declared,) = _ints(_fields(payload_line, 2, path)[1:], path, payload_line)
-    body = memoryview(blob)[newline + 1:]
-    if len(body) != declared:
-        raise ArtifactError(f"{path}: payload is {len(body)} bytes, header declares {declared}")
-    return lines, body
+    header.write(f"#payload {offset}\n")
+    arrays = [*query_params.values(), *key_params.values(),
+              *(bank.storage for bank in banks.values())]
+    atomic_write_bytes(path, header.getvalue().encode("utf-8"), map(_float32, arrays))
 
 
 def _parse_config_lines(lines, start, path):
@@ -179,8 +218,12 @@ def _parse_config_lines(lines, start, path):
 def read_checkpoint(path):
     """Load a checkpoint; raises ArtifactError before reading any payload if
     the version tag does not match."""
-    blob = Path(path).read_bytes()
-    lines, body = _split_header(blob, CHECKPOINT_MAGIC, path)
+    with open(path, "rb") as handle:
+        return _read_checkpoint(handle, path)
+
+
+def _read_checkpoint(handle, path):
+    lines, *payload = _read_header(handle, CHECKPOINT_MAGIC, path)  # payload: (offset, length)
     config_flat = {}
     query, key, banks, rng_meta = {}, {}, {}, {}
     sides = {"query": query, "key": key}
@@ -200,7 +243,7 @@ def read_checkpoint(path):
                                     f"in '{line}'")
             if name in sides[side]:
                 raise ArtifactError(f"{path}: parameter '{full_name}' appears twice")
-            sides[side][name] = _payload_array(body, shape, offset, path, line)
+            sides[side][name] = _payload_array(handle, payload, shape, offset, path, line)
         elif line.startswith("#bank "):
             _, name, *numbers = _fields(line, 7, path)
             if name in banks:
@@ -209,13 +252,13 @@ def read_checkpoint(path):
             if capacity < 1 or width < 1:
                 raise ArtifactError(f"{path}: bank capacity and width must be positive in "
                                     f"'{line}'")
-            storage = _payload_array(body, (capacity, width), offset, path, line)
+            storage = _payload_array(handle, payload, (capacity, width), offset, path, line)
             if not (0 <= fill <= capacity and 0 <= cursor < capacity):
                 raise ArtifactError(f"{path}: cursor or fill outside the bank in '{line}'")
             # float32 round-trip perturbs norms; restore exact unit rows
             if fill:
                 norms = np.linalg.norm(storage[:fill], axis=1, keepdims=True)
-                storage[:fill] = storage[:fill] / np.maximum(norms, 1e-30)
+                storage[:fill] /= np.maximum(norms, 1e-30)
             banks[name] = MemoryBank.from_state(storage, cursor, fill)
         elif line.startswith("#rng "):
             for token in line.split()[1:]:
@@ -237,7 +280,7 @@ def read_checkpoint(path):
 def write_dataset(path, spec, train, test):
     """Header (spec echo + per-video manifest) then raw frames, float32, in
     (video, frame, row) order: the train split's frame array, then the test
-    split's."""
+    split's, converted one video at a time."""
     header = io.StringIO()
     header.write(DATASET_MAGIC + "\n")
     header.write("#config-begin\n")
@@ -247,18 +290,23 @@ def write_dataset(path, spec, train, test):
         rows = np.column_stack([split.ids, split.labels, split.windows]).tolist()
         for vid, label, w0, w1 in rows:
             header.write(f"#video {vid} {label} {name} {w0} {w1}\n")
-    body = np.concatenate([train.frames, test.frames], dtype="<f4").tobytes()
-    header.write(f"#payload {len(body)}\n")
-    atomic_write_bytes(path, header.getvalue().encode("utf-8") + body)
+    header.write(f"#payload {4 * (train.frames.size + test.frames.size)}\n")
+    videos = (_float32(video) for split in (train, test) for video in split.frames)
+    atomic_write_bytes(path, header.getvalue().encode("utf-8"), videos)
 
 
 def read_dataset(path):
     """Load a dataset file -> (spec_flat, train Split, test Split), each split's rows in
-    manifest order. A video id listed twice is an ArtifactError."""
+    manifest order and its frames float32, as stored. A video id listed twice
+    is an ArtifactError."""
+    with open(path, "rb") as handle:
+        return _read_dataset(handle, path)
+
+
+def _read_dataset(handle, path):
     from .synth import Split
 
-    blob = Path(path).read_bytes()
-    lines, body = _split_header(blob, DATASET_MAGIC, path)
+    lines, offset, declared = _read_header(handle, DATASET_MAGIC, path)
     spec_flat, i = {}, 1
     manifest = []
     while i < len(lines):
@@ -276,7 +324,7 @@ def read_dataset(path):
                     path, "#config dataset.frames/height/width")
     if min(t, h, w) < 1:
         raise ArtifactError(f"{path}: frame shape {t}x{h}x{w} is not positive")
-    if len(body) != t * h * w * 4 * len(manifest):
+    if declared != t * h * w * 4 * len(manifest):
         raise ArtifactError(f"{path}: payload does not match the video manifest")
     try:
         manifest = np.array(manifest, dtype=np.int64).reshape(-1, 5)
@@ -285,10 +333,23 @@ def read_dataset(path):
     ids, counts = np.unique(manifest[:, 0], return_counts=True)
     if np.any(counts > 1):
         raise ArtifactError(f"{path}: video id {ids[counts > 1][0]} appears more than once")
-    frames = np.frombuffer(body, dtype="<f4").reshape(len(manifest), t, h, w)
-    train, test = (Split(frames=frames[rows].astype(np.float64), ids=manifest[rows, 0],
-                         labels=manifest[rows, 1], windows=manifest[rows, 2:4])
-                   for rows in (manifest[:, 4] == 0, manifest[:, 4] == 1))
+    is_test = manifest[:, 4]
+    try:
+        frames = [np.empty((np.count_nonzero(is_test == side), t, h, w), dtype="<f4")
+                  for side in (0, 1)]
+    except ValueError:  # no videos, and a frame too large to index
+        raise ArtifactError(f"{path}: frame shape {t}x{h}x{w} is too large") from None
+    # each run of consecutive same-split rows is one block of the payload
+    filled = [0, 0]
+    starts = np.flatnonzero(np.diff(is_test, prepend=-1)).tolist()
+    handle.seek(offset)
+    for start, stop in zip(starts, [*starts[1:], len(manifest)]):
+        side = is_test[start]
+        _read_into(handle, frames[side][filled[side]:filled[side] + stop - start], path)
+        filled[side] += stop - start
+    train, test = (Split(frames=frames[side], ids=manifest[rows, 0], labels=manifest[rows, 1],
+                         windows=manifest[rows, 2:4])
+                   for side, rows in enumerate((is_test == 0, is_test == 1)))
     return spec_flat, train, test
 
 

@@ -60,8 +60,10 @@ class MemoryBank:
 
     @classmethod
     def from_state(cls, storage, cursor, fill):
+        """The bank holding storage, cursor and fill; a float64 storage array
+        becomes the bank's buffer without a copy."""
         bank = cls(storage.shape[0], storage.shape[1])
-        bank.storage = np.array(storage, dtype=np.float64)
+        bank.storage = np.asarray(storage, dtype=np.float64)
         bank.cursor = int(cursor)
         bank.fill = int(fill)
         return bank

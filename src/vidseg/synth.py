@@ -39,22 +39,25 @@ class DatasetSpec:
 
     def __post_init__(self):
         if self.classes < 2:
-            raise ValueError("classes must be >= 2")
+            raise ValueError("dataset.classes must be >= 2")
         if self.frames < 1:
-            raise ValueError("frames must be >= 1")
+            raise ValueError("dataset.frames must be >= 1")
         if not 0.0 < self.action_coverage <= 1.0:
-            raise ValueError("action_coverage must be in (0, 1]")
+            raise ValueError("dataset.action_coverage must be in (0, 1]")
         if self.noise < 0.0:
-            raise ValueError("noise must be >= 0")
+            raise ValueError("dataset.noise must be >= 0")
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
+            raise ValueError("dataset.train_fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)
 class Split:
     """The videos of one split, row b of each array describing video b."""
 
-    frames: np.ndarray  # (n, T, H, W) float64 in [0, 1]
+    # (n, T, H, W) in [0, 1]: float64 when generated, float32 as stored when
+    # read from a dataset file; the math widens frames to float64 where it
+    # uses them
+    frames: np.ndarray
     ids: np.ndarray  # (n,)
     labels: np.ndarray  # (n,) class ids
     windows: np.ndarray  # (n, 2) [start, end) action windows; (-1, -1) when trimmed

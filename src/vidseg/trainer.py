@@ -56,14 +56,14 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "segments", "bank_capacity", "hidden_dim",
                      "feature_dim", "embed_dim"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ValueError(f"train.{name} must be >= 1")
         for name in ("learning_rate", "sgd_momentum", "weight_decay", "checkpoint_interval"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ValueError(f"train.{name} must be >= 0")
         if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+            raise ValueError("train.temperature must be > 0")
         if not 0.0 <= self.key_momentum <= 1.0:
-            raise ValueError("key_momentum must be in [0, 1]")
+            raise ValueError("train.key_momentum must be in [0, 1]")
         toggles = [self.use_inter, self.use_intra, self.use_segment, self.use_order]
         if not any(toggles):
             raise ValueError("at least one loss must be enabled")
@@ -71,7 +71,7 @@ class TrainConfig:
             # two same-video negatives are too small a set to train against alone
             raise ValueError("intra-frame loss alone does not stabilize training")
         if self.frame_source not in ("segment", "uniform"):
-            raise ValueError("frame_source must be 'segment' or 'uniform'")
+            raise ValueError("train.frame_source must be 'segment' or 'uniform'")
 
     def model_config(self):
         return model.ModelConfig(

@@ -7,7 +7,11 @@ plus the overrides of each entry), the sha256 of `checkpoint.ckpt` and
 list. It also checks the data path directly: the sha256 of the float64 train
 and test frames of three dataset specs, and, for the first pretraining
 config, the sha256 of its train and test feature tables and of its
-`evaluate_encoder` and `order_prediction_accuracy` results. A change that
+`evaluate_encoder` and `order_prediction_accuracy` results. The file path
+has its own digests: each dataset spec's `.ds` file, and, for the first
+pretraining config, its `.ckpt` and the same feature tables and results
+computed as `vidseg probe` does, from the parameters `read_checkpoint`
+returns on the splits `read_dataset` returns. A change that
 alters the arithmetic on purpose rewrites the table in the same commit
 (`PYTHONPATH=src python tests/test_byte_trail.py`) and says why; any other
 mismatch is a regression. The table records the numpy and BLAS build it was
@@ -21,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vidseg import evaluate, synth, trainer
+from vidseg import evaluate, formats, synth, trainer
 from vidseg import config as config_mod
 
 TABLE = Path(__file__).resolve().parent / "byte_trail.json"
@@ -50,8 +54,7 @@ def dataset_of(cfg, datasets):
 def pretrain_digests(cfg, out_dir, datasets):
     """sha256 of the run's checkpoint and metrics."""
     trainer.pretrain(cfg, out_dir, dataset=dataset_of(cfg, datasets))
-    return {name: hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()
-            for name in ("checkpoint.ckpt", "metrics.csv")}
+    return {name: file_digest(Path(out_dir) / name) for name in ("checkpoint.ckpt", "metrics.csv")}
 
 
 def frames_digests(cfg):
@@ -61,18 +64,46 @@ def frames_digests(cfg):
             "test": hashlib.sha256(test.frames.tobytes()).hexdigest()}
 
 
-def evaluation_digests(cfg, datasets):
-    """sha256 of the run's feature tables at the default probe frame count,
-    and of the repr of its probe accuracy, recalls and order accuracy."""
-    state, train, test = trainer.fit(cfg, dataset=dataset_of(cfg, datasets))
+def file_digest(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def dataset_file_digest(cfg, out_dir):
+    """sha256 of the spec's dataset file."""
+    path = Path(out_dir) / "videos.ds"
+    formats.write_dataset(path, cfg.dataset, *synth.generate_dataset(cfg.dataset))
+    return {"videos.ds": file_digest(path)}
+
+
+def encoder_digests(query, key, train, test, cfg):
+    """sha256 of the feature tables at the default probe frame count, and of
+    the repr of the probe accuracy, recalls and order accuracy."""
     probe_cfg, retrieval_cfg = evaluate.ProbeConfig(), evaluate.RetrievalConfig()
-    tables = evaluate.feature_tables(state.query, train, test, probe_cfg.frames)
-    results = (evaluate.evaluate_encoder(state.query, state.key, train, test, probe_cfg,
-                                         retrieval_cfg),
-               evaluate.order_prediction_accuracy(state.query, state.key, test, cfg))
+    tables = evaluate.feature_tables(query, train, test, probe_cfg.frames)
+    results = (evaluate.evaluate_encoder(query, key, train, test, probe_cfg, retrieval_cfg),
+               evaluate.order_prediction_accuracy(query, key, test, cfg))
     features = b"".join(table.features.tobytes() for table in tables)
     return {"features": hashlib.sha256(features).hexdigest(),
             "results": hashlib.sha256(repr(results).encode()).hexdigest()}
+
+
+def evaluation_digests(cfg, datasets):
+    """encoder_digests of the run's trained parameters on its generated splits."""
+    state, train, test = trainer.fit(cfg, dataset=dataset_of(cfg, datasets))
+    return encoder_digests(state.query, state.key, train, test, cfg)
+
+
+def file_evaluation_digests(cfg, out_dir, datasets):
+    """sha256 of the run's checkpoint, and encoder_digests of the parameters
+    read back from it on the splits read back from its dataset file."""
+    out_dir = Path(out_dir)
+    generated = dataset_of(cfg, datasets)
+    checkpoint, _, _ = trainer.pretrain(cfg, out_dir, dataset=generated)
+    formats.write_dataset(out_dir / "videos.ds", cfg.dataset, *generated)
+    ckpt = formats.read_checkpoint(checkpoint)
+    _, train, test = formats.read_dataset(out_dir / "videos.ds")
+    return {"checkpoint.ckpt": file_digest(checkpoint),
+            **encoder_digests(ckpt.query, ckpt.key, train, test, cfg)}
 
 
 def suite_digest():
@@ -114,12 +145,28 @@ def test_generated_frames_match_the_table(entry):
             f"{entry['name']} {entry['overrides']} {split} frames", digest, entry[split])
 
 
+@pytest.mark.parametrize("entry", TRAIL["data"], ids=lambda entry: entry["name"])
+def test_dataset_files_match_the_table(entry, tmp_path):
+    got = dataset_file_digest(train_config(entry["overrides"]), tmp_path)["videos.ds"]
+    assert got == entry["videos.ds"], mismatch(
+        f"{entry['name']} {entry['overrides']} videos.ds", got, entry["videos.ds"])
+
+
 def test_evaluation_matches_the_table(datasets):
     entry = TRAIL["evaluation"]
     got = evaluation_digests(train_config(TRAIL["pretrain"][0]["overrides"]), datasets)
     for what, digest in got.items():
         assert digest == entry[what], mismatch(
             f"{TRAIL['pretrain'][0]['name']} evaluation {what}", digest, entry[what])
+
+
+def test_file_evaluation_matches_the_table(datasets, tmp_path):
+    entry = TRAIL["file_evaluation"]
+    got = file_evaluation_digests(train_config(TRAIL["pretrain"][0]["overrides"]), tmp_path,
+                                  datasets)
+    for what, digest in got.items():
+        assert digest == entry[what], mismatch(
+            f"{TRAIL['pretrain'][0]['name']} file evaluation {what}", digest, entry[what])
 
 
 if __name__ == "__main__":
@@ -131,8 +178,12 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as out_dir:
             entry.update(pretrain_digests(train_config(entry["overrides"]), out_dir, found))
     for entry in TRAIL["data"]:
-        entry.update(frames_digests(train_config(entry["overrides"])))
+        with tempfile.TemporaryDirectory() as out_dir:
+            entry.update(frames_digests(train_config(entry["overrides"])),
+                         **dataset_file_digest(train_config(entry["overrides"]), out_dir))
+    first = train_config(TRAIL["pretrain"][0]["overrides"])
+    with tempfile.TemporaryDirectory() as out_dir:
+        file_evaluation = file_evaluation_digests(first, out_dir, found)
     TRAIL.update(made_with=build(), gradient_suite=suite_digest(),
-                 evaluation=evaluation_digests(train_config(TRAIL["pretrain"][0]["overrides"]),
-                                               found))
+                 evaluation=evaluation_digests(first, found), file_evaluation=file_evaluation)
     TABLE.write_text(json.dumps(TRAIL, indent=2) + "\n")

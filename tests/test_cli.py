@@ -159,7 +159,7 @@ def test_gradcheck_rejects_zero_sizes(tmp_path, capsys, key):
     assert cli.main(["gradcheck", "--config", str(cfg), "--seeds", "1"]) != 0
     captured = capsys.readouterr()
     assert "PASS" not in captured.out
-    assert captured.err == f"error: {key} must be >= 1\n"
+    assert captured.err == f"error: {cfg}: train.{key} must be >= 1\n"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -179,6 +179,34 @@ def test_config_errors_name_the_file_and_line(tmp_path, capsys, monkeypatch, tex
     monkeypatch.setenv(config_mod.CONFIG_PATH_ENV, str(tmp_path))
     assert cli.main(["gradcheck", "--config", "bad.cfg"]) != 0
     assert capsys.readouterr().err == f"error: {bad}:{message}\n"
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("probe.frames=0", "probe.frames must be >= 1"),
+    ("probe.iterations=0", "probe.iterations must be >= 1"),
+    ("probe.learning_rate=0", "probe.learning_rate must be > 0"),
+    ("probe.l2_penalty=-0.5", "probe.l2_penalty must be >= 0"),
+    ("retrieval.ks=1,0", "retrieval.ks must list values >= 1, got [1, 0]"),
+    ("dataset.classes=1", "dataset.classes must be >= 2"),
+    ("train.hidden_dim=0", "train.hidden_dim must be >= 1"),
+], ids=["probe_frames", "probe_iterations", "probe_learning_rate", "probe_l2_penalty",
+        "retrieval_ks", "dataset_classes", "train_hidden_dim"])
+def test_config_values_checked_when_the_config_loads(tmp_path, capsys, monkeypatch, setting,
+                                                     message):
+    """A bad value in any section fails before the first fit, naming its key
+    and the file, and pretraining writes nothing."""
+    fits = []
+    monkeypatch.setattr(trainer, "fit", lambda *args, **kwargs: fits.append(args))
+    key = setting.split("=")[0]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(line for line in SMALL_CONFIG.splitlines(keepends=True)
+                           if not line.startswith(f"{key}=")) + setting + "\n")
+    assert cli.main(["ablate", "--config", str(cfg), "--grid", "segments", "--seeds", "0",
+                     "--out", str(tmp_path / "ablation.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert cli.main(["pretrain", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert fits == [] and not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("flag, count", [("--probes", "probes"), ("--seeds", "seeds")])

@@ -168,6 +168,23 @@ def test_older_echo_with_probe_seed_still_loads(tmp_path):
     assert config_mod.build_train_config(typed) == cfg
 
 
+def test_checkpoint_entries_read_at_their_offsets(tmp_path):
+    # the manifest, not the order of its lines, places each entry
+    checkpoint, _ = written_artifacts(tmp_path)
+    blob = checkpoint.read_bytes()
+    first, last = blob.index(b"#param "), blob.index(b"#rng ")
+    entries = blob[first:last].splitlines(keepends=True)
+    shuffled = tmp_path / "shuffled.ckpt"
+    shuffled.write_bytes(blob[:first] + b"".join(entries[::-1]) + blob[last:])
+    want, got = formats.read_checkpoint(checkpoint), formats.read_checkpoint(shuffled)
+    for side in ("query", "key"):
+        assert list(getattr(got, side)) == list(getattr(want, side))[::-1]
+        for name, arr in getattr(want, side).items():
+            assert getattr(got, side)[name].tobytes() == arr.tobytes()
+    for name, bank in want.banks.items():
+        assert got.banks[name].storage.tobytes() == bank.storage.tobytes()
+
+
 def test_checkpoint_version_mismatch_rejected(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"#vidseg-checkpoint v999\n#payload 0\n")
@@ -222,8 +239,9 @@ def test_dataset_splits_keep_manifest_order(tmp_path):
         assert split.ids.tolist() == [rows[i][0] for i in keep]
         assert split.labels.tolist() == [rows[i][1] for i in keep]
         assert split.windows.tolist() == [[rows[i][0], rows[i][0] + 2] for i in keep]
-        assert split.frames.dtype == np.float64
-        assert split.frames.tobytes() == frames[keep].astype(np.float64).tobytes()
+        # float32 as stored, the same values compared exactly
+        assert split.frames.dtype == np.float32
+        assert split.frames.tobytes() == frames[keep].tobytes()
 
 
 def test_dataset_frame_shape_must_be_positive(tmp_path):
@@ -231,6 +249,17 @@ def test_dataset_frame_shape_must_be_positive(tmp_path):
     path.write_bytes(f"{formats.DATASET_MAGIC}\n#config-begin\ndataset.frames=-1\n"
                      "dataset.height=8\ndataset.width=8\n#config-end\n#payload 0\n".encode())
     with pytest.raises(formats.ArtifactError, match="videos.ds: frame shape -1x8x8"):
+        formats.read_dataset(path)
+
+
+def test_dataset_frame_shape_too_large_rejected(tmp_path):
+    # with no videos the payload checks pass, but no array has such frames
+    path = tmp_path / "videos.ds"
+    side = 2 ** 32 + 1
+    path.write_bytes(f"{formats.DATASET_MAGIC}\n#config-begin\ndataset.frames={side}\n"
+                     f"dataset.height={side}\ndataset.width={side}\n#config-end\n"
+                     "#payload 0\n".encode())
+    with pytest.raises(formats.ArtifactError, match=f"videos.ds: frame shape {side}x"):
         formats.read_dataset(path)
 
 
@@ -260,23 +289,83 @@ def test_dataset_version_mismatch(tmp_path):
         formats.read_dataset(path)
 
 
-def test_header_split_does_not_copy_the_file(tmp_path):
-    # readers hand _split_header the whole file as one blob; copying it to
-    # find the first line costs about the file's size
-    spec = synth.DatasetSpec(classes=2, videos_per_class=5, frames=8, seed=4)
-    path = tmp_path / "videos.ds"
-    formats.write_dataset(path, spec, *synth.generate_dataset(spec))
-    blob = path.read_bytes()
+def traced(fn, *args):
+    """fn(*args) and the peak bytes that tracemalloc saw allocated during it."""
     tracemalloc.start()
     try:
-        lines, body = formats._split_header(blob, formats.DATASET_MAGIC, path)
+        result = fn(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert lines[0] == formats.DATASET_MAGIC and len(body) > len(blob) // 2
-    assert peak < len(blob) // 4
-    with pytest.raises(formats.ArtifactError, match="videos.ds: not a recognized artifact"):
-        formats._split_header(blob[:blob.index(b"\n")], formats.DATASET_MAGIC, path)
+    return result, peak
+
+
+MIB = 1 << 20
+
+
+def test_header_split_does_not_copy_the_file(tmp_path):
+    # the header reader reads a file only up to its '#payload' line, so its
+    # peak follows the header, not the payload
+    peaks, payloads = [], []
+    for videos in (2, 8):
+        spec = synth.DatasetSpec(videos_per_class=videos)
+        path = tmp_path / f"videos{videos}.ds"
+        formats.write_dataset(path, spec, *synth.generate_dataset(spec))
+        with open(path, "rb") as handle:
+            (lines, offset, declared), peak = traced(
+                formats._read_header, handle, formats.DATASET_MAGIC, path)
+        assert lines[0] == formats.DATASET_MAGIC and lines[-1].startswith("#video ")
+        assert offset + declared == path.stat().st_size
+        peaks.append(peak)
+        payloads.append(declared)
+    assert peaks[1] - peaks[0] < (payloads[1] - payloads[0]) // 64, (peaks, payloads)
+    assert peaks[1] < payloads[1] // 4
+    path = tmp_path / "first_line.ds"
+    path.write_bytes(formats.DATASET_MAGIC.encode())
+    with open(path, "rb") as handle, pytest.raises(
+            formats.ArtifactError, match="first_line.ds: not a recognized artifact"):
+        formats._read_header(handle, formats.DATASET_MAGIC, path)
+
+
+@pytest.fixture(scope="module")
+def default_splits():
+    return synth.generate_dataset(synth.DatasetSpec())
+
+
+def test_dataset_write_streams_its_payload(tmp_path, default_splits):
+    # one float32 video at a time, never the whole payload
+    _, peak = traced(formats.write_dataset, tmp_path / "videos.ds", synth.DatasetSpec(),
+                     *default_splits)
+    assert peak < MIB, peak
+
+
+def test_dataset_read_allocates_little_beyond_its_frames(tmp_path, default_splits):
+    path = tmp_path / "videos.ds"
+    formats.write_dataset(path, synth.DatasetSpec(), *default_splits)
+    (_, train, test), peak = traced(formats.read_dataset, path)
+    frames = train.frames.nbytes + test.frames.nbytes
+    assert frames == 4 * sum(split.frames.size for split in default_splits)
+    assert peak < frames + MIB, (peak, frames)
+
+
+def test_checkpoint_read_widens_one_entry_at_a_time(tmp_path):
+    cfg = trainer.TrainConfig(dataset=synth.DatasetSpec())
+    state = trainer.init_state(cfg)
+    rows = np.random.default_rng(0).normal(size=(cfg.bank_capacity, cfg.embed_dim))
+    for bank in (state.bank_inter, state.bank_segment):
+        bank.enqueue(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    path = tmp_path / "model.ckpt"
+    formats.write_checkpoint(path, formats.flatten_config(cfg), state.query, state.key,
+                             {"inter": state.bank_inter, "segment": state.bank_segment},
+                             {"seed": 0, "epoch": 0, "step": 0})
+    ckpt, peak = traced(formats.read_checkpoint, path)
+    arrays = [*ckpt.query.values(), *ckpt.key.values(),
+              *(bank.storage for bank in ckpt.banks.values())]
+    returned = sum(arr.nbytes for arr in arrays)
+    largest = max(arr.nbytes for arr in arrays)
+    # the slack covers the parsed header and the (capacity,) row norms of a
+    # bank, which take about 0.12 MiB at the defaults
+    assert peak < returned + largest + MIB // 4, (peak, returned, largest)
 
 
 def test_csv_formatting(tmp_path):
@@ -306,6 +395,19 @@ def test_missing_payload_line_rejected(tmp_path, reader, magic, tail):
     path.write_bytes(magic.encode() + b"\n" + tail)
     with pytest.raises(formats.ArtifactError, match="broken.bin.*#payload"):
         reader(path)
+
+
+@pytest.mark.parametrize("artifact", ["checkpoint", "dataset"])
+@pytest.mark.parametrize("change", [1, -1], ids=["extra_byte", "missing_byte"])
+def test_payload_length_must_match_the_file(tmp_path, artifact, change):
+    path = dict(zip(["checkpoint", "dataset"], written_artifacts(tmp_path)))[artifact]
+    blob = path.read_bytes()
+    declared = len(blob) - blob.index(b"\n", blob.index(b"#payload ")) - 1
+    path.write_bytes(blob + b"\0" if change > 0 else blob[:-1])
+    with pytest.raises(formats.ArtifactError, match=f"{path.name}: payload is "
+                                                    f"{declared + change} bytes, header "
+                                                    f"declares {declared}$"):
+        read(path)
 
 
 def test_dataset_unknown_split_rejected(tmp_path):

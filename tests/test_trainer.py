@@ -48,7 +48,7 @@ def test_config_validation():
     for name, bad, floor in [("hidden_dim", 0, 1), ("feature_dim", 0, 1), ("embed_dim", 0, 1),
                              ("bank_capacity", 0, 1), ("segments", 0, 1),
                              ("checkpoint_interval", -3, 0)]:
-        with pytest.raises(ValueError, match=f"^{name} must be >= {floor}$"):
+        with pytest.raises(ValueError, match=f"^train.{name} must be >= {floor}$"):
             tiny_config(**{name: bad}).validate()
     tiny_config(checkpoint_interval=0).validate()
     with pytest.raises(ValueError):
