@@ -46,7 +46,8 @@ DEFAULTS = {**flatten_config(_TRAIN), **flatten_config(_PROBE), **flatten_config
 _PARSE_BY_TYPE = {bool: _parse_bool, int: int, float: float, str: str, tuple: _parse_int_tuple}
 _PARSERS = {key: _PARSE_BY_TYPE[type(value)] for key, value in DEFAULTS.items()}
 # keys that older checkpoint echoes carry and nothing reads any more
-_RETIRED_KEYS = {"probe.seed"}
+_RETIRED_KEYS = {"probe.seed", "train.frame_source", "train.share_tuple_augment",
+                 "train.order_positive_uses_key", "train.normalize_order_embeddings"}
 
 
 def _typed(key, text):

@@ -12,7 +12,8 @@ without loading the payload. Writers compute every offset up front and hand
 or bank. `read_dataset` reads each split's frames straight into one float32
 `(n, T, H, W)` array, kept float32 as stored; the math widens frames to
 float64 where it uses them. `read_checkpoint` reads each entry at its offset
-and widens only that entry, so parameters and banks come back float64.
+and widens only that entry, so parameters and banks come back float64. Its
+entries must tile the payload: no gap, no overlap.
 """
 
 from __future__ import annotations
@@ -215,6 +216,21 @@ def _parse_config_lines(lines, start, path):
     return flat, i + 1
 
 
+def _check_tiling(entries, length, path):
+    """The (offset, bytes, line) entries, sorted by offset (ties in manifest
+    order), must tile the length-byte payload: the first starts at 0, each
+    starts where the one before it ends, and the last ends at its end."""
+    end, last = 0, "the manifest"
+    for offset, size, line in sorted(entries, key=lambda entry: entry[0]):
+        if offset != end:
+            raise ArtifactError(f"{path}: entries do not tile the payload: '{line}' starts "
+                                f"at byte {offset}, not {end}")
+        end, last = offset + size, f"'{line}'"
+    if end != length:
+        raise ArtifactError(f"{path}: entries do not tile the payload: {last} ends at byte "
+                            f"{end}, not {length}")
+
+
 def read_checkpoint(path):
     """Load a checkpoint; raises ArtifactError before reading any payload if
     the version tag does not match."""
@@ -227,6 +243,7 @@ def _read_checkpoint(handle, path):
     config_flat = {}
     query, key, banks, rng_meta = {}, {}, {}, {}
     sides = {"query": query, "key": key}
+    entries = []  # (offset, bytes, line) of every #param and #bank line
     i = 1
     while i < len(lines):
         line = lines[i]
@@ -244,6 +261,7 @@ def _read_checkpoint(handle, path):
             if name in sides[side]:
                 raise ArtifactError(f"{path}: parameter '{full_name}' appears twice")
             sides[side][name] = _payload_array(handle, payload, shape, offset, path, line)
+            entries.append((offset, 4 * math.prod(shape), line))
         elif line.startswith("#bank "):
             _, name, *numbers = _fields(line, 7, path)
             if name in banks:
@@ -253,6 +271,7 @@ def _read_checkpoint(handle, path):
                 raise ArtifactError(f"{path}: bank capacity and width must be positive in "
                                     f"'{line}'")
             storage = _payload_array(handle, payload, (capacity, width), offset, path, line)
+            entries.append((offset, 4 * capacity * width, line))
             if not (0 <= fill <= capacity and 0 <= cursor < capacity):
                 raise ArtifactError(f"{path}: cursor or fill outside the bank in '{line}'")
             # float32 round-trip perturbs norms; restore exact unit rows
@@ -265,6 +284,7 @@ def _read_checkpoint(handle, path):
                 k, _, v = token.partition("=")
                 (rng_meta[k],) = _ints([v], path, line)
         i += 1
+    _check_tiling(entries, payload[1], path)
     if query.keys() != key.keys():
         raise ArtifactError(f"{path}: query and key parameter names differ: "
                             f"{sorted(query.keys() ^ key.keys())}")

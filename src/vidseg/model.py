@@ -28,8 +28,6 @@ class ModelConfig:
     feature_dim: int = 64
     embed_dim: int = 32
     segments: int = 3
-    normalize_order_embeddings: bool = True
-    order_positive_uses_key: bool = True
 
 
 def param_shapes(cfg: ModelConfig):
@@ -98,12 +96,9 @@ def segment_embedding(params, features, k):
 
 
 def order_embedding(params, features, cfg: ModelConfig):
-    """Order-head embeddings of (B*K, F) per-frame features, in frame order,
-    concatenated per tuple -> (B, K*E)."""
-    emb = head_mlp(params, "order", features)
-    if cfg.normalize_order_embeddings:
-        emb = nm.l2_normalize(emb)
-    return nm.reshape(emb, (-1, cfg.segments * cfg.embed_dim))
+    """Unit order-head embeddings of (B*K, F) per-frame features, in frame
+    order, concatenated per tuple -> (B, K*E)."""
+    return nm.reshape(project(params, "order", features), (-1, cfg.segments * cfg.embed_dim))
 
 
 def order_classifier(query_params, anchor_embedding, positive_embedding):
@@ -117,17 +112,16 @@ def order_logits(query_params, key_params, anchor_frames, positive_frames, cfg: 
     """(B, 4) order logits for a batch of (anchor, positive) pairs of K-frame
     tuples, each given as (B, K, P).
 
-    Per-frame order-head embeddings (query side for the anchor; key side for
-    the positive unless configured otherwise) are concatenated in frame order,
-    anchor first, and fed to the linear order classifier of the query side.
+    Per-frame order-head embeddings (query side for the anchor, key side for
+    the positive) are concatenated in frame order, anchor first, and fed to
+    the linear order classifier of the query side.
     """
     def side(params, frames):
         frames = np.asarray(frames)
         return order_embedding(params, encode(params, frames.reshape(-1, frames.shape[-1])), cfg)
 
-    positive_params = key_params if cfg.order_positive_uses_key else query_params
     return order_classifier(query_params, side(query_params, anchor_frames),
-                            side(positive_params, positive_frames))
+                            side(key_params, positive_frames))
 
 
 def momentum_update(key, query, m):

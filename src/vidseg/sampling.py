@@ -108,12 +108,11 @@ def draw_aug(rng, shape, height, width):
     return AugParams(top, left, crop_h, crop_w, flip, brightness, contrast, blur)
 
 
-def draw_tuples(rng, t_counts, k, height, width, share_augment=False) -> TupleDraw:
+def draw_tuples(rng, t_counts, k, height, width) -> TupleDraw:
     """Anchor and positive tuples of one video per entry of t_counts (its
     frame count), drawn in a fixed field order: segment indices, the tuple
-    frames' augmentation (one draw per tuple, repeated over its frames, when
-    share_augment), shuffle flags, then the permutation ranks, uniform over
-    the k! - 1 non-identity permutations.
+    frames' augmentation (one draw per frame), shuffle flags, then the
+    permutation ranks, uniform over the k! - 1 non-identity permutations.
 
     Every draw is one array call over all tuples, so anchor and positive are
     drawn alike.
@@ -121,11 +120,7 @@ def draw_tuples(rng, t_counts, k, height, width, share_augment=False) -> TupleDr
     bounds = segment_bounds(t_counts, k)[:, None]  # (B, 1, K, 2)
     b = bounds.shape[0]
     indices = rng.integers(bounds[..., 0], bounds[..., 1], size=(b, 2, k))
-    if share_augment:
-        aug = AugParams(*(np.repeat(col, k, axis=-1)
-                          for col in draw_aug(rng, (b, 2, 1), height, width)))
-    else:
-        aug = draw_aug(rng, (b, 2, k), height, width)
+    aug = draw_aug(rng, (b, 2, k), height, width)
     shuffled = rng.uniform(size=(b, 2)) < SHUFFLE_PROBABILITY
     if k >= 2:
         if k > MAX_SHUFFLED_FRAMES:

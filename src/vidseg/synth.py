@@ -12,7 +12,7 @@ from typing import ClassVar
 
 import numpy as np
 
-MIN_FRAME_SIDE = 8
+MIN_FRAME_SIDE = 8  # the smallest frame side that contains the blob
 
 # the blob center starts this far outside the frame and crosses to the other
 # side over the action window, plus a per-video phase jitter
@@ -40,8 +40,13 @@ class DatasetSpec:
     def __post_init__(self):
         if self.classes < 2:
             raise ValueError("dataset.classes must be >= 2")
+        if self.videos_per_class < 2:
+            # each class needs a train and a test video
+            raise ValueError("dataset.videos_per_class must be >= 2")
         if self.frames < 1:
             raise ValueError("dataset.frames must be >= 1")
+        if min(self.height, self.width) < MIN_FRAME_SIDE:
+            raise ValueError(f"dataset.height/width must be >= {MIN_FRAME_SIDE}")
         if not 0.0 < self.action_coverage <= 1.0:
             raise ValueError("dataset.action_coverage must be in (0, 1]")
         if self.noise < 0.0:
@@ -139,8 +144,6 @@ def generate_video(spec: DatasetSpec, class_id: int, video_index: int):
     """
     if class_id >= spec.classes or class_id < 0:
         raise ValueError(f"class_id {class_id} out of range for {spec.classes} classes")
-    if spec.height < MIN_FRAME_SIDE or spec.width < MIN_FRAME_SIDE:
-        raise ValueError(f"frame sides must be >= {MIN_FRAME_SIDE} to contain the blob")
 
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, class_id, video_index]))
     t_count = spec.frames
@@ -178,8 +181,6 @@ def generate_dataset(spec: DatasetSpec):
     The split is stratified: within each class the first train-count indices
     go to train, the rest to test.
     """
-    if spec.videos_per_class < 2:
-        raise ValueError("videos_per_class must be >= 2 to split")
     n_train, _ = split_counts(spec)
     splits = []
     for indices in (range(n_train), range(n_train, spec.videos_per_class)):

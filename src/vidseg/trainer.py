@@ -46,10 +46,6 @@ class TrainConfig:
     hidden_dim: int = 128
     feature_dim: int = 64
     embed_dim: int = 32
-    normalize_order_embeddings: bool = True
-    order_positive_uses_key: bool = True
-    share_tuple_augment: bool = False
-    frame_source: str = "segment"  # or "uniform": where the frame-level views come from
     checkpoint_interval: int = 0  # epochs between mid-run checkpoints; 0 = final only
 
     def validate(self):
@@ -70,8 +66,6 @@ class TrainConfig:
         if self.use_intra and not (self.use_inter or self.use_segment or self.use_order):
             # two same-video negatives are too small a set to train against alone
             raise ValueError("intra-frame loss alone does not stabilize training")
-        if self.frame_source not in ("segment", "uniform"):
-            raise ValueError("train.frame_source must be 'segment' or 'uniform'")
 
     def model_config(self):
         return model.ModelConfig(
@@ -80,8 +74,6 @@ class TrainConfig:
             feature_dim=self.feature_dim,
             embed_dim=self.embed_dim,
             segments=self.segments,
-            normalize_order_embeddings=self.normalize_order_embeddings,
-            order_positive_uses_key=self.order_positive_uses_key,
         )
 
 
@@ -159,28 +151,20 @@ def init_state(cfg: TrainConfig, total_steps=1):
 
 @dataclass(frozen=True)
 class BatchDraw:
-    """Every random choice of one batch: the anchor and positive tuples, the
-    (B, 3) frames picked in frame_source="uniform" mode (None otherwise), and
-    the augmentation columns of the frame-level views."""
+    """Every random choice of one batch: the anchor and positive tuples and
+    the augmentation columns of the two frame-level views."""
 
     tuples: sampling.TupleDraw
-    picks: np.ndarray | None
-    views: sampling.AugParams  # columns (B, 4) with picks, (B, 2) without
+    views: sampling.AugParams  # columns (B, 2)
 
 
 def draw_batch(b, shape, cfg: TrainConfig, rng) -> BatchDraw:
     """Draw a batch of b items from videos of (T, H, W) frames from one
     stream, one array call per field: the tuples (see sampling.draw_tuples),
-    the uniform-mode picks, then the frame-view columns."""
+    then the frame-view columns."""
     t_count, height, width = shape
-    t_counts = np.full(b, t_count)
-    tuples = sampling.draw_tuples(rng, t_counts, cfg.segments, height, width,
-                                  share_augment=cfg.share_tuple_augment)
-    picks = None
-    if cfg.frame_source == "uniform":
-        picks = rng.integers(0, t_counts[:, None], size=(b, 3))
-    views = sampling.draw_aug(rng, (b, 2 if picks is None else 4), height, width)
-    return BatchDraw(tuples=tuples, picks=picks, views=views)
+    tuples = sampling.draw_tuples(rng, np.full(b, t_count), cfg.segments, height, width)
+    return BatchDraw(tuples=tuples, views=sampling.draw_aug(rng, (b, 2), height, width))
 
 
 def sample_batch(frames, rows, cfg: TrainConfig, rng) -> Batch:
@@ -193,9 +177,7 @@ def sample_batch(frames, rows, cfg: TrainConfig, rng) -> Batch:
     frame anchor and its second view are two fresh augmentations of the raw
     frame behind the anchor tuple's first segment; the anchor tuple's other
     segment frames serve as the remaining same-video positives (wrapping
-    around when there are fewer than three segments). With
-    frame_source="uniform" all three frame slots are drawn uniformly from the
-    whole timeline instead.
+    around when there are fewer than three segments).
 
     Everything is drawn whatever the enabled losses, but only the slots they
     read are gathered and augmented, the same number per item: the tuples
@@ -205,13 +187,8 @@ def sample_batch(frames, rows, cfg: TrainConfig, rng) -> Batch:
     b, k = len(rows), cfg.segments
     draw = draw_batch(b, frames.shape[1:], cfg, rng)
     tuple_indices = draw.tuples.indices.reshape(b, 2 * k)
-    if draw.picks is None:
-        view_indices = np.repeat(tuple_indices[:, :k].min(axis=1, keepdims=True), 2, axis=1)
-        segment_order = np.argsort(tuple_indices[:, :k], axis=1)
-        others = segment_order[:, [1 % k, 2 % k]]
-    else:
-        view_indices = draw.picks[:, [1, 2, 0, 0]]
-        others = np.broadcast_to([2 * k, 2 * k + 1], (b, 2))
+    view_indices = np.repeat(tuple_indices[:, :k].min(axis=1, keepdims=True), 2, axis=1)
+    others = np.argsort(tuple_indices[:, :k], axis=1)[:, [1 % k, 2 % k]]
     indices = np.concatenate([tuple_indices, view_indices], axis=1)
     items = np.arange(b)[:, None]
     key_rows = np.concatenate([np.full((b, 1), indices.shape[1] - 1), others], axis=1)
@@ -246,9 +223,7 @@ def assemble_batch(frames, rows, cfg: TrainConfig, epoch, step_in_epoch) -> Batc
 def _encode_blocks(params, blocks):
     """Features of named (n_i, P) row blocks from one model.encode pass over
     the blocks stacked in order: name -> its (n_i, F) rows, a slice_rows of
-    the pass. No blocks, no pass."""
-    if not blocks:
-        return {}
+    the pass."""
     features = model.encode(params, np.concatenate(list(blocks.values())))
     feats = {}
     start = 0
@@ -263,17 +238,16 @@ def key_targets(key_params, batch: Batch, cfg: TrainConfig):
 
     "inter" and "intra" are the (B, 3, E) frame-level positives (frame view,
     then the two other frames), "segment" the (B, E) positive tuple
-    embeddings, and "order", when order_positive_uses_key, the (B, K*E) order
-    embeddings of the positive tuples. Only enabled losses get entries. The
-    inter and segment arrays are also the step's bank rows, in enqueue order.
-    The key views and the positive tuples go through one encoder pass.
+    embeddings, and "order" the (B, K*E) order embeddings of the positive
+    tuples. Only enabled losses get entries. The inter and segment arrays are
+    also the step's bank rows, in enqueue order. The key views and the
+    positive tuples go through one encoder pass.
     """
     b, k = len(batch), cfg.segments
-    key_order = cfg.use_order and cfg.order_positive_uses_key
     blocks = {}
     if cfg.use_inter or cfg.use_intra:
         blocks["views"] = batch.key_views.reshape(3 * b, -1)
-    if cfg.use_segment or key_order:
+    if cfg.use_segment or cfg.use_order:
         blocks["positive"] = batch.positives.reshape(b * k, -1)
     feats = _encode_blocks(key_params, blocks)
     out = {}
@@ -283,7 +257,7 @@ def key_targets(key_params, batch: Batch, cfg: TrainConfig):
         out["intra"] = model.project(key_params, "intra", feats["views"]).reshape(b, 3, -1)
     if cfg.use_segment:
         out["segment"] = model.segment_embedding(key_params, feats["positive"], k)
-    if key_order:
+    if cfg.use_order:
         out["order"] = model.order_embedding(key_params, feats["positive"], cfg.model_config())
     return out
 
@@ -303,8 +277,6 @@ def batch_losses(query_params, targets, batch: Batch, inter_negatives, segment_n
         blocks["frame"] = batch.frame_anchors
     if cfg.use_segment or cfg.use_order:
         blocks["anchor"] = batch.anchors.reshape(b * k, -1)
-    if cfg.use_order and not cfg.order_positive_uses_key:
-        blocks["positive"] = batch.positives.reshape(b * k, -1)
     feats = _encode_blocks(query_params, blocks)
 
     out = {}
@@ -322,11 +294,8 @@ def batch_losses(query_params, targets, batch: Batch, inter_negatives, segment_n
         out["segment"] = losses.loss_segment(query, targets["segment"], segment_negatives,
                                              cfg.temperature)
     if cfg.use_order:
-        mcfg = cfg.model_config()
-        positive = (targets["order"] if cfg.order_positive_uses_key
-                    else model.order_embedding(query_params, feats["positive"], mcfg))
-        logits = model.order_classifier(
-            query_params, model.order_embedding(query_params, feats["anchor"], mcfg), positive)
+        anchor = model.order_embedding(query_params, feats["anchor"], cfg.model_config())
+        logits = model.order_classifier(query_params, anchor, targets["order"])
         out["order"] = losses.loss_order(logits, batch.order_labels)
     return out
 

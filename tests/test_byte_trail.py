@@ -1,7 +1,7 @@
 """The byte trail: checkpoint, metrics, gradient-report and data-path digests
 that a change to the hot path must keep.
 
-`byte_trail.json` holds, for nine 4-epoch pretraining configs (the defaults
+`byte_trail.json` holds, for seven 4-epoch pretraining configs (the defaults
 plus the overrides of each entry), the sha256 of `checkpoint.ckpt` and
 `metrics.csv`, and the sha256 of the 10-seed default `gradient_suite` report
 list. It also checks the data path directly: the sha256 of the float64 train

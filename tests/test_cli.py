@@ -1,4 +1,5 @@
 import pytest
+from test_config_formats import RETIRED
 
 from vidseg import cli, formats, trainer
 from vidseg import config as config_mod
@@ -76,6 +77,38 @@ def test_invalid_config_fails_with_error(tmp_path, capsys):
     code = cli.main(["pretrain", "--config", str(bad), "--out-dir", str(tmp_path / "o")])
     assert code != 0
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_retired_key_in_a_config_file_fails(tmp_path, small_config, capsys):
+    small_config.write_text(SMALL_CONFIG + "train.share_tuple_augment=true\n")
+    line = len(SMALL_CONFIG.splitlines()) + 1
+    assert cli.main(["pretrain", "--config", str(small_config),
+                     "--out-dir", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == (f"error: {small_config}:{line}: unknown config key "
+                                       "'train.share_tuple_augment'\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_probe_and_retrieve_read_echoes_with_retired_keys(tmp_path, small_config):
+    """A checkpoint written before the keys were retired evaluates as one
+    without them."""
+    dataset, out_dir = tmp_path / "videos.ds", tmp_path / "run"
+    assert cli.main(["gen", "--config", str(small_config), "--out", str(dataset)]) == 0
+    assert cli.main(["pretrain", "--config", str(small_config),
+                     "--out-dir", str(out_dir)]) == 0
+    current = out_dir / "checkpoint.ckpt"
+    ckpt = formats.read_checkpoint(current)
+    older = tmp_path / "older.ckpt"
+    formats.write_checkpoint(older, {**ckpt.config_flat, **dict(RETIRED)}, ckpt.query, ckpt.key,
+                             ckpt.banks, ckpt.rng_meta)
+    for command in ("probe", "retrieve"):
+        written = []
+        for checkpoint in (current, older):
+            out = tmp_path / f"{command}_{checkpoint.stem}.csv"
+            assert cli.main([command, "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                             "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
 
 def test_unknown_config_key_fails(tmp_path, capsys):
@@ -188,13 +221,16 @@ def test_config_errors_name_the_file_and_line(tmp_path, capsys, monkeypatch, tex
     ("probe.l2_penalty=-0.5", "probe.l2_penalty must be >= 0"),
     ("retrieval.ks=1,0", "retrieval.ks must list values >= 1, got [1, 0]"),
     ("dataset.classes=1", "dataset.classes must be >= 2"),
+    ("dataset.height=4", "dataset.height/width must be >= 8"),
+    ("dataset.videos_per_class=1", "dataset.videos_per_class must be >= 2"),
     ("train.hidden_dim=0", "train.hidden_dim must be >= 1"),
 ], ids=["probe_frames", "probe_iterations", "probe_learning_rate", "probe_l2_penalty",
-        "retrieval_ks", "dataset_classes", "train_hidden_dim"])
+        "retrieval_ks", "dataset_classes", "dataset_height", "dataset_videos_per_class",
+        "train_hidden_dim"])
 def test_config_values_checked_when_the_config_loads(tmp_path, capsys, monkeypatch, setting,
                                                      message):
     """A bad value in any section fails before the first fit, naming its key
-    and the file, and pretraining writes nothing."""
+    and the file, and neither generation nor pretraining writes anything."""
     fits = []
     monkeypatch.setattr(trainer, "fit", lambda *args, **kwargs: fits.append(args))
     key = setting.split("=")[0]
@@ -206,7 +242,10 @@ def test_config_values_checked_when_the_config_loads(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
     assert cli.main(["pretrain", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert cli.main(["gen", "--config", str(cfg), "--out", str(tmp_path / "videos.ds")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
     assert fits == [] and not (tmp_path / "run").exists()
+    assert not (tmp_path / "videos.ds").exists()
 
 
 @pytest.mark.parametrize("flag, count", [("--probes", "probes"), ("--seeds", "seeds")])

@@ -70,7 +70,7 @@ def test_defaults_are_the_dataclass_fields():
             for cls in CONFIG_CLASSES for field in dataclasses.fields(cls)
             if field.name != "dataset"}
     assert set(config_mod.DEFAULTS) == keys
-    assert len(keys) == 37
+    assert len(keys) == 33
 
 
 def non_default(value):
@@ -102,10 +102,17 @@ def test_readme_key_table_lists_every_default():
     assert sorted(block.split()) == formats.render_flat(config_mod.DEFAULTS).split()
 
 
-def test_retired_probe_seed_dropped_from_echoes_only():
-    assert "probe.seed" not in config_mod.parse_flat_strings({"probe.seed": "0"})
-    with pytest.raises(ValueError, match="line 1: unknown config key 'probe.seed'"):
-        config_mod.parse_config_text("probe.seed=0\n")
+# every retired key with a value older echoes may carry, the default or not
+RETIRED = [("probe.seed", "0"), ("train.frame_source", "uniform"),
+           ("train.share_tuple_augment", "true"), ("train.order_positive_uses_key", "false"),
+           ("train.normalize_order_embeddings", "false")]
+
+
+@pytest.mark.parametrize("key, value", RETIRED, ids=[key for key, _ in RETIRED])
+def test_retired_keys_dropped_from_echoes_only(key, value):
+    assert key not in config_mod.parse_flat_strings({key: value})
+    with pytest.raises(ValueError, match=f"line 1: unknown config key '{key}'"):
+        config_mod.parse_config_text(f"{key}={value}\n")
 
 
 def test_config_search_path_env(tmp_path, monkeypatch):
@@ -152,18 +159,19 @@ def test_checkpoint_round_trip(tmp_path):
     assert echo == formats.render_flat(config_mod.parse_flat_strings(flat))
 
 
-def test_older_echo_with_probe_seed_still_loads(tmp_path):
+@pytest.mark.parametrize("key, value", RETIRED, ids=[key for key, _ in RETIRED])
+def test_older_echo_with_retired_key_still_loads(tmp_path, key, value):
     cfg, state = small_state()
     flat = {**formats.flatten_config(cfg), **formats.flatten_config(evaluate.ProbeConfig()),
-            "probe.seed": 0}
+            key: value}
     path = tmp_path / "model.ckpt"
     formats.write_checkpoint(path, flat, state.query, state.key,
                              {"inter": state.bank_inter, "segment": state.bank_segment},
                              {"seed": 9, "epoch": 1, "step": 2})
     loaded = formats.read_checkpoint(path)
-    assert loaded.config_flat["probe.seed"] == "0"
+    assert loaded.config_flat[key] == value
     typed = config_mod.parse_flat_strings(loaded.config_flat)
-    assert "probe.seed" not in typed
+    assert key not in typed
     assert config_mod.build_probe_config(typed) == evaluate.ProbeConfig()
     assert config_mod.build_train_config(typed) == cfg
 
@@ -488,6 +496,27 @@ def test_offset_or_shape_past_payload_rejected(tmp_path, prefix, edit):
     checkpoint, _ = written_artifacts(tmp_path)
     rewrite_header_line(checkpoint, prefix, edit)
     with pytest.raises(formats.ArtifactError, match="model.ckpt.*runs past the .*-byte payload"):
+        formats.read_checkpoint(checkpoint)
+
+
+@pytest.mark.parametrize("prefix, drop, message", [
+    (b"#param query.encoder.fc1.bias ", False,
+     r"'#param query.encoder.fc1.bias \S+ 0' starts at byte 0, not \d+"),
+    (b"#bank inter ", True, r"'#bank segment [^']*' starts at byte (\d+), not (?!\1)\d+"),
+    (b"#bank segment ", True, r"'#bank inter [^']*' ends at byte (\d+), not (?!\1)\d+"),
+], ids=["overlap", "gap", "short_of_the_end"])
+def test_checkpoint_entries_must_tile_the_payload(tmp_path, prefix, drop, message):
+    """A bias read from offset 0 would silently alias the first weights; a
+    dropped bank line leaves bytes no entry reads."""
+    checkpoint, _ = written_artifacts(tmp_path)
+    if drop:
+        blob = checkpoint.read_bytes()
+        start = blob.index(b"\n" + prefix) + 1
+        checkpoint.write_bytes(blob[:start] + blob[blob.index(b"\n", start) + 1:])
+    else:
+        rewrite_header_line(checkpoint, prefix, lambda line: past_payload(line, 3, b"0"))
+    with pytest.raises(formats.ArtifactError,
+                       match=f"model.ckpt: entries do not tile the payload: {message}$"):
         formats.read_checkpoint(checkpoint)
 
 

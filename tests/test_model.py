@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -189,30 +188,6 @@ def test_order_logits_width_mismatch_errors():
         model.order_logits(query, key, anchor, positive, CFG)
 
 
-def test_order_logits_unnormalized_and_query_positive():
-    query = params_for(37)
-    key = params_for(38)
-    rng = np.random.default_rng(39)
-    anchor = rng.uniform(size=(2, 3, CFG.frame_pixels))
-    positive = rng.uniform(size=(2, 3, CFG.frame_pixels))
-    raw = dataclasses.replace(CFG, normalize_order_embeddings=False)
-    query_side = dataclasses.replace(CFG, order_positive_uses_key=False)
-
-    def side(params, frames, normalize):
-        emb = np.stack([oracle_project(params, "order", oracle_encode(params, f))
-                        if normalize else _raw_order(params, f) for f in frames])
-        return emb.reshape(-1)
-
-    for cfg, positive_params in ((raw, key), (query_side, query)):
-        joint = np.stack([np.concatenate([side(query, a, cfg.normalize_order_embeddings),
-                                          side(positive_params, p,
-                                               cfg.normalize_order_embeddings)])
-                          for a, p in zip(anchor, positive)])
-        expected = joint @ query["order_clf.weight"] + query["order_clf.bias"]
-        assert np.allclose(model.order_logits(query, key, anchor, positive, cfg), expected,
-                           atol=1e-10)
-
-
 def test_param_views_tile_one_vector_in_param_shapes_order():
     shapes = model.param_shapes(CFG)
     vector = np.arange(float(sum(np.prod(shape) for shape in shapes.values())))
@@ -231,12 +206,6 @@ def test_param_views_tile_one_vector_in_param_shapes_order():
         views["encoder.fc2.bias"] = np.zeros(CFG.feature_dim)
     with pytest.raises(ValueError):
         model.param_views(vector[:-1], CFG)
-
-
-def _raw_order(params, frame):
-    hidden = np.maximum(oracle_encode(params, frame) @ params["head_order.fc1.weight"]
-                        + params["head_order.fc1.bias"], 0.0)
-    return hidden @ params["head_order.fc2.weight"] + params["head_order.fc2.bias"]
 
 
 def flat_params_for(seed):

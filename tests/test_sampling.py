@@ -90,10 +90,9 @@ def frame_params(aug, index):
     return sampling.AugParams(*(col[index] for col in aug))
 
 
-def draw(n, t=12, k=3, seed=0, share_augment=False):
+def draw(n, t=12, k=3, seed=0):
     """Tuples of n videos with t frames of 16x16 each, from one stream."""
-    return sampling.draw_tuples(np.random.default_rng(seed), np.full(n, t), k, 16, 16,
-                                share_augment=share_augment)
+    return sampling.draw_tuples(np.random.default_rng(seed), np.full(n, t), k, 16, 16)
 
 
 def test_segment_bounds_even_partition():
@@ -270,12 +269,10 @@ def test_augmented_frames_clamped_and_shaped():
     assert out.shape == (30, 16, 16) and out.min() >= 0.0 and out.max() <= 1.0
 
 
-def test_shared_augmentation_flag():
-    shared = draw(50, seed=11, share_augment=True).aug
-    own = draw(50, seed=11).aug
-    for shared_col, own_col in zip(shared, own):
-        assert np.all(shared_col == shared_col[..., :1])
-        assert not np.all(own_col == own_col[..., :1])
+def test_tuple_frames_draw_their_own_augmentation():
+    for col in draw(50, seed=11).aug:
+        assert col.shape == (50, 2, 3)
+        assert not np.all(col == col[..., :1])
 
 
 def test_pair_sampling_deterministic():

@@ -122,9 +122,15 @@ def test_between_class_distance_exceeds_within():
 
 
 def test_small_frames_rejected():
-    spec = spec_with(height=7, width=16)
-    with pytest.raises(ValueError):
-        synth.generate_video(spec, 0, 0)
+    # the spec itself refuses, before anything is generated
+    for kw in ({"height": 7}, {"width": 4}):
+        with pytest.raises(ValueError, match="^dataset.height/width must be >= 8$"):
+            spec_with(**kw)
+
+
+def test_single_video_per_class_rejected():
+    with pytest.raises(ValueError, match="^dataset.videos_per_class must be >= 2$"):
+        spec_with(videos_per_class=1)
 
 
 def test_dataset_split_counts_and_ids():

@@ -163,12 +163,6 @@ def test_loss_decreases_on_a_fixed_batch():
         assert losses[-1] < losses[0], (seed, losses[0], losses[-1])
 
 
-def test_frame_source_uniform_mode_runs():
-    cfg = tiny_config(frame_source="uniform")
-    state, _, _ = trainer.fit(cfg)
-    assert state.step == 2 * 3
-
-
 def test_segment_count_one_trains():
     cfg = tiny_config(segments=1)
     state, _, _ = trainer.fit(cfg)
@@ -212,15 +206,10 @@ def reference_batch_item(video, drawn, slot, cfg):
                                        frame_params(drawn.views, (slot, j)))
 
     a_frames, p_frames = tuple_frames(0), tuple_frames(1)
-    if cfg.frame_source == "uniform":
-        picks = drawn.picks[slot]
-        others = [view(picks[1], 0), view(picks[2], 1)]
-        frame_anchor, frame_positive = view(picks[0], 2), view(picks[0], 3)
-    else:
-        segment_order = np.argsort(tuples.indices[slot, 0])
-        first = tuples.indices[slot, 0, segment_order[0]]
-        frame_anchor, frame_positive = view(first, 0), view(first, 1)
-        others = [a_frames[segment_order[1 % k]], a_frames[segment_order[2 % k]]]
+    segment_order = np.argsort(tuples.indices[slot, 0])
+    first = tuples.indices[slot, 0, segment_order[0]]
+    frame_anchor, frame_positive = view(first, 0), view(first, 1)
+    others = [a_frames[segment_order[1 % k]], a_frames[segment_order[2 % k]]]
     shuffle_anchor, shuffle_positive = tuples.shuffled[slot]
     return {"anchors": a_frames.reshape(k, -1), "positives": p_frames.reshape(k, -1),
             "frame_anchors": frame_anchor.reshape(-1),
@@ -239,8 +228,7 @@ def step_indices(cfg, n_videos, epoch, step):
     return perm[step * cfg.batch_size:(step + 1) * cfg.batch_size]
 
 
-@pytest.mark.parametrize("variant", [{}, {"frame_source": "uniform"},
-                                     {"share_tuple_augment": True, "segments": 4}])
+@pytest.mark.parametrize("variant", [{}, {"segments": 4}])
 def test_assemble_batch_matches_per_frame_reference(variant, monkeypatch):
     spec = synth.DatasetSpec(classes=4, videos_per_class=6, frames=16, seed=11)
     cfg = TrainConfig(dataset=spec, epochs=4, batch_size=8, bank_capacity=256,
@@ -272,15 +260,13 @@ def test_assemble_batch_matches_per_frame_reference(variant, monkeypatch):
                                            err_msg=field.name)
 
 
-@pytest.mark.parametrize("losses_on, variant, read, columns", [
-    (("inter",), {}, 4, 8),
-    (("inter",), {"frame_source": "uniform"}, 4, 10),
-    (("segment", "order"), {}, 6, 8),
-    (trainer.LOSS_NAMES, {}, 8, 8),
-], ids=["inter", "inter_uniform", "segment_order", "all"])
-def test_sample_batch_augments_only_the_frames_read(losses_on, variant, read, columns,
-                                                    monkeypatch):
-    cfg = tiny_config(**variant)
+@pytest.mark.parametrize("losses_on, read, columns", [
+    (("inter",), 4, 8),
+    (("segment", "order"), 6, 8),
+    (trainer.LOSS_NAMES, 8, 8),
+], ids=["inter", "segment_order", "all"])
+def test_sample_batch_augments_only_the_frames_read(losses_on, read, columns, monkeypatch):
+    cfg = tiny_config()
     assert cfg.segments == 3
     selected = trainer.with_losses(cfg, losses_on)
     train_videos, _ = synth.generate_dataset(cfg.dataset)
@@ -304,7 +290,7 @@ def test_sample_batch_augments_only_the_frames_read(losses_on, variant, read, co
 
 
 def test_assemble_batch_same_step_same_bytes():
-    cfg = tiny_config(frame_source="uniform")
+    cfg = tiny_config()
     train_videos, _ = synth.generate_dataset(cfg.dataset)
 
     def batch_bytes(epoch, step):
@@ -318,7 +304,6 @@ def test_assemble_batch_same_step_same_bytes():
              for _ in range(2)]
     for a, b in zip(drawn[0].tuples.aug + drawn[0].views, drawn[1].tuples.aug + drawn[1].views):
         assert a.tobytes() == b.tobytes()
-    assert drawn[0].picks.tobytes() == drawn[1].picks.tobytes()
     assert drawn[0].tuples.indices.tobytes() == drawn[1].tuples.indices.tobytes()
 
 
@@ -370,12 +355,10 @@ def reference_sample_losses(query_params, key_params, item, inter_negatives,
         enqueue["segment"] = p
     if cfg.use_order:
         def per_frame(params, frames):
-            emb = model.head_mlp(params, "order", model.encode(params, frames))
-            return nm.l2_normalize(emb) if cfg.normalize_order_embeddings else emb
+            return model.project(params, "order", model.encode(params, frames))
 
-        positive_params = key_params if cfg.order_positive_uses_key else query_params
         joint = nm.concat([nm.reshape(per_frame(query_params, anchor), (1, -1)),
-                           nm.reshape(per_frame(positive_params, positive), (1, -1))])
+                           nm.reshape(per_frame(key_params, positive), (1, -1))])
         logits = nm.linear(joint, query_params["order_clf.weight"],
                            query_params["order_clf.bias"])
         out["order"] = nm.softmax_cross_entropy(logits, [int(item["order_labels"])])
@@ -418,10 +401,8 @@ def assert_relative(got, want, bound, what):
 
 @pytest.mark.parametrize("bank_rows", [0, 40], ids=["empty_bank", "partial_bank"])
 @pytest.mark.parametrize("variant", [
-    {}, {"frame_source": "uniform"}, {"share_tuple_augment": True, "segments": 4},
-    {"segments": 1}, {"segments": 2}, {"order_positive_uses_key": False},
-    {"normalize_order_embeddings": False},
-], ids=["criterion11", "uniform", "share_k4", "k1", "k2", "query_positive", "raw_order"])
+    {}, {"segments": 4}, {"segments": 1}, {"segments": 2},
+], ids=["criterion11", "k4", "k1", "k2"])
 def test_batch_losses_match_per_sample_reference(variant, bank_rows):
     spec = synth.DatasetSpec(classes=4, videos_per_class=6, frames=16, seed=11)
     cfg = TrainConfig(dataset=spec, epochs=4, batch_size=8, bank_capacity=256,
@@ -495,23 +476,20 @@ def reference_key_targets(key_params, batch, cfg):
             out["inter"] = model.project(key_params, "inter", features).reshape(b, 3, -1)
         if cfg.use_intra:
             out["intra"] = model.project(key_params, "intra", features).reshape(b, 3, -1)
-    key_order = cfg.use_order and cfg.order_positive_uses_key
-    if cfg.use_segment or key_order:
+    if cfg.use_segment or cfg.use_order:
         features = model.encode(key_params, batch.positives.reshape(b * k, -1))
         if cfg.use_segment:
             out["segment"] = model.segment_embedding(key_params, features, k)
-        if key_order:
+        if cfg.use_order:
             out["order"] = model.order_embedding(key_params, features, cfg.model_config())
     return out
 
 
-@pytest.mark.parametrize("variant, key_passes", [
-    ({}, 1), ({"hidden_dim": 128, "feature_dim": 64, "embed_dim": 32}, 1), ({"segments": 1}, 1),
-    ({"share_tuple_augment": True, "segments": 4}, 1), ({"order_positive_uses_key": False}, 1),
-    ({"use_inter": False, "use_intra": False, "use_segment": False,
-      "order_positive_uses_key": False}, 0),
-], ids=["tiny", "default_dims", "k1", "share_k4", "query_positive", "order_only_query_positive"])
-def test_key_targets_encode_once_per_side(variant, key_passes, monkeypatch):
+@pytest.mark.parametrize("variant", [
+    {}, {"hidden_dim": 128, "feature_dim": 64, "embed_dim": 32}, {"segments": 1},
+    {"segments": 4}, {"use_inter": False, "use_intra": False, "use_segment": False},
+], ids=["tiny", "default_dims", "k1", "k4", "order_only"])
+def test_key_targets_encode_once_per_side(variant, monkeypatch):
     cfg = tiny_config(**variant)
     train_videos, _ = synth.generate_dataset(cfg.dataset)
     state = trainer.init_state(cfg, total_steps=4)
@@ -526,13 +504,13 @@ def test_key_targets_encode_once_per_side(variant, key_passes, monkeypatch):
 
     monkeypatch.setattr(model, "encode", noted)
     got = trainer.key_targets(state.key, batch, cfg)
-    assert sides == ["key"] * key_passes
+    assert sides == ["key"]
     assert set(got) == set(want)
     for name in want:
         assert got[name].tobytes() == want[name].tobytes(), name
     sides.clear()
     trainer.train_step(state, batch, cfg)
-    assert sorted(sides) == ["key"] * key_passes + ["query"]
+    assert sorted(sides) == ["key", "query"]
 
 
 @pytest.mark.parametrize("losses_on, nodes", [
