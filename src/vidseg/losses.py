@@ -3,13 +3,15 @@ cross-entropy terms over unit embeddings, each averaged over a batch.
 
 Queries are (B, E) rows; one sample is a batch of one. They may be tape Vars
 (gradients flow) or plain arrays. Positives have the query's shape and may be
-either too; memory-bank negatives are always plain arrays, shared by every
-row and treated as constants. InfoNCE takes the MoCo queue form as one
-tape node, numerics.bank_cross_entropy: the query rows are scaled by
-1/temperature once, one (B, E) @ (E, M) product against the bank gives the
-negative logits in one (B, M) buffer, one row-wise dot per positive gives
-the positive logits, and the bank's log-sum-exp is taken once per row for
-all P positives. Callers are responsible for unit-normalizing embeddings;
+either too; negatives are always plain arrays, treated as constants: an
+(M, E) memory bank shared by every row for the inter and segment losses, and
+for the intra loss each row's own two other frames, a (B, 2, E) per-row bank.
+Every contrastive term takes the MoCo queue form as one tape node,
+numerics.bank_cross_entropy: the query rows are scaled by 1/temperature
+once, one product against the negatives gives the negative logits in one
+(B, M) buffer, one row-wise dot per positive gives the positive logits, and
+the negatives' log-sum-exp is taken once per row for all P positives.
+Callers are responsible for unit-normalizing embeddings;
 the losses only take dot products, so slightly perturbed inputs
 (finite-difference probes) are fine.
 """
@@ -29,8 +31,8 @@ def _inverse(temperature):
 
 def _bank_terms(query, positives, negatives, inv):
     """Batch-mean InfoNCE of the query rows against each of the positives and
-    the shared negatives, averaged over the positives: one (B, E) @ (E, M)
-    bank product and one bank log-sum-exp serve them all. A constant zero when
+    the negatives (shared or per row), averaged over the positives: one bank
+    product and one bank log-sum-exp serve them all. A constant zero when
     there are no negatives."""
     if negatives is None or len(negatives) == 0:
         return np.float64(0.0)
@@ -57,11 +59,10 @@ def loss_inter(query, positive_same, positive_b, positive_c, negatives, temperat
 
 def loss_intra(query, positive_same, other_b, other_c, temperature):
     """Frame-level discrimination where the other two frames of the same
-    video are the only negatives (no bank): cross-entropy over (B, 3) logits."""
-    inv = _inverse(temperature)
-    logits = nm.concat([nm.dot(query, positive_same), nm.dot(query, other_b),
-                        nm.dot(query, other_c)])
-    return nm.softmax_cross_entropy(nm.scale(logits, inv), np.zeros(query.shape[0], dtype=int))
+    video are the only negatives (no bank): InfoNCE against a per-row bank of
+    two, the plain (B, E) arrays other_b and other_c."""
+    return _bank_terms(query, [positive_same], np.stack([other_b, other_c], axis=1),
+                       _inverse(temperature))
 
 
 def loss_segment(query_tuple, positive_tuple, negatives, temperature):

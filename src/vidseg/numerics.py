@@ -9,11 +9,12 @@ Supported op set: linear (a fully connected layer, with an optional ReLU),
 add, scale, dot (row-wise), mean_rows (over the K axis), concat (along the
 last axis), reshape, slice_rows, l2_normalize, softmax_cross_entropy
 (row-wise, with a label vector), bank_cross_entropy (the query rows' InfoNCE
-against P positives and one constant bank). The ops take rows over a leading
-batch axis, so a training step records one small graph over (B, ...) arrays
-and a single sample is a batch of one. Only the elementwise ops (add, scale),
-reshape and slice_rows take any rank, and dot also takes two vectors: their
-0-d product is a scalar root for backward.
+against P positives and constant negatives, one bank shared by every row or
+one set per row). The ops take rows over a leading batch axis, so a training
+step records one small graph over (B, ...) arrays and a single sample is a
+batch of one. Only the elementwise ops (add, scale), reshape and slice_rows
+take any rank, and dot also takes two vectors: their 0-d product is a scalar
+root for backward.
 
 Every op builds its node through _make, which also stores the op's arguments
 on the node. So a recorded graph can re-run any part of itself on plain
@@ -302,27 +303,33 @@ def softmax_cross_entropy(logits, labels):
 
 def bank_cross_entropy(query, positives, negatives, inv):
     """Mean InfoNCE of the (B, E) query rows scaled by inv against each of the
-    P (B, E) positives and the constant (M, E) bank shared by every row.
+    P (B, E) positives and constant negatives: an (M, E) bank shared by every
+    row, or (B, M, E), one set of M per row.
 
     With s = inv * query, p_bj = s_b . positives[j]_b and the bank logits
-    n_b = negatives @ s_b, entry (b, j) is the cross-entropy of [p_bj, n_b1,
-    ..., n_bM] with the positive in slot 0, logaddexp(p_bj, LSE_b) - p_bj,
-    computed as softplus(LSE_b - p_bj); the bank's log-sum-exp LSE_b is taken
-    once per row and serves all P positives. The result is the mean over all
-    B*P entries. The (B, M) logits live in one buffer: their exponentials
-    overwrite them, and backward turns those into the logits' gradient in
-    place, so the node can be differentiated only once (as any graph).
+    n_b = negatives @ s_b (negatives[b] @ s_b per row), entry (b, j) is the
+    cross-entropy of [p_bj, n_b1, ..., n_bM] with the positive in slot 0,
+    logaddexp(p_bj, LSE_b) - p_bj, computed as softplus(LSE_b - p_bj); the
+    bank's log-sum-exp LSE_b is taken once per row and serves all P
+    positives. The result is the mean over all B*P entries. The (B, M) logits
+    live in one buffer: their exponentials overwrite them, and backward turns
+    those into the logits' gradient in place, so the node can be
+    differentiated only once (as any graph). The negatives get no gradient,
+    so a tracked Var there is a TapeError.
     """
+    if isinstance(negatives, Var):
+        raise TapeError("bank_cross_entropy: negatives are constants; pass a plain array")
     qv, pvs, nv = _value(query), [_value(p) for p in positives], _value(negatives)
-    if (qv.ndim != 2 or nv.ndim != 2 or 0 in qv.shape + nv.shape or not pvs
-            or nv.shape[1] != qv.shape[1] or any(pv.shape != qv.shape for pv in pvs)):
+    if (qv.ndim != 2 or nv.ndim < 2 or nv.shape[:-2] not in ((), qv.shape[:1]) or not pvs
+            or 0 in qv.shape + nv.shape or nv.shape[-1] != qv.shape[1]
+            or any(pv.shape != qv.shape for pv in pvs)):
         raise ShapeMismatchError("bank_cross_entropy", qv.shape, *[pv.shape for pv in pvs],
                                  nv.shape)
     inv = float(inv)
     count = qv.shape[0] * len(pvs)
     scaled = qv * inv
     pos = np.stack([np.einsum("...i,...i->...", scaled, pv) for pv in pvs], axis=1)
-    expd = scaled @ nv.T
+    expd = np.einsum("be,bme->bm", scaled, nv) if nv.ndim == 3 else scaled @ nv.T
     m = expd.max(axis=1, keepdims=True)
     np.subtract(expd, m, out=expd)
     np.exp(expd, out=expd)
@@ -339,7 +346,7 @@ def bank_cross_entropy(query, positives, negatives, inv):
                             "re-record to differentiate again")
         np.multiply(expd, bank_share.sum(axis=1, keepdims=True) / total * (g / count), out=expd)
         expd.setflags(write=False)
-        grad = expd @ nv
+        grad = np.einsum("bm,bme->be", expd, nv) if nv.ndim == 3 else expd @ nv
         pos_grad = bank_share * (-g / count)  # of the positive logits
         for j, pv in enumerate(pvs):
             grad += pos_grad[:, j:j + 1] * pv

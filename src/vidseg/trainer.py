@@ -53,7 +53,8 @@ class TrainConfig:
                      "feature_dim", "embed_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"train.{name} must be >= 1")
-        for name in ("learning_rate", "sgd_momentum", "weight_decay", "checkpoint_interval"):
+        for name in ("seed", "learning_rate", "sgd_momentum", "weight_decay",
+                     "checkpoint_interval"):
             if getattr(self, name) < 0:
                 raise ValueError(f"train.{name} must be >= 0")
         if self.temperature <= 0:

@@ -13,13 +13,15 @@ pretraining config, its `.ckpt` and the same feature tables and results
 computed as `vidseg probe` does, from the parameters `read_checkpoint`
 returns on the splits `read_dataset` returns. A change that
 alters the arithmetic on purpose rewrites the table in the same commit
-(`PYTHONPATH=src python tests/test_byte_trail.py`) and says why; any other
-mismatch is a regression. The table records the numpy and BLAS build it was
-made with, since another build may round differently.
+(`PYTHONPATH=src python tests/test_byte_trail.py`, which prints the digests
+that moved and those that held) and says why; any other mismatch is a
+regression. The table records the numpy and BLAS build it was made with,
+since another build may round differently.
 """
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +115,31 @@ def suite_digest():
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
+def digests(trail):
+    """Every digest of a table by a dotted name: the section, then the entry
+    name for the listed configs, then the file or field."""
+    found = {}
+    for section, value in trail.items():
+        if section == "made_with":
+            continue
+        if isinstance(value, str):
+            found[section] = value
+            continue
+        for entry in value if isinstance(value, list) else [value]:
+            prefix = f"{section}.{entry['name']}" if "name" in entry else section
+            found.update((f"{prefix}.{field}", digest) for field, digest in entry.items()
+                         if field not in ("name", "overrides"))
+    return found
+
+
+def moved_and_held(before, after):
+    """The names of the digests that differ between two tables, and of those
+    that do not."""
+    old, new = digests(before), digests(after)
+    moved = [name for name in new if old.get(name) != new[name]]
+    return moved, [name for name in new if old.get(name) == new[name]]
+
+
 def mismatch(what, got, want):
     return (f"{what}: sha256 {got} != {want} in {TABLE.name}; table made with "
             f"{TRAIL['made_with']}, this run {build()}")
@@ -169,10 +196,24 @@ def test_file_evaluation_matches_the_table(datasets, tmp_path):
             f"{TRAIL['pretrain'][0]['name']} file evaluation {what}", digest, entry[what])
 
 
+def test_digest_names_cover_the_table():
+    names = digests(TRAIL)
+    assert sorted(names.values()) == sorted(re.findall(r'"([0-9a-f]{64})"', TABLE.read_text()))
+    assert "pretrain.inter_only.metrics.csv" in names and "evaluation.features" in names
+    edited = json.loads(TABLE.read_text())
+    edited["data"][1]["test"] = "0" * 64
+    moved, held = moved_and_held(TRAIL, edited)
+    assert moved == [f"data.{TRAIL['data'][1]['name']}.test"]
+    assert len(held) == len(names) - 1
+
+
 if __name__ == "__main__":
-    # rewrite the digests of the table's configs from this tree
+    # rewrite the digests of the table's configs from this tree, then name
+    # the digests that moved and those that held
+    import copy
     import tempfile
 
+    before = copy.deepcopy(TRAIL)
     found = {}
     for entry in TRAIL["pretrain"]:
         with tempfile.TemporaryDirectory() as out_dir:
@@ -187,3 +228,6 @@ if __name__ == "__main__":
     TRAIL.update(made_with=build(), gradient_suite=suite_digest(),
                  evaluation=evaluation_digests(first, found), file_evaluation=file_evaluation)
     TABLE.write_text(json.dumps(TRAIL, indent=2) + "\n")
+    moved, held = moved_and_held(before, TRAIL)
+    print(f"moved ({len(moved)}): {', '.join(moved) or 'none'}")
+    print(f"held ({len(held)}): {', '.join(held) or 'none'}")

@@ -224,9 +224,11 @@ def test_config_errors_name_the_file_and_line(tmp_path, capsys, monkeypatch, tex
     ("dataset.height=4", "dataset.height/width must be >= 8"),
     ("dataset.videos_per_class=1", "dataset.videos_per_class must be >= 2"),
     ("train.hidden_dim=0", "train.hidden_dim must be >= 1"),
+    ("dataset.seed=-1", "dataset.seed must be >= 0"),
+    ("train.seed=-2", "train.seed must be >= 0"),
 ], ids=["probe_frames", "probe_iterations", "probe_learning_rate", "probe_l2_penalty",
         "retrieval_ks", "dataset_classes", "dataset_height", "dataset_videos_per_class",
-        "train_hidden_dim"])
+        "train_hidden_dim", "dataset_seed", "train_seed"])
 def test_config_values_checked_when_the_config_loads(tmp_path, capsys, monkeypatch, setting,
                                                      message):
     """A bad value in any section fails before the first fit, naming its key

@@ -180,12 +180,14 @@ def test_gradients_match_finite_differences():
     def f_inter(q, p1, p2, p3):
         return losses.loss_inter(q, p1, p2, p3, negs, 0.07)
 
+    # the intra loss takes the other two frames as constants (their values,
+    # others), so its gradient does not reach the tracked a and b
     def f_intra(q, p, a, b):
-        return losses.loss_intra(q, p, a, b, 0.07)
+        return losses.loss_intra(q, p, *others, 0.07)
 
     def f_total(q, p1, p2, p3):
         total = nm.add(losses.loss_inter(q, p1, p2, p3, negs, 0.07),
-                       losses.loss_intra(q, p1, p2, p3, 0.07))
+                       losses.loss_intra(q, p1, *others, 0.07))
         total = nm.add(total, losses.loss_segment(q, p1, negs, 0.07))
         return nm.add(total, losses.loss_order(
             nm.concat([nm.dot(q, p1), nm.dot(q, p2), nm.dot(q, p3), nm.dot(p2, p3)]), [1]))
@@ -193,6 +195,7 @@ def test_gradients_match_finite_differences():
     for seed in range(10):
         r = np.random.default_rng(seed)
         q, p1, p2, p3 = unit(r), unit(r), unit(r), unit(r)
+        others = (p2, p3)
         for f, args in ((f_nce, [q, p1]), (f_inter, [q, p1, p2, p3]),
                         (f_intra, [q, p1, p2, p3]), (f_total, [q, p1, p2, p3])):
             report = nm.grad_check(f, args, step=1e-5, tol=1e-4)
@@ -244,8 +247,9 @@ def test_batched_loss_gradients_match_finite_differences():
     q, p1, p2, p3 = (unit_rows(rng, 3) for _ in range(4))
 
     def f(qv, a, b, c):
+        # the intra loss takes the other two frames as constants
         total = nm.add(losses.loss_inter(qv, a, b, c, negs, 0.1),
-                       losses.loss_intra(qv, a, b, c, 0.1))
+                       losses.loss_intra(qv, a, p2, p3, 0.1))
         return nm.add(total, losses.loss_segment(qv, b, negs, 0.1))
 
     report = nm.grad_check(f, [q, p1, p2, p3], step=1e-5, tol=1e-4)
@@ -254,13 +258,18 @@ def test_batched_loss_gradients_match_finite_differences():
 
 def reference_bank_terms(query, positives, negatives, inv):
     """The per-positive path bank_cross_entropy replaced: one (B, 1 + M)
-    softmax cross-entropy per positive against the shared bank logits,
-    summed over the positives."""
+    softmax cross-entropy per positive against the bank logits, summed over
+    the positives. An (M, E) bank is shared by every row; (B, M, E)
+    negatives give row b's logits as M row-wise dots with negatives[b]."""
     if negatives is None or negatives.shape[0] == 0:
         return np.float64(0.0)
     zeros = np.zeros(query.shape[0], dtype=int)
     negatives = np.asarray(negatives)
-    neg = nm.scale(nm.linear(query, negatives.T, np.zeros(len(negatives))), inv)
+    if negatives.ndim == 3:
+        neg = nm.concat([nm.dot(query, negatives[:, j]) for j in range(negatives.shape[1])])
+    else:
+        neg = nm.linear(query, negatives.T, np.zeros(len(negatives)))
+    neg = nm.scale(neg, inv)
     total = None
     for positive in positives:
         logits = nm.concat([nm.scale(nm.dot(query, positive), inv), neg])
@@ -277,14 +286,10 @@ def assert_relative(got, want, bound, what):
     assert np.max(np.abs(got - want)) <= bound * max(1.0, np.max(np.abs(want))), what
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.integers(1, 8), st.integers(1, 4), st.integers(1, 64),
-       st.sampled_from([0.05, 0.07, 0.2, 1.0]), st.integers(0, 2**32 - 1))
-def test_bank_terms_match_per_positive_reference(b, p, m, tau, seed):
-    rng = np.random.default_rng(seed)
-    query = unit_rows(rng, b)
-    positives = [unit_rows(rng, b) for _ in range(p)]
-    negatives = unit_rows(rng, m)
+def assert_bank_terms_match_reference(query, positives, negatives, tau):
+    """_bank_terms' loss and query/positive gradients against the reference,
+    averaged over the positives, within 1e-12 relative."""
+    p = len(positives)
 
     def run(bank_terms):
         qv, pvs = nm.Var(query), [nm.Var(x) for x in positives]
@@ -301,17 +306,40 @@ def test_bank_terms_match_per_positive_reference(b, p, m, tau, seed):
         assert_relative(got, want, 1e-12, f"positive {j} gradient")
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 4), st.integers(1, 64),
+       st.sampled_from([0.05, 0.07, 0.2, 1.0]), st.integers(0, 2**32 - 1))
+def test_bank_terms_match_per_positive_reference(b, p, m, tau, seed):
+    rng = np.random.default_rng(seed)
+    query = unit_rows(rng, b)
+    positives = [unit_rows(rng, b) for _ in range(p)]
+    assert_bank_terms_match_reference(query, positives, unit_rows(rng, m), tau)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 4), st.integers(1, 64),
+       st.sampled_from([0.05, 0.07, 0.2, 1.0]), st.integers(0, 2**32 - 1))
+def test_bank_terms_match_per_row_reference(b, p, m, tau, seed):
+    rng = np.random.default_rng(seed)
+    query = unit_rows(rng, b)
+    positives = [unit_rows(rng, b) for _ in range(p)]
+    negatives = unit_rows(rng, b * m).reshape(b, m, -1)
+    assert_bank_terms_match_reference(query, positives, negatives, tau)
+
+
 def test_bank_cross_entropy_matches_finite_differences():
     rng = np.random.default_rng(15)
-    for b, p, m in ((1, 1, 1), (3, 2, 5), (4, 3, 9)):
-        negatives = rng.normal(size=(m, 4))
+    # (M, E) shared banks, then (B, M, E) per-row negatives
+    for b, p, shape in ((1, 1, (1, 4)), (3, 2, (5, 4)), (4, 3, (9, 4)),
+                        (1, 1, (1, 1, 4)), (3, 2, (3, 2, 4)), (4, 3, (4, 9, 4))):
+        negatives = rng.normal(size=shape)
 
         def f(query, *positives):
             return nm.bank_cross_entropy(query, list(positives), negatives, 1.5)
 
         report = nm.grad_check(f, [rng.normal(size=(b, 4)) for _ in range(1 + p)],
                                step=1e-5, tol=1e-6)
-        assert report.passed, f"{(b, p, m)}: {report}"
+        assert report.passed, f"{(b, p, shape)}: {report}"
 
 
 def bank_oracle(query, positives, negatives, inv):
@@ -390,9 +418,54 @@ def test_bank_cross_entropy_backward_reuses_its_buffer():
     (np.zeros((3, 4)), [np.zeros((3, 4))], np.zeros(4)),
     (np.zeros((3, 4)), [np.zeros((3, 4))], np.zeros((5, 3))),
     (np.zeros((3, 4)), [], np.zeros((5, 4))),
-], ids=["batch_mismatch", "positives_1d", "negatives_1d", "bank_width", "no_positives"])
+    (np.zeros((3, 4)), [np.zeros((3, 4))], np.zeros((2, 5, 4))),
+    (np.zeros((3, 4)), [np.zeros((3, 4))], np.zeros((3, 5, 2, 4))),
+    (np.zeros((3, 4)), [np.zeros((3, 4))], np.zeros((3, 5, 3))),
+], ids=["batch_mismatch", "positives_1d", "negatives_1d", "bank_width", "no_positives",
+        "per_row_batch_mismatch", "negatives_4d", "per_row_width"])
 def test_bank_cross_entropy_rejects_bad_shapes(query, positives, negatives):
     with pytest.raises(nm.ShapeMismatchError) as err:
         nm.bank_cross_entropy(query, positives, negatives, 1.0)
     assert err.value.op == "bank_cross_entropy"
     assert err.value.shapes == (query.shape, *[p.shape for p in positives], negatives.shape)
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (3, 5, 4)], ids=["shared", "per_row"])
+def test_bank_cross_entropy_rejects_tracked_negatives(shape):
+    # the op records no edge to its negatives, so a Var there would lose its gradient
+    rng = np.random.default_rng(19)
+    query, negatives = nm.Var(rng.normal(size=(3, 4))), nm.Var(rng.normal(size=shape))
+    with pytest.raises(nm.TapeError, match="negatives are constants"):
+        nm.bank_cross_entropy(query, [rng.normal(size=(3, 4))], negatives, 1.0)
+
+
+def reference_loss_intra(query, positive_same, other_b, other_c, temperature):
+    """The intra loss as six tape nodes: three row-wise dots, their (B, 3)
+    concat, the 1/temperature scale and a softmax cross-entropy with the
+    positive in slot 0."""
+    logits = nm.concat([nm.dot(query, positive_same), nm.dot(query, other_b),
+                        nm.dot(query, other_c)])
+    return nm.softmax_cross_entropy(nm.scale(logits, 1.0 / temperature),
+                                    np.zeros(query.shape[0], dtype=int))
+
+
+def test_loss_intra_is_one_bank_node_matching_the_six_op_chain():
+    rng = np.random.default_rng(20)
+    for _ in range(50):
+        b = int(rng.integers(1, 33))
+        query, positive, other_b, other_c = (unit_rows(rng, b, 32) for _ in range(4))
+        tau = float(rng.choice([0.05, 0.07, 0.2, 1.0]))
+
+        def run(loss):
+            qv, pv = nm.Var(query), nm.Var(positive)
+            out = loss(qv, pv, other_b, other_c, tau)
+            out.backward()
+            return out, qv.grad, pv.grad
+
+        (out, query_grad, positive_grad), (want, want_query, want_positive) = (
+            run(losses.loss_intra), run(reference_loss_intra))
+        assert [node._op for node in nm._toposort(out) if node._op != "leaf"] == [
+            "bank_cross_entropy"]
+        assert_relative(out.value, want.value, 1e-12, "loss")
+        assert_relative(query_grad, want_query, 1e-12, "query gradient")
+        assert_relative(positive_grad, want_positive, 1e-12, "positive gradient")

@@ -133,6 +133,12 @@ def test_single_video_per_class_rejected():
         spec_with(videos_per_class=1)
 
 
+def test_negative_seed_rejected():
+    # numpy's SeedSequence would refuse it only at generation, naming neither key nor file
+    with pytest.raises(ValueError, match="^dataset.seed must be >= 0$"):
+        spec_with(seed=-1)
+
+
 def test_dataset_split_counts_and_ids():
     spec = spec_with(classes=8, videos_per_class=25)
     train, test = synth.generate_dataset(spec)

@@ -47,7 +47,7 @@ def test_config_validation():
     # train as if it were 0
     for name, bad, floor in [("hidden_dim", 0, 1), ("feature_dim", 0, 1), ("embed_dim", 0, 1),
                              ("bank_capacity", 0, 1), ("segments", 0, 1),
-                             ("checkpoint_interval", -3, 0)]:
+                             ("checkpoint_interval", -3, 0), ("seed", -2, 0)]:
         with pytest.raises(ValueError, match=f"^train.{name} must be >= {floor}$"):
             tiny_config(**{name: bad}).validate()
     tiny_config(checkpoint_interval=0).validate()
@@ -514,7 +514,7 @@ def test_key_targets_encode_once_per_side(variant, monkeypatch):
 
 
 @pytest.mark.parametrize("losses_on, nodes", [
-    ({}, 55),
+    ({}, 50),
     ({"use_intra": False, "use_segment": False, "use_order": False}, 14),
 ], ids=["default", "inter_only"])
 def test_step_graph_size(losses_on, nodes):
