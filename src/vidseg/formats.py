@@ -10,10 +10,10 @@ reads a file only up to its `#payload` line, so a header can be inspected
 without loading the payload. Writers compute every offset up front and hand
 `atomic_write_bytes` the header, then one float32 array per video, parameter
 or bank. `read_dataset` reads each split's frames straight into one float32
-`(n, T, H, W)` array, kept float32 as stored; the math widens frames to
-float64 where it uses them. `read_checkpoint` reads each entry at its offset
-and widens only that entry, so parameters and banks come back float64. Its
-entries must tile the payload: no gap, no overlap.
+`(n, T, H, W)` array, the form `generate_dataset` gives them too; the math
+widens frames to float64 where it uses them. `read_checkpoint` reads each
+entry at its offset and widens only that entry, so parameters and banks come
+back float64. Its entries must tile the payload: no gap, no overlap.
 """
 
 from __future__ import annotations

@@ -61,6 +61,8 @@ def loss_intra(query, positive_same, other_b, other_c, temperature):
     """Frame-level discrimination where the other two frames of the same
     video are the only negatives (no bank): InfoNCE against a per-row bank of
     two, the plain (B, E) arrays other_b and other_c."""
+    if isinstance(other_b, nm.Var) or isinstance(other_c, nm.Var):
+        raise nm.TapeError("bank_cross_entropy: negatives are constants; pass a plain array")
     return _bank_terms(query, [positive_same], np.stack([other_b, other_c], axis=1),
                        _inverse(temperature))
 

@@ -60,9 +60,8 @@ class DatasetSpec:
 class Split:
     """The videos of one split, row b of each array describing video b."""
 
-    # (n, T, H, W) in [0, 1]: float64 when generated, float32 as stored when
-    # read from a dataset file; the math widens frames to float64 where it
-    # uses them
+    # (n, T, H, W) in [0, 1], float32 as a dataset file stores them; the
+    # math widens frames to float64 where it uses them
     frames: np.ndarray
     ids: np.ndarray  # (n,)
     labels: np.ndarray  # (n,) class ids
@@ -180,13 +179,14 @@ def generate_dataset(spec: DatasetSpec):
     order, video (c, i) with id c * videos_per_class + i.
 
     The split is stratified: within each class the first train-count indices
-    go to train, the rest to test.
+    go to train, the rest to test. Frames are float32, each video rounded
+    once as write_dataset rounds it, so runs see their dataset file's pixels.
     """
     n_train, _ = split_counts(spec)
     splits = []
     for indices in (range(n_train), range(n_train, spec.videos_per_class)):
         pairs = np.array([(c, i) for c in range(spec.classes) for i in indices])
-        frames = np.empty((len(pairs), spec.frames, spec.height, spec.width))
+        frames = np.empty((len(pairs), spec.frames, spec.height, spec.width), dtype=np.float32)
         windows = np.empty((len(pairs), 2), dtype=np.int64)
         for row, (class_id, index) in enumerate(pairs.tolist()):
             frames[row], windows[row] = generate_video(spec, class_id, index)

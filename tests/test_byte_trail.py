@@ -4,7 +4,7 @@ that a change to the hot path must keep.
 `byte_trail.json` holds, for seven 4-epoch pretraining configs (the defaults
 plus the overrides of each entry), the sha256 of `checkpoint.ckpt` and
 `metrics.csv`, and the sha256 of the 10-seed default `gradient_suite` report
-list. It also checks the data path directly: the sha256 of the float64 train
+list. It also checks the data path directly: the sha256 of the float32 train
 and test frames of three dataset specs, and, for the first pretraining
 config, the sha256 of its train and test feature tables and of its
 `evaluate_encoder` and `order_prediction_accuracy` results. The file path
@@ -60,7 +60,7 @@ def pretrain_digests(cfg, out_dir, datasets):
 
 
 def frames_digests(cfg):
-    """sha256 of the float64 frames of the spec's train and test splits."""
+    """sha256 of the float32 frames of the spec's train and test splits."""
     train, test = synth.generate_dataset(cfg.dataset)
     return {"train": hashlib.sha256(train.frames.tobytes()).hexdigest(),
             "test": hashlib.sha256(test.frames.tobytes()).hexdigest()}

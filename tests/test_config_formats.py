@@ -224,10 +224,23 @@ def test_dataset_file_round_trip(tmp_path):
     for a, b in ((train, train2), (test, test2)):
         assert np.array_equal(a.ids, b.ids) and np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.windows, b.windows)
-        assert np.allclose(a.frames, b.frames, atol=1e-7)
+        # generated frames are the stored float32 values, exactly
+        assert a.frames.dtype == b.frames.dtype == np.float32
+        assert a.frames.tobytes() == b.frames.tobytes()
     # what was read writes back to the same bytes
     formats.write_dataset(tmp_path / "again.ds", spec, train2, test2)
     assert (tmp_path / "again.ds").read_bytes() == path.read_bytes()
+
+
+def test_pretrain_on_generated_and_file_splits_writes_the_same_checkpoint(tmp_path):
+    # training sees the pixels that probe and retrieve score from the file
+    cfg = config_mod.build_train_config(config_mod.parse_config_text("train.epochs=4\n"))
+    generated = synth.generate_dataset(cfg.dataset)
+    formats.write_dataset(tmp_path / "videos.ds", cfg.dataset, *generated)
+    _, *from_file = formats.read_dataset(tmp_path / "videos.ds")
+    checkpoints = [trainer.pretrain(cfg, tmp_path / name, dataset=dataset)[0].read_bytes()
+                   for name, dataset in (("generated", generated), ("file", tuple(from_file)))]
+    assert checkpoints[0] == checkpoints[1]
 
 
 def test_dataset_splits_keep_manifest_order(tmp_path):
@@ -338,6 +351,16 @@ def test_header_split_does_not_copy_the_file(tmp_path):
 @pytest.fixture(scope="module")
 def default_splits():
     return synth.generate_dataset(synth.DatasetSpec())
+
+
+def test_generate_dataset_allocates_little_beyond_its_frames(default_splits):
+    # each video is rounded into its float32 row as it is made, so no
+    # float64 copy of a split is ever held; the fixture's earlier call has
+    # done numpy.random's one-off imports
+    (train, test), peak = traced(synth.generate_dataset, synth.DatasetSpec())
+    frames = train.frames.nbytes + test.frames.nbytes
+    assert frames == 4 * sum(split.frames.size for split in default_splits)
+    assert peak < frames + MIB, (peak, frames)
 
 
 def test_dataset_write_streams_its_payload(tmp_path, default_splits):

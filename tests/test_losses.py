@@ -439,6 +439,18 @@ def test_bank_cross_entropy_rejects_tracked_negatives(shape):
         nm.bank_cross_entropy(query, [rng.normal(size=(3, 4))], negatives, 1.0)
 
 
+@pytest.mark.parametrize("tracked", [0, 1], ids=["other_b", "other_c"])
+def test_loss_intra_rejects_tracked_other_frames(tracked):
+    # the other frames are its negatives, so a Var there is refused before
+    # they are stacked into the per-row bank
+    rng = np.random.default_rng(20)
+    others = [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))]
+    others[tracked] = nm.Var(others[tracked])
+    with pytest.raises(nm.TapeError, match="negatives are constants"):
+        losses.loss_intra(nm.Var(rng.normal(size=(3, 4))), rng.normal(size=(3, 4)), *others,
+                          0.07)
+
+
 def reference_loss_intra(query, positive_same, other_b, other_c, temperature):
     """The intra loss as six tape nodes: three row-wise dots, their (B, 3)
     concat, the 1/temperature scale and a softmax cross-entropy with the
