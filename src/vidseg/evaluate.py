@@ -4,6 +4,7 @@ runner that sweeps loss toggles or segment counts over seeds."""
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, replace
 from typing import ClassVar
@@ -13,6 +14,8 @@ import numpy as np
 from . import model, synth, trainer
 
 _EVAL_STREAM = 21
+# the float64 frame rows one encode block widens: 256 rows of 16x16 frames
+_BLOCK_BYTES = 256 * 16 * 16 * 8
 
 
 @dataclass(frozen=True)
@@ -27,10 +30,10 @@ class ProbeConfig:
         for name in ("iterations", "frames"):
             if getattr(self, name) < 1:
                 raise ValueError(f"probe.{name} must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("probe.learning_rate must be > 0")
-        if not self.l2_penalty >= 0:
-            raise ValueError("probe.l2_penalty must be >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("probe.learning_rate must be finite and > 0")
+        if not 0 <= self.l2_penalty < math.inf:
+            raise ValueError("probe.l2_penalty must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,15 @@ class FeatureTable:
 def build_feature_table(params, split: synth.Split, n_frames):
     """The FeatureTable of a split: each video's mean encoder feature over
     n_frames uniformly spaced, un-augmented frames (capped at the video
-    length), from one encode of all the split's picked frames.
+    length).
+
+    The picked frames are encoded in blocks of whole videos (_video_blocks),
+    so only one block at a time is widened to float64 and encoded, and peak
+    memory stays bounded however long the split is. A row's encoding does not
+    depend on the other rows of its matrix product, so the features are the
+    bytes of one encode over the whole split, except that a one-row product
+    is a matrix-vector product, which rounds apart: no block is a single row
+    unless the whole split is.
 
     Projection heads are deliberately not applied: downstream tasks consume
     the pretrained encoder only.
@@ -69,9 +80,25 @@ def build_feature_table(params, split: synth.Split, n_frames):
     n, t_count = split.frames.shape[:2]
     n_frames = min(n_frames, t_count)
     indices = np.arange(n_frames) * t_count // n_frames
-    rows = split.frames[:, indices].reshape(n * n_frames, -1)
-    feats = np.asarray(model.encode(params, rows)).reshape(n, n_frames, -1).mean(axis=1)
+    pixels = math.prod(split.frames.shape[2:])
+    feats = np.empty((n, params["encoder.fc2.bias"].shape[0]))
+    for start, stop in _video_blocks(n, n_frames, pixels):
+        rows = split.frames[start:stop, indices].reshape((stop - start) * n_frames, pixels)
+        encoded = np.asarray(model.encode(params, rows))
+        np.mean(encoded.reshape(stop - start, n_frames, -1), axis=1, out=feats[start:stop])
     return FeatureTable(ids=split.ids, labels=split.labels, features=feats)
+
+
+def _video_blocks(n, n_frames, pixels):
+    """[start, stop) ranges of whole videos that tile range(n): as few as
+    keep each block's float64 frame rows within _BLOCK_BYTES (or one video
+    when a video's rows exceed it), with sizes differing by at most one
+    video. A block may always take three rows, so with n_frames = 1 an even
+    split of two or more videos never leaves a one-row block."""
+    per_block = max(3, _BLOCK_BYTES // (8 * pixels)) // n_frames or 1
+    count = max(1, -(-n // per_block))
+    edges = np.arange(count + 1) * n // count
+    return zip(edges[:-1].tolist(), edges[1:].tolist())
 
 
 def feature_tables(params, train: synth.Split, test: synth.Split, n_frames):
@@ -123,7 +150,7 @@ def linear_probe(train: FeatureTable, test: FeatureTable, cfg: ProbeConfig):
 def retrieval_recall(queries: FeatureTable, gallery: FeatureTable, ks):
     """R@k over cosine similarity: the fraction of queries whose top-k gallery
     neighbours include at least one same-class item. Gallery entries sharing a
-    query's video id are excluded from its ranking."""
+    query's video id are excluded: they rank last and never count as hits."""
     if queries.features.shape[1] != gallery.features.shape[1]:
         raise ValueError("query and gallery feature widths differ")
     if gallery.features.shape[0] == 0:
@@ -142,7 +169,8 @@ def retrieval_recall(queries: FeatureTable, gallery: FeatureTable, ks):
     same_id = queries.ids[:, None] == gallery.ids[None, :]
     sims = np.where(same_id, -np.inf, sims)
     ranked = np.argsort(-sims, axis=1)
-    hits = gallery.labels[ranked] == queries.labels[:, None]
+    hits = ((gallery.labels[ranked] == queries.labels[:, None])
+            & ~np.take_along_axis(same_id, ranked, axis=1))
     return {k: float(np.mean(hits[:, :k].any(axis=1))) for k in ks}
 
 

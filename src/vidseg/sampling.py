@@ -77,18 +77,21 @@ def segment_bounds(t_count, k):
 
 def permutation_from_rank(k, rank):
     """Lexicographic unranking of permutations of range(k), rank 0 the
-    identity; an array of ranks gives one permutation per trailing row."""
+    identity; an array of ranks gives one permutation per trailing row.
+
+    The rank's factorial-base digits are each slot's index among the values
+    not yet used; they become values from the right: every later slot at or
+    above a slot's digit moves up by one."""
     rank = np.asarray(rank, dtype=np.int64)
-    remaining = np.broadcast_to(np.arange(k), rank.shape + (k,))
-    out = []
-    for slot in range(k, 0, -1):
-        block = math.factorial(slot - 1)
-        digit = (rank // block)[..., None]
+    out = np.empty(rank.shape + (k,), dtype=np.int64)
+    for slot in range(k):
+        block = math.factorial(k - 1 - slot)
+        out[..., slot] = rank // block
         rank = rank % block
-        out.append(np.take_along_axis(remaining, digit, axis=-1)[..., 0])
-        keep = np.arange(slot) != digit
-        remaining = remaining[keep].reshape(rank.shape + (slot - 1,))
-    return np.stack(out, axis=-1)
+    for slot in range(k - 2, -1, -1):
+        tail = out[..., slot + 1:]
+        tail += tail >= out[..., slot:slot + 1]
+    return out
 
 
 def draw_aug(rng, shape, height, width):

@@ -49,9 +49,10 @@ class DatasetSpec:
             raise ValueError(f"dataset.height/width must be >= {MIN_FRAME_SIDE}")
         if not 0.0 < self.action_coverage <= 1.0:
             raise ValueError("dataset.action_coverage must be in (0, 1]")
-        for name in ("noise", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"dataset.{name} must be >= 0")
+        if self.seed < 0:
+            raise ValueError("dataset.seed must be >= 0")
+        if not 0 <= self.noise < math.inf:  # written so that NaN fails too
+            raise ValueError("dataset.noise must be finite and >= 0")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("dataset.train_fraction must be in (0, 1)")
 

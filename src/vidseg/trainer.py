@@ -53,12 +53,15 @@ class TrainConfig:
                      "feature_dim", "embed_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"train.{name} must be >= 1")
-        for name in ("seed", "learning_rate", "sgd_momentum", "weight_decay",
-                     "checkpoint_interval"):
+        for name in ("seed", "checkpoint_interval"):
             if getattr(self, name) < 0:
                 raise ValueError(f"train.{name} must be >= 0")
-        if self.temperature <= 0:
-            raise ValueError("train.temperature must be > 0")
+        # written so that NaN fails too
+        for name in ("learning_rate", "sgd_momentum", "weight_decay"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"train.{name} must be finite and >= 0")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError("train.temperature must be finite and > 0")
         if not 0.0 <= self.key_momentum <= 1.0:
             raise ValueError("train.key_momentum must be in [0, 1]")
         toggles = [self.use_inter, self.use_intra, self.use_segment, self.use_order]

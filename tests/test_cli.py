@@ -217,8 +217,8 @@ def test_config_errors_name_the_file_and_line(tmp_path, capsys, monkeypatch, tex
 @pytest.mark.parametrize("setting, message", [
     ("probe.frames=0", "probe.frames must be >= 1"),
     ("probe.iterations=0", "probe.iterations must be >= 1"),
-    ("probe.learning_rate=0", "probe.learning_rate must be > 0"),
-    ("probe.l2_penalty=-0.5", "probe.l2_penalty must be >= 0"),
+    ("probe.learning_rate=0", "probe.learning_rate must be finite and > 0"),
+    ("probe.l2_penalty=-0.5", "probe.l2_penalty must be finite and >= 0"),
     ("retrieval.ks=1,0", "retrieval.ks must list values >= 1, got [1, 0]"),
     ("dataset.classes=1", "dataset.classes must be >= 2"),
     ("dataset.height=4", "dataset.height/width must be >= 8"),
@@ -226,9 +226,18 @@ def test_config_errors_name_the_file_and_line(tmp_path, capsys, monkeypatch, tex
     ("train.hidden_dim=0", "train.hidden_dim must be >= 1"),
     ("dataset.seed=-1", "dataset.seed must be >= 0"),
     ("train.seed=-2", "train.seed must be >= 0"),
+    # NaN fails every comparison, so these would pass a plain `x < 0` check
+    ("train.learning_rate=nan", "train.learning_rate must be finite and >= 0"),
+    ("train.sgd_momentum=nan", "train.sgd_momentum must be finite and >= 0"),
+    ("train.weight_decay=inf", "train.weight_decay must be finite and >= 0"),
+    ("train.temperature=nan", "train.temperature must be finite and > 0"),
+    ("dataset.noise=nan", "dataset.noise must be finite and >= 0"),
+    ("probe.learning_rate=inf", "probe.learning_rate must be finite and > 0"),
 ], ids=["probe_frames", "probe_iterations", "probe_learning_rate", "probe_l2_penalty",
         "retrieval_ks", "dataset_classes", "dataset_height", "dataset_videos_per_class",
-        "train_hidden_dim", "dataset_seed", "train_seed"])
+        "train_hidden_dim", "dataset_seed", "train_seed", "train_learning_rate_nan",
+        "train_sgd_momentum_nan", "train_weight_decay_inf", "train_temperature_nan",
+        "dataset_noise_nan", "probe_learning_rate_inf"])
 def test_config_values_checked_when_the_config_loads(tmp_path, capsys, monkeypatch, setting,
                                                      message):
     """A bad value in any section fails before the first fit, naming its key

@@ -1,6 +1,5 @@
 import dataclasses
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -310,21 +309,10 @@ def test_dataset_version_mismatch(tmp_path):
         formats.read_dataset(path)
 
 
-def traced(fn, *args):
-    """fn(*args) and the peak bytes that tracemalloc saw allocated during it."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 MIB = 1 << 20
 
 
-def test_header_split_does_not_copy_the_file(tmp_path):
+def test_header_split_does_not_copy_the_file(tmp_path, traced):
     # the header reader reads a file only up to its '#payload' line, so its
     # peak follows the header, not the payload
     peaks, payloads = [], []
@@ -353,7 +341,7 @@ def default_splits():
     return synth.generate_dataset(synth.DatasetSpec())
 
 
-def test_generate_dataset_allocates_little_beyond_its_frames(default_splits):
+def test_generate_dataset_allocates_little_beyond_its_frames(default_splits, traced):
     # each video is rounded into its float32 row as it is made, so no
     # float64 copy of a split is ever held; the fixture's earlier call has
     # done numpy.random's one-off imports
@@ -363,14 +351,14 @@ def test_generate_dataset_allocates_little_beyond_its_frames(default_splits):
     assert peak < frames + MIB, (peak, frames)
 
 
-def test_dataset_write_streams_its_payload(tmp_path, default_splits):
+def test_dataset_write_streams_its_payload(tmp_path, default_splits, traced):
     # one float32 video at a time, never the whole payload
     _, peak = traced(formats.write_dataset, tmp_path / "videos.ds", synth.DatasetSpec(),
                      *default_splits)
     assert peak < MIB, peak
 
 
-def test_dataset_read_allocates_little_beyond_its_frames(tmp_path, default_splits):
+def test_dataset_read_allocates_little_beyond_its_frames(tmp_path, default_splits, traced):
     path = tmp_path / "videos.ds"
     formats.write_dataset(path, synth.DatasetSpec(), *default_splits)
     (_, train, test), peak = traced(formats.read_dataset, path)
@@ -379,7 +367,7 @@ def test_dataset_read_allocates_little_beyond_its_frames(tmp_path, default_split
     assert peak < frames + MIB, (peak, frames)
 
 
-def test_checkpoint_read_widens_one_entry_at_a_time(tmp_path):
+def test_checkpoint_read_widens_one_entry_at_a_time(tmp_path, traced):
     cfg = trainer.TrainConfig(dataset=synth.DatasetSpec())
     state = trainer.init_state(cfg)
     rows = np.random.default_rng(0).normal(size=(cfg.bank_capacity, cfg.embed_dim))

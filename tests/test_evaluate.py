@@ -84,6 +84,60 @@ def test_extract_feature_matches_loop_oracle():
             assert table.features.tobytes() == want.tobytes(), (videos, n_frames)
 
 
+def one_pass_features(params, frames, n_frames):
+    """The reference one-pass encode: every video's picked frames in one
+    matrix product, then the per-video means."""
+    n, t_count = frames.shape[:2]
+    n_frames = min(n_frames, t_count)
+    rows = frames[:, np.arange(n_frames) * t_count // n_frames].reshape(n * n_frames, -1)
+    return np.asarray(model.encode(params, rows)).reshape(n, n_frames, -1).mean(axis=1)
+
+
+def test_blocked_encode_matches_one_pass_bytes(monkeypatch):
+    # 256 rows of 16x16 frames make a block: split sizes at and just past one
+    # and two blocks' worth of videos. 257 and 513 one-frame videos would
+    # leave a one-video remainder, whose one-row product (a matrix-vector
+    # product) rounds apart from the one-pass bytes; balanced blocks avoid it
+    params = model.init_params(model.ModelConfig(frame_pixels=256, hidden_dim=8, feature_dim=6),
+                               np.random.default_rng(30))
+    frames = np.random.default_rng(31).uniform(size=(513, 8, 16, 16)).astype(np.float32)
+    calls = []
+    encode = model.encode
+    monkeypatch.setattr(model, "encode", lambda p, rows: calls.append(len(rows)) or encode(p, rows))
+    for n_frames, sizes in [(1, (1, 256, 257, 513)), (3, (85, 86, 171)), (8, (32, 33, 65))]:
+        for n in sizes:
+            want = one_pass_features(params, frames[:n], n_frames)
+            calls.clear()
+            got = evaluate.build_feature_table(params, split_of(frames[:n]), n_frames).features
+            assert got.tobytes() == want.tobytes(), (n_frames, n)
+            # as few blocks as 256 rows allow, each of whole videos, never a
+            # single row unless the split is one
+            assert sum(calls) == n * n_frames and len(calls) == -(-n * n_frames // 256), calls
+            assert all(rows % n_frames == 0 and rows <= 256 for rows in calls), calls
+            assert min(calls) >= min(2, n * n_frames), calls
+
+
+def test_blocked_encode_peak_does_not_grow_with_the_split(traced):
+    # the default encoder and 8 probe frames on the train split of 8 classes
+    # of 32-frame 16x16 videos at 25 and 100 videos per class: 160 and 640
+    # videos, 5 and 20 full blocks. Only the (n, 64) float64 table grows with
+    # the split; one block's float32 rows, their float64 widening and its
+    # hidden activations stay the same size. So 4x the videos may cost the
+    # table's extra bytes plus 64 KiB, an eighth of one widened block, for
+    # small Python objects such as the table's id set (about 1 KiB was
+    # seen); a one-pass encode costs about 19 MiB more
+    params = model.init_params(model.ModelConfig(frame_pixels=256),
+                               np.random.default_rng(32))
+    frames = np.random.default_rng(33).uniform(size=(640, 32, 16, 16)).astype(np.float32)
+    evaluate.build_feature_table(params, split_of(frames[:2]), 8)
+    peaks, tables = [], []
+    for n in (160, 640):
+        table, peak = traced(evaluate.build_feature_table, params, split_of(frames[:n]), 8)
+        peaks.append(peak)
+        tables.append(table.features.nbytes)
+    assert peaks[1] - peaks[0] < tables[1] - tables[0] + (64 << 10), (peaks, tables)
+
+
 def test_extract_feature_rejects_no_frames():
     cfg = model.ModelConfig(frame_pixels=64, hidden_dim=8, feature_dim=6)
     params = model.init_params(cfg, np.random.default_rng(6))
@@ -159,6 +213,14 @@ def test_retrieval_excludes_same_video_id():
     gallery = table([0, 1], [0, 1], feats)  # the only same-class item shares the id
     recalls = evaluate.retrieval_recall(queries, gallery, [1])
     assert recalls[1] == 0.0
+
+
+def test_retrieval_excluded_entries_never_count_as_hits():
+    # self-retrieval of four one-item classes: each query's only same-class
+    # entry is itself, so no k finds a match
+    queries = FeatureTable(ids=np.arange(4), labels=np.arange(4), features=np.eye(4))
+    recalls = evaluate.retrieval_recall(queries, queries, [1, 3, 4])
+    assert recalls == {1: 0.0, 3: 0.0, 4: 0.0}
 
 
 def test_retrieval_monotone_and_k_validation():

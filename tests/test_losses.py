@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -395,17 +393,12 @@ def test_bank_cross_entropy_single_positive_is_softmax_cross_entropy():
     assert_relative(grads[1], want_grads[1], 1e-12, "positive gradient")
 
 
-def test_bank_cross_entropy_backward_reuses_its_buffer():
+def test_bank_cross_entropy_backward_reuses_its_buffer(traced):
     # (B, M) = (4, 50000) is 1.6 MB; backward allocates only (B, E) and (B, P) arrays
     rng = np.random.default_rng(18)
     query = nm.Var(unit_rows(rng, 4, 8))
     out = nm.bank_cross_entropy(query, [unit_rows(rng, 4, 8)], unit_rows(rng, 50000, 8), 14.0)
-    tracemalloc.start()
-    try:
-        out.backward()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced(out.backward)
     assert peak < 4 * 50000 * 8 // 4
     assert np.all(np.isfinite(query.grad))
     with pytest.raises(nm.TapeError, match="re-record"):

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +159,15 @@ def test_permutation_unranking_is_lexicographic_and_complete():
     for rank, perm in zip(ranks.reshape(-1), batched.reshape(-1, 4)):
         assert perm.tolist() == sampling.permutation_from_rank(4, rank).tolist()
     assert len({tuple(p) for p in batched.reshape(-1, 4).tolist()}) == 24
+
+
+def test_permutation_unranking_follows_itertools_order():
+    # every rank for k <= 6, one at a time and as one array
+    for k in range(1, 7):
+        want = [list(p) for p in itertools.permutations(range(k))]
+        ranks = np.arange(math.factorial(k))
+        assert [sampling.permutation_from_rank(k, r).tolist() for r in ranks] == want
+        assert sampling.permutation_from_rank(k, ranks).tolist() == want
 
 
 def test_non_identity_permutation_never_identity():

@@ -139,6 +139,13 @@ def test_negative_seed_rejected():
         spec_with(seed=-1)
 
 
+def test_non_finite_noise_rejected():
+    # NaN would pass a plain `noise < 0` check and fail inside numpy at generation
+    for bad in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(ValueError, match="^dataset.noise must be finite and >= 0$"):
+            spec_with(noise=bad)
+
+
 def test_dataset_split_counts_and_ids():
     spec = spec_with(classes=8, videos_per_class=25)
     train, test = synth.generate_dataset(spec)

@@ -51,6 +51,15 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"^train.{name} must be >= {floor}$"):
             tiny_config(**{name: bad}).validate()
     tiny_config(checkpoint_interval=0).validate()
+    # non-finite rates would train to a non-finite loss
+    for name, bad in [("learning_rate", np.nan), ("learning_rate", np.inf),
+                      ("sgd_momentum", np.nan), ("weight_decay", np.inf),
+                      ("weight_decay", -0.5)]:
+        with pytest.raises(ValueError, match=f"^train.{name} must be finite and >= 0$"):
+            tiny_config(**{name: bad}).validate()
+    for bad in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="^train.temperature must be finite and > 0$"):
+            tiny_config(temperature=bad).validate()
     with pytest.raises(ValueError):
         tiny_config(use_inter=False, use_intra=False, use_segment=False,
                     use_order=False).validate()
