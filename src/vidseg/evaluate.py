@@ -182,7 +182,11 @@ def order_prediction_accuracy(query_params, key_params, split: synth.Split,
 
     The pairs are the tuples of a training batch (trainer.sample_batch with
     the order loss alone), which also draws the frame-level views; only the
-    tuple frames are augmented."""
+    tuple frames are augmented. An empty split or n_samples < 1 is a
+    ValueError."""
+    if len(split) == 0 or n_samples < 1:
+        raise ValueError(f"order_prediction_accuracy: needs a non-empty split and n_samples "
+                         f">= 1, got {len(split)} videos and n_samples={n_samples}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _EVAL_STREAM]))
     rows = np.arange(n_samples) % len(split)
     batch = trainer.sample_batch(split.frames, rows, trainer.with_losses(cfg, ("order",)), rng)

@@ -32,6 +32,8 @@ from .memory import MemoryBank
 
 CHECKPOINT_MAGIC = "#vidseg-checkpoint v1"
 DATASET_MAGIC = "#vidseg-dataset v1"
+# the counters of a checkpoint's one '#rng' line, in the order they are written
+_RNG_COUNTERS = ("seed", "epoch", "step")
 
 
 class ArtifactError(ValueError):
@@ -197,7 +199,7 @@ def write_checkpoint(path, config_flat, query_params, key_params, banks, rng_met
         header.write(f"#bank {name} {bank.capacity} {bank.width} {bank.cursor} {bank.fill} "
                      f"{offset}\n")
         offset += 4 * bank.storage.size
-    header.write(f"#rng seed={rng_meta['seed']} epoch={rng_meta['epoch']} step={rng_meta['step']}\n")
+    header.write("#rng " + " ".join(f"{name}={rng_meta[name]}" for name in _RNG_COUNTERS) + "\n")
     header.write(f"#payload {offset}\n")
     arrays = [*query_params.values(), *key_params.values(),
               *(bank.storage for bank in banks.values())]
@@ -229,6 +231,16 @@ def _check_tiling(entries, length, path):
     if end != length:
         raise ArtifactError(f"{path}: entries do not tile the payload: {last} ends at byte "
                             f"{end}, not {length}")
+
+
+def _rng_counters(line, path):
+    """The seed, epoch and step of an '#rng' line, each given exactly once."""
+    pairs = [token.partition("=")[::2] for token in line.split()[1:]]
+    names = [name for name, _ in pairs]
+    if sorted(names) != sorted(_RNG_COUNTERS):
+        raise ArtifactError(f"{path}: expected {', '.join(f'{n}=' for n in _RNG_COUNTERS)} "
+                            f"once each in '{line}'")
+    return dict(zip(names, _ints([value for _, value in pairs], path, line)))
 
 
 def read_checkpoint(path):
@@ -280,10 +292,12 @@ def _read_checkpoint(handle, path):
                 storage[:fill] /= np.maximum(norms, 1e-30)
             banks[name] = MemoryBank.from_state(storage, cursor, fill)
         elif line.startswith("#rng "):
-            for token in line.split()[1:]:
-                k, _, v = token.partition("=")
-                (rng_meta[k],) = _ints([v], path, line)
+            if rng_meta:
+                raise ArtifactError(f"{path}: a second '#rng' line '{line}'")
+            rng_meta = _rng_counters(line, path)
         i += 1
+    if not rng_meta:
+        raise ArtifactError(f"{path}: no '#rng' line")
     _check_tiling(entries, payload[1], path)
     if query.keys() != key.keys():
         raise ArtifactError(f"{path}: query and key parameter names differ: "

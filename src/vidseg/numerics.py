@@ -19,8 +19,9 @@ root for backward.
 Every op builds its node through _make, which also stores the op's arguments
 on the node. So a recorded graph can re-run any part of itself on plain
 arrays: grad_check compiles, per input array, a plan of the nodes downstream
-of it, and each finite-difference probe re-runs only those, reusing every
-other node's recorded value.
+of it, and each finite-difference probe perturbs one entry of its copy of
+that array in place and re-runs only those nodes, reusing every other node's
+recorded value.
 """
 
 from __future__ import annotations
@@ -476,7 +477,8 @@ def _rerun(plan, value):
 def _relu_flips(plan, at_plus, at_minus):
     """True when a re-run ReLU layer's output changes sign between the two
     probes; a layer that is not re-run cannot. Its output is > 0 exactly where
-    its pre-activation is."""
+    its pre-activation is, and it is a fresh array, so the plus probe's
+    outputs still hold after the minus probe rewrites the input."""
     return any(np.any((plus > 0.0) != (minus > 0.0))
                for (*_, name), plus, minus in zip(plan, at_plus[1:], at_minus[1:])
                if name == "linear+relu")
@@ -489,7 +491,10 @@ def grad_check(f, inputs, step, tol, max_coords_per_input=None, rng=None):
     on the input values: it is recorded once (and again after a resample),
     and each probe re-runs only the recorded nodes downstream of the array it
     perturbs, so an input f never reaches costs no evaluation (its difference
-    is exactly 0).
+    is exactly 0). Each probe writes its perturbed value into the checker's
+    own copy of the input and restores it afterwards, so no probe copies an
+    array and the caller's arrays are never written; f must read its inputs
+    only through the leaves it is passed.
 
     Relative error per coordinate is |analytic - fd| / max(1, |analytic|, |fd|);
     the report carries the per-input and overall maxima. Coordinates whose
@@ -530,13 +535,16 @@ def grad_check(f, inputs, step, tol, max_coords_per_input=None, rng=None):
                 # an input f never reads has a difference of exactly 0, so rel is 0
                 fd, at_plus, at_minus = 0.0, [], []
                 if plan is not None:
-                    plus = x.copy()
-                    minus = x.copy()
-                    plus.flat[j] += step
-                    minus.flat[j] -= step
-                    at_plus = _rerun(plan, plus)
-                    at_minus = _rerun(plan, minus)
-                    f_plus, f_minus = float(at_plus[-1]), float(at_minus[-1])
+                    # probe x in place, then restore it; a reshape node's value is a
+                    # view of x, so each value is read before x is written again
+                    held = x.flat[j]
+                    x.flat[j] = held + step
+                    at_plus = _rerun(plan, x)
+                    f_plus = float(at_plus[-1])
+                    x.flat[j] = held - step
+                    at_minus = _rerun(plan, x)
+                    f_minus = float(at_minus[-1])
+                    x.flat[j] = held
                     if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                         raise FloatingPointError(
                             f"grad_check: non-finite value at input {i} coordinate {j}"

@@ -81,8 +81,13 @@ def permutation_from_rank(k, rank):
 
     The rank's factorial-base digits are each slot's index among the values
     not yet used; they become values from the right: every later slot at or
-    above a slot's digit moves up by one."""
+    above a slot's digit moves up by one. A rank outside [0, k!) is a
+    ValueError."""
     rank = np.asarray(rank, dtype=np.int64)
+    outside = (rank < 0) | (rank >= math.factorial(k))
+    if outside.any():
+        raise ValueError(f"permutation_from_rank: rank {rank[outside].flat[0]} is outside "
+                         f"[0, {k}!)")
     out = np.empty(rank.shape + (k,), dtype=np.int64)
     for slot in range(k):
         block = math.factorial(k - 1 - slot)

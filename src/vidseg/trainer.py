@@ -487,6 +487,7 @@ def gradient_suite(cfg: TrainConfig, n_seeds=10, probes_per_param=4, step=1e-5, 
         inter_negatives = _unit_rows(rng, 16, cfg.embed_dim)
         segment_negatives = _unit_rows(rng, 16, cfg.embed_dim)
         targets = key_targets(key, batch, everything)
+        del key  # the checked function reads only the key targets
         names = list(query)
         arrays = [query[n] for n in names]
 

@@ -490,6 +490,24 @@ def test_non_integer_field_rejected(tmp_path, artifact, prefix, edit):
         read(path)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda line: line.replace(b"seed=0", b"seed=1 seed=2"),
+     "expected seed=, epoch=, step= once each in '#rng seed=1 seed=2 epoch=0 step=0'"),
+    (lambda line: line.replace(b" step=0", b""),
+     "expected seed=, epoch=, step= once each in '#rng seed=0 epoch=0'"),
+    (lambda line: line + b" color=7",
+     "expected seed=, epoch=, step= once each in '#rng seed=0 epoch=0 step=0 color=7'"),
+    (lambda line: line + b"\n#rng seed=5 epoch=1 step=2",
+     "a second '#rng' line '#rng seed=5 epoch=1 step=2'"),
+    (lambda line: b"", "no '#rng' line"),
+], ids=["repeated_counter", "missing_counter", "unknown_counter", "second_line", "no_line"])
+def test_checkpoint_rng_line_must_hold_each_counter_once(tmp_path, edit, message):
+    checkpoint, _ = written_artifacts(tmp_path)
+    rewrite_header_line(checkpoint, b"#rng ", edit)
+    with pytest.raises(formats.ArtifactError, match=f"model.ckpt: {re.escape(message)}$"):
+        formats.read_checkpoint(checkpoint)
+
+
 def past_payload(line, index, value):
     fields = line.split()
     fields[index] = value

@@ -305,6 +305,19 @@ def test_order_prediction_accuracy_range():
     assert 0.0 <= acc <= 1.0
 
 
+@pytest.mark.parametrize("videos, n_samples", [(0, 40), (4, 0), (4, -3)],
+                         ids=["empty_split", "no_samples", "negative_samples"])
+def test_order_prediction_accuracy_rejects_nothing_to_score(videos, n_samples):
+    spec = synth.DatasetSpec(classes=4, videos_per_class=4, frames=12, seed=5)
+    cfg = trainer.TrainConfig(dataset=spec, hidden_dim=16, feature_dim=12, embed_dim=8)
+    state = trainer.init_state(cfg)
+    _, test_videos = synth.generate_dataset(spec)
+    split = split_of(test_videos.frames[:videos])
+    with pytest.raises(ValueError, match=f"got {videos} videos and n_samples={n_samples}$"):
+        evaluate.order_prediction_accuracy(state.query, state.key, split, cfg,
+                                           n_samples=n_samples)
+
+
 def test_order_prediction_augments_only_the_tuple_frames(monkeypatch):
     spec = synth.DatasetSpec(classes=4, videos_per_class=5, frames=12, seed=5)
     cfg = trainer.TrainConfig(dataset=spec, hidden_dim=16, feature_dim=12, embed_dim=8)

@@ -195,6 +195,29 @@ def test_gradient_suite_reports_match_full_recompute(monkeypatch):
         assert report_bytes(report) == report_bytes(want_report), f"{name} seed {seed}"
 
 
+@pytest.mark.parametrize("case", [two_layer_case, kink_case, ignored_input_case],
+                         ids=["two_layer", "relu_kink", "ignored_input"])
+def test_grad_check_leaves_the_callers_arrays_unchanged(case):
+    # the probes and the kink case's resample write only the checker's copies
+    f, inputs, kwargs = case()
+    before = [x.tobytes() for x in inputs]
+    report = nm.grad_check(f, inputs, **kwargs)
+    assert [x.tobytes() for x in inputs] == before
+    assert report.resampled >= (case is kink_case)
+
+
+def test_grad_check_probes_without_copying_the_input(traced):
+    # a 1 MiB weight: the checker holds its copy and its gradient, about 2x;
+    # a probe that copied the array for each side held about 5x
+    rng = np.random.default_rng(5)
+    x, bias, g = rng.normal(size=(1, 512)), rng.normal(size=256), rng.normal(size=(1, 256))
+    weight = rng.normal(size=(512, 256))
+    report, peak = traced(nm.grad_check, lambda w: weighted(nm.linear(x, w, bias), g), [weight],
+                          1e-5, 1e-6, 8)
+    assert report.passed and report.checked == 8, str(report)
+    assert peak < 2.5 * weight.nbytes
+
+
 def dropping_bias_edges(make):
     """_make as it would be if linear forgot its bias: a linear node keeps no
     edge to its third argument, so the bias gets a zero analytic gradient."""

@@ -170,6 +170,12 @@ def test_permutation_unranking_follows_itertools_order():
         assert sampling.permutation_from_rank(k, ranks).tolist() == want
 
 
+@pytest.mark.parametrize("rank", [6, -1, [0, 5, 6]], ids=["k_factorial", "negative", "in_array"])
+def test_permutation_rank_outside_range_rejected(rank):
+    with pytest.raises(ValueError, match=r"rank (6|-1) is outside \[0, 3!\)"):
+        sampling.permutation_from_rank(3, rank)
+
+
 def test_non_identity_permutation_never_identity():
     drawn = draw(2000, t=30, seed=7)
     perms = np.argsort(drawn.indices, axis=-1)[drawn.shuffled]
