@@ -217,7 +217,7 @@ class AblationEntry:
         if self.losses is not None:
             unknown = set(self.losses) - set(trainer.LOSS_NAMES)
             if unknown:
-                raise ValueError(f"unknown losses in grid entry '{self.name}': {sorted(unknown)}")
+                raise ValueError(f"unknown losses {sorted(unknown)}")
             out = trainer.with_losses(out, self.losses)
         if self.segments is not None:
             out = replace(out, segments=self.segments)
@@ -234,12 +234,17 @@ def run_ablation(base_cfg: trainer.TrainConfig, entries, seeds,
 
     Returns (rows, summary) where rows hold one record per run and summary
     one per configuration with the median probe accuracy and R@1. Every
-    derived config is validated before any training starts, and each distinct
-    dataset is generated once.
+    derived config is validated before any training starts, a failure naming
+    its grid entry, and each distinct dataset is generated once.
     """
-    configs = [(entry.name, entry.apply(base_cfg)) for entry in entries]
-    for _, cfg in configs:
-        cfg.validate()
+    configs = []
+    for entry in entries:
+        try:
+            cfg = entry.apply(base_cfg)
+            cfg.validate()
+        except ValueError as err:
+            raise ValueError(f"grid entry '{entry.name}': {err}") from None
+        configs.append((entry.name, cfg))
     rows = []
     by_name = {}
     datasets = {}

@@ -1,9 +1,15 @@
 """On-disk artifact formats: checkpoint, dataset file, metrics CSV.
 
-Every artifact starts with a version tag and a canonical config echo; a
-reader that sees the wrong version stops before touching any payload. All
-writes go through a temp file and an atomic rename. Binary payloads are
-little-endian float32; the textual header carries a byte-offset manifest.
+Both binary artifacts share one header grammar, written by `_header` and
+parsed by `_parse_header`: the magic (version) line; `#config-begin`, one
+canonical `key=value` line per config entry, each key once, `#config-end`;
+the manifest, one line per entry, each starting with one of the artifact's
+tags (`#param`, `#bank`, `#rng` in a checkpoint, `#video` in a dataset file)
+and holding that tag's field count; then `#payload <bytes>`. Blank lines in
+the manifest are skipped; any other line is an ArtifactError naming the file
+and the line. A reader that sees the wrong version stops before touching any
+payload. All writes go through a temp file and an atomic
+rename. Binary payloads are little-endian float32.
 
 Payloads stream between the file and their final arrays. `_read_header`
 reads a file only up to its `#payload` line, so a header can be inspected
@@ -153,6 +159,44 @@ def _read_header(handle, magic, path):
     return lines, offset, declared
 
 
+def _header(magic, config_flat, manifest_lines, payload_length):
+    """The header bytes of an artifact: the magic line, the config echo
+    between '#config-begin' and '#config-end', the manifest lines, then the
+    '#payload' line."""
+    return "".join([f"{magic}\n#config-begin\n", render_flat(config_flat), "#config-end\n",
+                    *(f"{line}\n" for line in manifest_lines),
+                    f"#payload {payload_length}\n"]).encode("utf-8")
+
+
+def _parse_header(lines, tags, path):
+    """(config_flat, [(fields, line), ...]) of the header lines `_read_header`
+    returns. Line 2 must be '#config-begin'; every line up to '#config-end'
+    must be key=value, each key once. Every later non-blank line must start
+    with a tag of `tags` and have the field count that `tags` maps it to; a
+    count of None leaves the count to that line's own parser."""
+    if lines[1:2] != ["#config-begin"]:
+        raise ArtifactError(f"{path}: header line 2 is not '#config-begin'")
+    if "#config-end" not in lines:
+        raise ArtifactError(f"{path}: no '#config-end' line closes the config echo")
+    end = lines.index("#config-end")
+    config_flat = {}
+    for line in lines[2:end]:
+        key, eq, value = line.partition("=")
+        if not (key and eq):
+            raise ArtifactError(f"{path}: config echo line '{line}' is not key=value")
+        if key in config_flat:
+            raise ArtifactError(f"{path}: config key '{key}' appears twice")
+        config_flat[key] = value
+    manifest = [(line.split(), line) for line in lines[end + 1:] if line.strip()]
+    for fields, line in manifest:
+        if fields[0] not in tags:
+            raise ArtifactError(f"{path}: unknown header line '{line}' (expected "
+                                f"{', '.join(tags)})")
+        if tags[fields[0]] is not None:
+            _fields(line, tags[fields[0]], path)
+    return config_flat, manifest
+
+
 def _payload_array(handle, payload, shape, offset, path, line):
     """float64 copy of the float32 array of `shape` at `offset` in the
     payload, which starts at byte payload[0] of the file and is payload[1]
@@ -185,37 +229,20 @@ class Checkpoint:
 
 def write_checkpoint(path, config_flat, query_params, key_params, banks, rng_meta):
     """Persist params (query + key), both banks, and the run's RNG counters."""
-    header = io.StringIO()
-    header.write(CHECKPOINT_MAGIC + "\n")
-    header.write("#config-begin\n")
-    header.write(render_flat(config_flat))
-    header.write("#config-end\n")
-    offset = 0
+    manifest, offset = [], 0
     for prefix, params in (("query", query_params), ("key", key_params)):
         for name, arr in params.items():
-            header.write(f"#param {prefix}.{name} {_shape_token(arr.shape)} {offset}\n")
+            manifest.append(f"#param {prefix}.{name} {_shape_token(arr.shape)} {offset}")
             offset += 4 * arr.size
     for name, bank in banks.items():
-        header.write(f"#bank {name} {bank.capacity} {bank.width} {bank.cursor} {bank.fill} "
-                     f"{offset}\n")
+        manifest.append(f"#bank {name} {bank.capacity} {bank.width} {bank.cursor} {bank.fill} "
+                        f"{offset}")
         offset += 4 * bank.storage.size
-    header.write("#rng " + " ".join(f"{name}={rng_meta[name]}" for name in _RNG_COUNTERS) + "\n")
-    header.write(f"#payload {offset}\n")
+    manifest.append("#rng " + " ".join(f"{name}={rng_meta[name]}" for name in _RNG_COUNTERS))
     arrays = [*query_params.values(), *key_params.values(),
               *(bank.storage for bank in banks.values())]
-    atomic_write_bytes(path, header.getvalue().encode("utf-8"), map(_float32, arrays))
-
-
-def _parse_config_lines(lines, start, path):
-    flat = {}
-    i = start
-    while i < len(lines) and lines[i] != "#config-end":
-        key, _, value = lines[i].partition("=")
-        if key in flat:
-            raise ArtifactError(f"{path}: config key '{key}' appears twice")
-        flat[key] = value
-        i += 1
-    return flat, i + 1
+    atomic_write_bytes(path, _header(CHECKPOINT_MAGIC, config_flat, manifest, offset),
+                       map(_float32, arrays))
 
 
 def _check_tiling(entries, length, path):
@@ -252,18 +279,13 @@ def read_checkpoint(path):
 
 def _read_checkpoint(handle, path):
     lines, *payload = _read_header(handle, CHECKPOINT_MAGIC, path)  # payload: (offset, length)
-    config_flat = {}
+    config_flat, manifest = _parse_header(lines, {"#param": 4, "#bank": 7, "#rng": None}, path)
     query, key, banks, rng_meta = {}, {}, {}, {}
     sides = {"query": query, "key": key}
     entries = []  # (offset, bytes, line) of every #param and #bank line
-    i = 1
-    while i < len(lines):
-        line = lines[i]
-        if line == "#config-begin":
-            config_flat, i = _parse_config_lines(lines, i + 1, path)
-            continue
-        if line.startswith("#param "):
-            _, full_name, shape_tok, offset = _fields(line, 4, path)
+    for fields, line in manifest:
+        if fields[0] == "#param":
+            _, full_name, shape_tok, offset = fields
             shape = tuple(_ints(shape_tok.split("x"), path, line))
             (offset,) = _ints([offset], path, line)
             side, _, name = full_name.partition(".")
@@ -274,8 +296,8 @@ def _read_checkpoint(handle, path):
                 raise ArtifactError(f"{path}: parameter '{full_name}' appears twice")
             sides[side][name] = _payload_array(handle, payload, shape, offset, path, line)
             entries.append((offset, 4 * math.prod(shape), line))
-        elif line.startswith("#bank "):
-            _, name, *numbers = _fields(line, 7, path)
+        elif fields[0] == "#bank":
+            _, name, *numbers = fields
             if name in banks:
                 raise ArtifactError(f"{path}: bank '{name}' appears twice")
             capacity, width, cursor, fill, offset = _ints(numbers, path, line)
@@ -286,16 +308,19 @@ def _read_checkpoint(handle, path):
             entries.append((offset, 4 * capacity * width, line))
             if not (0 <= fill <= capacity and 0 <= cursor < capacity):
                 raise ArtifactError(f"{path}: cursor or fill outside the bank in '{line}'")
+            # enqueue keeps the cursor at the fill until the bank is full
+            if fill < capacity and cursor != fill:
+                raise ArtifactError(f"{path}: cursor {cursor} is not the fill {fill} of a "
+                                    f"bank that is not full in '{line}'")
             # float32 round-trip perturbs norms; restore exact unit rows
             if fill:
                 norms = np.linalg.norm(storage[:fill], axis=1, keepdims=True)
                 storage[:fill] /= np.maximum(norms, 1e-30)
             banks[name] = MemoryBank.from_state(storage, cursor, fill)
-        elif line.startswith("#rng "):
-            if rng_meta:
-                raise ArtifactError(f"{path}: a second '#rng' line '{line}'")
+        elif rng_meta:  # '#rng', the one tag left
+            raise ArtifactError(f"{path}: a second '#rng' line '{line}'")
+        else:
             rng_meta = _rng_counters(line, path)
-        i += 1
     if not rng_meta:
         raise ArtifactError(f"{path}: no '#rng' line")
     _check_tiling(entries, payload[1], path)
@@ -315,18 +340,14 @@ def write_dataset(path, spec, train, test):
     """Header (spec echo + per-video manifest) then raw frames, float32, in
     (video, frame, row) order: the train split's frame array, then the test
     split's, converted one video at a time."""
-    header = io.StringIO()
-    header.write(DATASET_MAGIC + "\n")
-    header.write("#config-begin\n")
-    header.write(render_flat(flatten_config(spec)))
-    header.write("#config-end\n")
-    for name, split in (("train", train), ("test", test)):
-        rows = np.column_stack([split.ids, split.labels, split.windows]).tolist()
-        for vid, label, w0, w1 in rows:
-            header.write(f"#video {vid} {label} {name} {w0} {w1}\n")
-    header.write(f"#payload {4 * (train.frames.size + test.frames.size)}\n")
+    manifest = [f"#video {vid} {label} {name} {w0} {w1}"
+                for name, split in (("train", train), ("test", test))
+                for vid, label, w0, w1 in
+                np.column_stack([split.ids, split.labels, split.windows]).tolist()]
+    header = _header(DATASET_MAGIC, flatten_config(spec), manifest,
+                     4 * (train.frames.size + test.frames.size))
     videos = (_float32(video) for split in (train, test) for video in split.frames)
-    atomic_write_bytes(path, header.getvalue().encode("utf-8"), videos)
+    atomic_write_bytes(path, header, videos)
 
 
 def read_dataset(path):
@@ -341,19 +362,12 @@ def _read_dataset(handle, path):
     from .synth import Split
 
     lines, offset, declared = _read_header(handle, DATASET_MAGIC, path)
-    spec_flat, i = {}, 1
+    spec_flat, entries = _parse_header(lines, {"#video": 6}, path)
     manifest = []
-    while i < len(lines):
-        line = lines[i]
-        if line == "#config-begin":
-            spec_flat, i = _parse_config_lines(lines, i + 1, path)
-            continue
-        if line.startswith("#video "):
-            _, vid, class_id, split, w0, w1 = _fields(line, 6, path)
-            if split not in ("train", "test"):
-                raise ArtifactError(f"{path}: video {vid} has unknown split '{split}'")
-            manifest.append([*_ints((vid, class_id, w0, w1), path, line), split == "test"])
-        i += 1
+    for (_, vid, class_id, split, w0, w1), line in entries:
+        if split not in ("train", "test"):
+            raise ArtifactError(f"{path}: video {vid} has unknown split '{split}'")
+        manifest.append([*_ints((vid, class_id, w0, w1), path, line), split == "test"])
     t, h, w = _ints((spec_flat.get(f"dataset.{key}", "") for key in ("frames", "height", "width")),
                     path, "#config dataset.frames/height/width")
     if min(t, h, w) < 1:

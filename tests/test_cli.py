@@ -279,6 +279,26 @@ def test_builtin_grids_are_valid():
         assert len(set(names)) == len(names)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("name=full\nname=bad losses=intra\n",
+     "grid entry 'bad': intra-frame loss alone does not stabilize training"),
+    ("name=k0 segments=0\n", "grid entry 'k0': train.segments must be >= 1"),
+    ("name=typo losses=inter,intar\n", "grid entry 'typo': unknown losses ['intar']"),
+], ids=["intra_alone", "zero_segments", "unknown_loss"])
+def test_ablate_errors_name_the_grid_entry(tmp_path, capsys, monkeypatch, text, message):
+    """A grid entry that fails validation is named, and no entry trains."""
+    fits = []
+    monkeypatch.setattr(trainer, "fit", lambda *args, **kwargs: fits.append(args))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CONFIG)
+    grid = tmp_path / "grid.txt"
+    grid.write_text(text)
+    assert cli.main(["ablate", "--config", str(cfg), "--grid", str(grid),
+                     "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert fits == [] and not (tmp_path / "x.csv").exists()
+
+
 def test_ablate_grid_file_rejects_non_integer_segments(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL_CONFIG)

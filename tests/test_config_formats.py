@@ -565,6 +565,19 @@ def test_bank_cursor_or_fill_outside_bank_rejected(tmp_path):
         formats.read_checkpoint(checkpoint)
 
 
+@pytest.mark.parametrize("prefix, cursor, message", [
+    (b"#bank inter ", b"6", "cursor 6 is not the fill 3 of a bank that is not full"),
+    (b"#bank segment ", b"4", "cursor 4 is not the fill 0 of a bank that is not full"),
+], ids=["partly_filled", "empty"])
+def test_bank_cursor_must_be_its_fill_until_full(tmp_path, prefix, cursor, message):
+    """Rows between the fill and a cursor past it were never written, so the
+    bank would hand out zero rows as negatives."""
+    checkpoint, _ = written_artifacts(tmp_path)
+    rewrite_header_line(checkpoint, prefix, lambda line: past_payload(line, 4, cursor))
+    with pytest.raises(formats.ArtifactError, match=f"model.ckpt: {message} in '#bank "):
+        formats.read_checkpoint(checkpoint)
+
+
 def test_bank_without_rows_or_width_rejected(tmp_path):
     checkpoint, _ = written_artifacts(tmp_path)
     rewrite_header_line(checkpoint, b"#bank inter ", lambda line: past_payload(line, 3, b"0"))
@@ -612,6 +625,28 @@ def test_repeated_config_echo_key_rejected(tmp_path, artifact):
     path.write_bytes(blob[:second] + key + blob[blob.index(b"=", second):])
     with pytest.raises(formats.ArtifactError,
                        match=f"{path.name}: config key '{key.decode()}' appears twice"):
+        read(path)
+
+
+@pytest.mark.parametrize("artifact", ["checkpoint", "dataset"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda blob: blob.replace(b"#payload ", b"hello world\n#payload ", 1),
+     "unknown header line 'hello world'"),
+    (lambda blob: re.sub(rb"#config-begin\n.*?#config-end\n", b"", blob, count=1, flags=re.S),
+     "header line 2 is not '#config-begin'"),
+    (lambda blob: blob.replace(b"#config-end\n", b"", 1),
+     "no '#config-end' line closes the config echo"),
+    (lambda blob: blob.replace(b"#payload ", b"#config-begin\ntrain.epochs=3\n#config-end\n"
+                                             b"#payload ", 1),
+     "unknown header line '#config-begin'"),
+    (lambda blob: blob.replace(b"#config-begin\n", b"#config-begin\nhello\n", 1),
+     "config echo line 'hello' is not key=value"),
+], ids=["unknown_line", "no_config_block", "unterminated_config_block",
+        "config_block_after_manifest", "echo_line_without_equals"])
+def test_header_lines_outside_the_grammar_rejected(tmp_path, artifact, edit, message):
+    path = dict(zip(["checkpoint", "dataset"], written_artifacts(tmp_path)))[artifact]
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(formats.ArtifactError, match=f"{path.name}: {re.escape(message)}"):
         read(path)
 
 
@@ -699,6 +734,40 @@ def test_edited_artifacts_fail_only_with_artifact_error(valid_dir, data):
         blob = blob[:data.draw(st.integers(0, len(blob)))]
     path = valid_dir / f"edited{suffix}"
     path.write_bytes(blob)
+    try:
+        read(path)
+    except formats.ArtifactError as err:
+        assert str(path) in str(err)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_header_line_edits_fail_only_with_artifact_error(valid_dir, data):
+    """Up to three whole-line edits of the header, '#payload' line included:
+    delete a line, duplicate it, or swap it with another. An edit picks a
+    kind of line first (the first word, up to a space, dot or '='), so the
+    few manifest lines are edited as often as the long config echo."""
+    suffix = data.draw(st.sampled_from([".ckpt", ".ds"]))
+    blob = (valid_dir / ("model.ckpt" if suffix == ".ckpt" else "videos.ds")).read_bytes()
+    end = blob.index(b"\n", blob.index(b"#payload ")) + 1
+    lines = blob[:end].splitlines(keepends=True)
+    for _ in range(data.draw(st.integers(1, 3))):
+        kinds = {}
+        for index, line in enumerate(lines):
+            kinds.setdefault(re.split(rb"[ .=\n]", line)[0], []).append(index)
+        i = data.draw(st.sampled_from(kinds[data.draw(st.sampled_from(sorted(kinds)))]))
+        edit = data.draw(st.sampled_from(["delete", "duplicate", "swap"]))
+        if edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(data.draw(st.integers(0, len(lines))), lines[i])
+        else:
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        if not lines:
+            break
+    path = valid_dir / f"line_edited{suffix}"
+    path.write_bytes(b"".join(lines) + blob[end:])
     try:
         read(path)
     except formats.ArtifactError as err:
