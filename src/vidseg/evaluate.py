@@ -178,7 +178,9 @@ def order_prediction_accuracy(query_params, key_params, split: synth.Split,
                               cfg: trainer.TrainConfig, n_samples=200, seed=0):
     """Accuracy of the trained order classifier on n_samples freshly drawn
     pairs (the split's videos taken in turn), drawn from one stream and
-    scored with one batched order_logits call.
+    scored in one batch: the query side's order rows of the anchor tuples
+    (trainer.embed) against the key side's of the positive tuples
+    (trainer.key_targets).
 
     The pairs are the tuples of a training batch (trainer.sample_batch with
     the order loss alone), which also draws the frame-level views; only the
@@ -189,15 +191,22 @@ def order_prediction_accuracy(query_params, key_params, split: synth.Split,
                          f">= 1, got {len(split)} videos and n_samples={n_samples}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _EVAL_STREAM]))
     rows = np.arange(n_samples) % len(split)
-    batch = trainer.sample_batch(split.frames, rows, trainer.with_losses(cfg, ("order",)), rng)
-    logits = model.order_logits(query_params, key_params, batch.anchors, batch.positives,
-                                cfg.model_config())
+    order_cfg = trainer.with_losses(cfg, ("order",))
+    batch = trainer.sample_batch(split.frames, rows, order_cfg, rng)
+    anchor = trainer.embed(query_params, None, batch.anchors, order_cfg)["order"]
+    positive = trainer.key_targets(key_params, batch, order_cfg)["order"]
+    logits = model.order_classifier(query_params, anchor, positive)
     return float(np.mean(np.argmax(logits, axis=1) == batch.order_labels))
 
 
 def evaluate_encoder(query_params, key_params, train: synth.Split, test: synth.Split,
                      probe_cfg: ProbeConfig, retrieval_cfg: RetrievalConfig):
-    """Shared protocol behind the ablation runner and the CLI commands."""
+    """Linear-probe top-1 accuracy and retrieval recalls (test queries
+    against the train gallery) of the query encoder's feature tables: the
+    protocol of the ablation runner and the benchmark's evaluation.
+    `vidseg probe` and `vidseg retrieve` build the same tables with
+    feature_tables themselves. key_params is accepted but not read: only the
+    query encoder is evaluated."""
     train_table, test_table = feature_tables(query_params, train, test, probe_cfg.frames)
     accuracy = linear_probe(train_table, test_table, probe_cfg)
     recalls = retrieval_recall(test_table, train_table, retrieval_cfg.ks)

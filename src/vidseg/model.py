@@ -4,7 +4,10 @@ the momentum update that tracks the query parameters on the key side.
 Parameters are name -> float64 array mappings, in training the param_views of
 one flat vector per side. Every layer is one numerics.linear call, so one
 tape node. Forward functions run on arrays (no gradients, used for the key
-side) or on tape Vars (query side).
+side) or on tape Vars (query side). Which blocks of frames feed which head is
+decided in one place, trainer.embed, for both sides; the order classifier
+then scores the query side's anchor rows against the key side's positive
+rows.
 """
 
 from __future__ import annotations
@@ -106,22 +109,6 @@ def order_classifier(query_params, anchor_embedding, positive_embedding):
     order embeddings, anchor first -> (B, 4) logits."""
     joint = nm.concat([anchor_embedding, positive_embedding])
     return nm.linear(joint, query_params["order_clf.weight"], query_params["order_clf.bias"])
-
-
-def order_logits(query_params, key_params, anchor_frames, positive_frames, cfg: ModelConfig):
-    """(B, 4) order logits for a batch of (anchor, positive) pairs of K-frame
-    tuples, each given as (B, K, P).
-
-    Per-frame order-head embeddings (query side for the anchor, key side for
-    the positive) are concatenated in frame order, anchor first, and fed to
-    the linear order classifier of the query side.
-    """
-    def side(params, frames):
-        frames = np.asarray(frames)
-        return order_embedding(params, encode(params, frames.reshape(-1, frames.shape[-1])), cfg)
-
-    return order_classifier(query_params, side(query_params, anchor_frames),
-                            side(key_params, positive_frames))
 
 
 def momentum_update(key, query, m):

@@ -1,7 +1,13 @@
 """Pretraining loop: batch assembly from one random stream per step, the
 combined objective as one tape graph over the whole batch, SGD with momentum
 and cosine-annealed learning rate, the momentum update of the key
-parameters, and memory-bank maintenance."""
+parameters, and memory-bank maintenance.
+
+Both streams embed through embed, the one place that maps the enabled losses
+to the blocks of frames they encode and the heads they run: key_targets is
+embed over the key views and positive tuples on plain arrays, batch_losses
+embed over the frame anchors and anchor tuples on tape Vars, then the loss
+calls."""
 
 from __future__ import annotations
 
@@ -112,7 +118,9 @@ class Batch:
 
     A field no enabled loss reads is None: anchors and positives without the
     segment and order losses, frame_anchors and key_views without the inter
-    and intra losses.
+    and intra losses. embed reads frame_anchors and anchors for the query
+    side and key_views and positives for the key side; the config's loss
+    flags, not which fields are set, choose the blocks it encodes.
     """
 
     anchors: np.ndarray | None  # (B, K, P) anchor tuples
@@ -224,82 +232,80 @@ def assemble_batch(frames, rows, cfg: TrainConfig, epoch, step_in_epoch) -> Batc
     return sample_batch(frames, np.asarray(rows), cfg, rng)
 
 
-def _encode_blocks(params, blocks):
-    """Features of named (n_i, P) row blocks from one model.encode pass over
-    the blocks stacked in order: name -> its (n_i, F) rows, a slice_rows of
-    the pass."""
-    features = model.encode(params, np.concatenate(list(blocks.values())))
-    feats = {}
-    start = 0
-    for name, rows in blocks.items():
-        feats[name] = nm.slice_rows(features, start, start + len(rows))
-        start += len(rows)
-    return feats
+def embed(params, frames, tuples, cfg: TrainConfig):
+    """The embeddings the enabled losses read, loss name -> rows, for tape
+    Vars or plain arrays. This is the one place that maps the losses to the
+    blocks they encode and the heads they run.
+
+    frames are frame-level rows of P pixels, (n, P) or (B, 3, P) as 3B rows,
+    read by the inter and intra heads; tuples are (B, K, P) K-frame tuples,
+    read by the segment and order heads. The loss flags choose the blocks: a
+    block no enabled loss reads is not touched and may be None. The blocks
+    read go through one encoder pass, then each enabled head runs once over
+    its rows: "inter" and "intra" are (n, E) unit rows, "segment" the (B, E)
+    consensus embeddings, and "order" the (B, K*E) per-frame order
+    embeddings in frame order.
+    """
+    blocks = []
+    if cfg.use_inter or cfg.use_intra:
+        blocks.append(frames.reshape(-1, frames.shape[-1]))
+    if cfg.use_segment or cfg.use_order:
+        blocks.append(tuples.reshape(-1, tuples.shape[-1]))
+    stacked = np.concatenate(blocks)
+    encoded = model.encode(params, stacked)
+    # a slice of the whole pass is the pass itself, so one block records no slice
+    frame_features = nm.slice_rows(encoded, 0, len(blocks[0]))
+    tuple_features = nm.slice_rows(encoded, len(stacked) - len(blocks[-1]), len(stacked))
+    out = {}
+    if cfg.use_inter:
+        out["inter"] = model.project(params, "inter", frame_features)
+    if cfg.use_intra:
+        out["intra"] = model.project(params, "intra", frame_features)
+    if cfg.use_segment:
+        out["segment"] = model.segment_embedding(params, tuple_features, cfg.segments)
+    if cfg.use_order:
+        out["order"] = model.order_embedding(params, tuple_features, cfg.model_config())
+    return out
 
 
 def key_targets(key_params, batch: Batch, cfg: TrainConfig):
-    """The key side of a step, as plain arrays computed without a tape.
+    """The key side of a step, as plain arrays computed without a tape:
+    embed over the key views and the positive tuples.
 
     "inter" and "intra" are the (B, 3, E) frame-level positives (frame view,
     then the two other frames), "segment" the (B, E) positive tuple
     embeddings, and "order" the (B, K*E) order embeddings of the positive
     tuples. Only enabled losses get entries. The inter and segment arrays are
-    also the step's bank rows, in enqueue order. The key views and the
-    positive tuples go through one encoder pass.
+    also the step's bank rows, in enqueue order.
     """
-    b, k = len(batch), cfg.segments
-    blocks = {}
-    if cfg.use_inter or cfg.use_intra:
-        blocks["views"] = batch.key_views.reshape(3 * b, -1)
-    if cfg.use_segment or cfg.use_order:
-        blocks["positive"] = batch.positives.reshape(b * k, -1)
-    feats = _encode_blocks(key_params, blocks)
-    out = {}
-    if cfg.use_inter:
-        out["inter"] = model.project(key_params, "inter", feats["views"]).reshape(b, 3, -1)
-    if cfg.use_intra:
-        out["intra"] = model.project(key_params, "intra", feats["views"]).reshape(b, 3, -1)
-    if cfg.use_segment:
-        out["segment"] = model.segment_embedding(key_params, feats["positive"], k)
-    if cfg.use_order:
-        out["order"] = model.order_embedding(key_params, feats["positive"], cfg.model_config())
-    return out
+    return {name: rows.reshape(len(batch), 3, -1) if name in ("inter", "intra") else rows
+            for name, rows in embed(key_params, batch.key_views, batch.positives, cfg).items()}
 
 
 def batch_losses(query_params, targets, batch: Batch, inter_negatives, segment_negatives,
                  cfg: TrainConfig):
-    """Batch-mean loss terms of the enabled objectives, as one graph.
+    """Batch-mean loss terms of the enabled objectives, as one graph: embed
+    over the frame anchors and the anchor tuples, then one call per loss.
 
     query_params may be tape Vars (training) or plain arrays; targets come
     from key_targets and stay constants, so nothing on the key side ever
-    receives gradient. Every frame the query side sees goes through one
-    encoder pass; each head then runs once over all of its rows.
+    receives gradient.
     """
-    b, k = len(batch), cfg.segments
-    blocks = {}
-    if cfg.use_inter or cfg.use_intra:
-        blocks["frame"] = batch.frame_anchors
-    if cfg.use_segment or cfg.use_order:
-        blocks["anchor"] = batch.anchors.reshape(b * k, -1)
-    feats = _encode_blocks(query_params, blocks)
-
+    query = embed(query_params, batch.frame_anchors, batch.anchors, cfg)
     out = {}
     if cfg.use_inter:
-        query = model.project(query_params, "inter", feats["frame"])
         p = targets["inter"]
-        out["inter"] = losses.loss_inter(query, p[:, 0], p[:, 1], p[:, 2], inter_negatives,
-                                         cfg.temperature)
+        out["inter"] = losses.loss_inter(query["inter"], p[:, 0], p[:, 1], p[:, 2],
+                                         inter_negatives, cfg.temperature)
     if cfg.use_intra:
-        query = model.project(query_params, "intra", feats["frame"])
         p = targets["intra"]
-        out["intra"] = losses.loss_intra(query, p[:, 0], p[:, 1], p[:, 2], cfg.temperature)
+        out["intra"] = losses.loss_intra(query["intra"], p[:, 0], p[:, 1], p[:, 2],
+                                         cfg.temperature)
     if cfg.use_segment:
-        query = model.segment_embedding(query_params, feats["anchor"], k)
-        out["segment"] = losses.loss_segment(query, targets["segment"], segment_negatives,
-                                             cfg.temperature)
+        out["segment"] = losses.loss_segment(query["segment"], targets["segment"],
+                                             segment_negatives, cfg.temperature)
     if cfg.use_order:
-        anchor = model.order_embedding(query_params, feats["anchor"], cfg.model_config())
-        logits = model.order_classifier(query_params, anchor, targets["order"])
+        logits = model.order_classifier(query_params, query["order"], targets["order"])
         out["order"] = losses.loss_order(logits, batch.order_labels)
     return out
 

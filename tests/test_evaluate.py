@@ -327,8 +327,10 @@ def test_order_prediction_augments_only_the_tuple_frames(monkeypatch):
     rng = np.random.default_rng(np.random.SeedSequence([7, evaluate._EVAL_STREAM]))
     batch = trainer.sample_batch(test_videos.frames, np.arange(200) % len(test_videos),
                                  cfg, rng)
-    logits = model.order_logits(state.query, state.key, batch.anchors, batch.positives,
-                                cfg.model_config())
+    order_cfg = trainer.with_losses(cfg, ("order",))
+    logits = model.order_classifier(
+        state.query, trainer.embed(state.query, None, batch.anchors, order_cfg)["order"],
+        trainer.key_targets(state.key, batch, order_cfg)["order"])
     expected = float(np.mean(np.argmax(logits, axis=1) == batch.order_labels))
     outputs = []
     augment = sampling.augment_frames

@@ -3,11 +3,25 @@ import itertools
 import numpy as np
 import pytest
 
-from vidseg import model
+from vidseg import model, synth, trainer
 from vidseg import numerics as nm
 
 
 CFG = model.ModelConfig(frame_pixels=64, hidden_dim=24, feature_dim=16, embed_dim=8, segments=3)
+
+
+def order_logits(query, key, anchor, positive, segments=CFG.segments):
+    """(B, 4) logits of the query side's order classifier over (B, K, P)
+    anchor and positive tuples, as order_prediction_accuracy scores them:
+    embed's anchor order rows against key_targets' positive order rows, under
+    the order loss alone with CFG's model at K = segments."""
+    cfg = trainer.with_losses(trainer.TrainConfig(
+        dataset=synth.DatasetSpec(height=8, width=8), hidden_dim=CFG.hidden_dim,
+        feature_dim=CFG.feature_dim, embed_dim=CFG.embed_dim, segments=segments), ("order",))
+    batch = trainer.Batch(anchors=anchor, positives=positive, frame_anchors=None,
+                          key_views=None, order_labels=np.zeros(len(anchor), dtype=int))
+    return model.order_classifier(query, trainer.embed(query, None, anchor, cfg)["order"],
+                                  trainer.key_targets(key, batch, cfg)["order"])
 
 
 def params_for(seed):
@@ -140,7 +154,7 @@ def test_order_logits_zero_classifier_gives_zero():
     rng = np.random.default_rng(16)
     anchor = rng.uniform(size=(2, 3, CFG.frame_pixels))
     positive = rng.uniform(size=(2, 3, CFG.frame_pixels))
-    out = model.order_logits(params, params_for(17), anchor, positive, CFG)
+    out = order_logits(params, params_for(17), anchor, positive)
     assert np.array_equal(out, np.zeros((2, 4)))
 
 
@@ -150,8 +164,8 @@ def test_order_logits_sensitive_to_frame_order():
     rng = np.random.default_rng(20)
     anchor = rng.uniform(size=(1, 3, CFG.frame_pixels))
     positive = rng.uniform(size=(1, 3, CFG.frame_pixels))
-    base = model.order_logits(query, key, anchor, positive, CFG)
-    permuted = model.order_logits(query, key, anchor[:, [1, 0, 2]], positive, CFG)
+    base = order_logits(query, key, anchor, positive)
+    permuted = order_logits(query, key, anchor[:, [1, 0, 2]], positive)
     assert not np.allclose(base, permuted)
 
 
@@ -175,7 +189,7 @@ def test_order_logits_matches_oracle():
     joint = np.stack([np.concatenate([side(query, a), side(key, p)])
                       for a, p in zip(anchor, positive)])
     expected = joint @ query["order_clf.weight"] + query["order_clf.bias"]
-    assert np.allclose(model.order_logits(query, key, anchor, positive, CFG), expected, atol=1e-10)
+    assert np.allclose(order_logits(query, key, anchor, positive), expected, atol=1e-10)
 
 
 def test_order_logits_width_mismatch_errors():
@@ -184,8 +198,11 @@ def test_order_logits_width_mismatch_errors():
     rng = np.random.default_rng(26)
     anchor = rng.uniform(size=(1, 2, CFG.frame_pixels))  # K=2 against a K=3 classifier
     positive = rng.uniform(size=(1, 2, CFG.frame_pixels))
-    with pytest.raises(nm.ShapeMismatchError):
-        model.order_logits(query, key, anchor, positive, CFG)
+    with pytest.raises(nm.ShapeMismatchError, match="^reshape"):
+        order_logits(query, key, anchor, positive)
+    # K=2 order rows, embedded as such, still do not fit the K=3 classifier
+    with pytest.raises(nm.ShapeMismatchError, match="^linear"):
+        order_logits(query, key, anchor, positive, segments=2)
 
 
 def test_param_views_tile_one_vector_in_param_shapes_order():

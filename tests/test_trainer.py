@@ -522,6 +522,35 @@ def test_key_targets_encode_once_per_side(variant, monkeypatch):
     assert sorted(sides) == ["key", "query"]
 
 
+@pytest.mark.parametrize("cfg", [
+    tiny_config(hidden_dim=128, feature_dim=64, embed_dim=32),
+    trainer.with_losses(tiny_config(), ("inter",)),
+    trainer.with_losses(tiny_config(), ("order",)),
+    tiny_config(segments=1),
+    tiny_config(segments=4),
+], ids=["default", "inter_only", "order_only", "k1", "k4"])
+def test_embed_tape_and_plain_paths_give_the_same_bytes(cfg):
+    train_videos, _ = synth.generate_dataset(cfg.dataset)
+    state = trainer.init_state(cfg)
+    state.params[1] = flat(model.init_params(cfg.model_config(), np.random.default_rng(1)))
+    batch = trainer.assemble_batch(train_videos.frames, range(4), cfg, 0, 0)
+    plain = trainer.embed(state.query, batch.frame_anchors, batch.anchors, cfg)
+    taped = trainer.embed(model.as_vars(state.query), batch.frame_anchors, batch.anchors, cfg)
+    wanted = {name for name in trainer.LOSS_NAMES if getattr(cfg, f"use_{name}")}
+    assert set(plain) == set(taped) == wanted
+    for name, rows in plain.items():
+        assert not isinstance(rows, nm.Var) and isinstance(taped[name], nm.Var), name
+        assert taped[name].value.tobytes() == rows.tobytes(), name
+    # the key side is embed over the key views, with frame-level rows per item
+    views = trainer.embed(state.key, batch.key_views, batch.positives, cfg)
+    targets = trainer.key_targets(state.key, batch, cfg)
+    assert set(targets) == wanted
+    for name, rows in views.items():
+        want = rows.reshape(len(batch), 3, -1) if name in ("inter", "intra") else rows
+        assert targets[name].shape == want.shape, name
+        assert targets[name].tobytes() == want.tobytes(), name
+
+
 @pytest.mark.parametrize("losses_on, nodes", [
     ({}, 50),
     ({"use_intra": False, "use_segment": False, "use_order": False}, 14),
