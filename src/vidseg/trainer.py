@@ -7,7 +7,12 @@ Both streams embed through embed, the one place that maps the enabled losses
 to the blocks of frames they encode and the heads they run: key_targets is
 embed over the key views and positive tuples on plain arrays, batch_losses
 embed over the frame anchors and anchor tuples on tape Vars, then the loss
-calls."""
+calls.
+
+The epochs generator is the one training loop: start sets a run up (config
+check, splits, initial state), epochs trains from state.epoch and yields the
+state at each epoch boundary, fit drains it, and pretrain drains it while
+writing interval checkpoints at the boundaries it sees."""
 
 from __future__ import annotations
 
@@ -59,6 +64,8 @@ class TrainConfig:
                      "feature_dim", "embed_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"train.{name} must be >= 1")
+        if self.segments > sampling.MAX_SHUFFLED_FRAMES:
+            raise ValueError(f"train.segments must be <= {sampling.MAX_SHUFFLED_FRAMES}")
         for name in ("seed", "checkpoint_interval"):
             if getattr(self, name) < 0:
                 raise ValueError(f"train.{name} must be >= 0")
@@ -387,44 +394,59 @@ def steps_per_epoch(n_videos, batch_size):
     return max(1, n_videos // batch_size)
 
 
-def fit(cfg: TrainConfig, dataset=None, on_epoch=None):
-    """Run the whole pretraining loop in memory.
-
-    Returns (state, train, test), the dataset's synth.Splits. Deterministic
-    given the config: dataset generation, parameter init, epoch shuffling,
-    sampling and augmentation all derive from the run seed. `on_epoch(state)`
-    runs after each completed epoch (checkpoint hooks).
-    """
-    cfg.validate()
-    train, test = synth.generate_dataset(cfg.dataset) if dataset is None else dataset
-    n = len(train)
-    per_epoch = steps_per_epoch(n, cfg.batch_size)
-    state = init_state(cfg, total_steps=cfg.epochs * per_epoch)
-    effective_batch = min(cfg.batch_size, n)
-    for epoch in range(cfg.epochs):
-        order_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, STREAM_ORDER, epoch]))
-        perm = order_rng.permutation(n)
-        epoch_metrics = []
-        for s in range(per_epoch):
-            indices = perm[s * effective_batch:(s + 1) * effective_batch]
-            batch = assemble_batch(train.frames, indices, cfg, epoch, s)
-            epoch_metrics.append(train_step(state, batch, cfg))
-        state.epoch += 1
-        row = {"epoch": epoch, "lr": epoch_metrics[-1]["lr"]}
-        for key in ("loss_total", "loss_inter", "loss_intra", "loss_segment", "loss_order"):
-            row[key] = float(np.mean([m[key] for m in epoch_metrics]))
-        state.history.append(row)
-        if on_epoch is not None:
-            on_epoch(state)
-    return state, train, test
-
-
 METRICS_COLUMNS = ("epoch", "lr", "loss_total", "loss_inter", "loss_intra",
                    "loss_segment", "loss_order")
 
 
-def _write_state(path, cfg, state, config_flat):
-    flat = config_flat if config_flat is not None else formats.flatten_config(cfg)
+def start(cfg: TrainConfig, dataset=None):
+    """Validate cfg, take its splits (generated from cfg.dataset when dataset
+    is None) and init the state of the whole run. Returns (state, train,
+    test), the dataset's synth.Splits."""
+    cfg.validate()
+    train, test = synth.generate_dataset(cfg.dataset) if dataset is None else dataset
+    per_epoch = steps_per_epoch(len(train), cfg.batch_size)
+    return init_state(cfg, total_steps=cfg.epochs * per_epoch), train, test
+
+
+def epochs(cfg: TrainConfig, train, state: TrainState):
+    """Train from state.epoch to cfg.epochs on the train split, yielding state
+    after each epoch once that epoch's row is in state.history.
+
+    Every draw derives from the run seed and the epoch and step, so a new
+    generator started from the state a stopped one yielded trains on to the
+    same bytes as an uninterrupted run. Each step assembles its batch and
+    trains on it before the next batch is assembled.
+    """
+    per_epoch = steps_per_epoch(len(train), cfg.batch_size)
+    while state.epoch < cfg.epochs:
+        order_rng = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, STREAM_ORDER, state.epoch]))
+        # per_epoch full batches of the epoch's order, or one batch of the whole split
+        batches = order_rng.permutation(len(train))[:per_epoch * cfg.batch_size]
+        epoch_metrics = []
+        for s, indices in enumerate(batches.reshape(per_epoch, -1)):
+            batch = assemble_batch(train.frames, indices, cfg, state.epoch, s)
+            epoch_metrics.append(train_step(state, batch, cfg))
+        means = {k: float(np.mean([m[k] for m in epoch_metrics])) for k in METRICS_COLUMNS[2:]}
+        state.history.append({"epoch": state.epoch, "lr": epoch_metrics[-1]["lr"], **means})
+        state.epoch += 1
+        yield state
+
+
+def fit(cfg: TrainConfig, dataset=None):
+    """Run the whole pretraining loop in memory: start, then every epoch.
+
+    Returns (state, train, test), the dataset's synth.Splits. Deterministic
+    given the config: dataset generation, parameter init, epoch shuffling,
+    sampling and augmentation all derive from the run seed.
+    """
+    state, train, test = start(cfg, dataset)
+    for _ in epochs(cfg, train, state):
+        pass
+    return state, train, test
+
+
+def _write_state(path, cfg, state, flat):
     formats.write_checkpoint(
         path, flat, state.query, state.key,
         {"inter": state.bank_inter, "segment": state.bank_segment},
@@ -433,22 +455,21 @@ def _write_state(path, cfg, state, config_flat):
 
 
 def pretrain(cfg: TrainConfig, out_dir, config_flat=None, dataset=None):
-    """fit() plus persistence: a checkpoint (and optional per-interval
-    checkpoints) and a one-row-per-epoch metrics CSV under out_dir."""
+    """The run fit() trains, persisted under out_dir: a checkpoint after the
+    last epoch, an interval checkpoint after every checkpoint_interval-th
+    epoch before it, and a one-row-per-epoch metrics CSV."""
     from pathlib import Path
 
     out_dir = Path(out_dir)
-
-    def on_epoch(state):
-        done = state.epoch
-        if cfg.checkpoint_interval > 0 and done % cfg.checkpoint_interval == 0 \
-                and done < cfg.epochs:
-            _write_state(out_dir / f"checkpoint_epoch{done:04d}.ckpt", cfg, state, config_flat)
-
-    state, _, _ = fit(cfg, dataset=dataset, on_epoch=on_epoch)
+    state, train, _ = start(cfg, dataset)
+    flat = config_flat if config_flat is not None else formats.flatten_config(cfg)
+    for state in epochs(cfg, train, state):
+        if cfg.checkpoint_interval > 0 and state.epoch % cfg.checkpoint_interval == 0 \
+                and state.epoch < cfg.epochs:
+            _write_state(out_dir / f"checkpoint_epoch{state.epoch:04d}.ckpt", cfg, state, flat)
     checkpoint_path = out_dir / "checkpoint.ckpt"
     metrics_path = out_dir / "metrics.csv"
-    _write_state(checkpoint_path, cfg, state, config_flat)
+    _write_state(checkpoint_path, cfg, state, flat)
     formats.write_csv(metrics_path, METRICS_COLUMNS,
                       [[row[c] for c in METRICS_COLUMNS] for row in state.history])
     return checkpoint_path, metrics_path, state

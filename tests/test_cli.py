@@ -224,6 +224,7 @@ def test_config_errors_name_the_file_and_line(tmp_path, capsys, monkeypatch, tex
     ("dataset.height=4", "dataset.height/width must be >= 8"),
     ("dataset.videos_per_class=1", "dataset.videos_per_class must be >= 2"),
     ("train.hidden_dim=0", "train.hidden_dim must be >= 1"),
+    ("train.segments=21", "train.segments must be <= 20"),
     ("dataset.seed=-1", "dataset.seed must be >= 0"),
     ("train.seed=-2", "train.seed must be >= 0"),
     # NaN fails every comparison, so these would pass a plain `x < 0` check
@@ -235,15 +236,15 @@ def test_config_errors_name_the_file_and_line(tmp_path, capsys, monkeypatch, tex
     ("probe.learning_rate=inf", "probe.learning_rate must be finite and > 0"),
 ], ids=["probe_frames", "probe_iterations", "probe_learning_rate", "probe_l2_penalty",
         "retrieval_ks", "dataset_classes", "dataset_height", "dataset_videos_per_class",
-        "train_hidden_dim", "dataset_seed", "train_seed", "train_learning_rate_nan",
-        "train_sgd_momentum_nan", "train_weight_decay_inf", "train_temperature_nan",
-        "dataset_noise_nan", "probe_learning_rate_inf"])
+        "train_hidden_dim", "train_segments_above_shuffle_bound", "dataset_seed", "train_seed",
+        "train_learning_rate_nan", "train_sgd_momentum_nan", "train_weight_decay_inf",
+        "train_temperature_nan", "dataset_noise_nan", "probe_learning_rate_inf"])
 def test_config_values_checked_when_the_config_loads(tmp_path, capsys, monkeypatch, setting,
                                                      message):
     """A bad value in any section fails before the first fit, naming its key
     and the file, and neither generation nor pretraining writes anything."""
     fits = []
-    monkeypatch.setattr(trainer, "fit", lambda *args, **kwargs: fits.append(args))
+    monkeypatch.setattr(trainer, "start", lambda *args, **kwargs: fits.append(args))
     key = setting.split("=")[0]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(line for line in SMALL_CONFIG.splitlines(keepends=True)
@@ -283,12 +284,13 @@ def test_builtin_grids_are_valid():
     ("name=full\nname=bad losses=intra\n",
      "grid entry 'bad': intra-frame loss alone does not stabilize training"),
     ("name=k0 segments=0\n", "grid entry 'k0': train.segments must be >= 1"),
+    ("name=full\nname=k21 segments=21\n", "grid entry 'k21': train.segments must be <= 20"),
     ("name=typo losses=inter,intar\n", "grid entry 'typo': unknown losses ['intar']"),
-], ids=["intra_alone", "zero_segments", "unknown_loss"])
+], ids=["intra_alone", "zero_segments", "segments_above_shuffle_bound", "unknown_loss"])
 def test_ablate_errors_name_the_grid_entry(tmp_path, capsys, monkeypatch, text, message):
     """A grid entry that fails validation is named, and no entry trains."""
     fits = []
-    monkeypatch.setattr(trainer, "fit", lambda *args, **kwargs: fits.append(args))
+    monkeypatch.setattr(trainer, "start", lambda *args, **kwargs: fits.append(args))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL_CONFIG)
     grid = tmp_path / "grid.txt"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from test_sampling import REFERENCE_ATOL, frame_params, reference_augment_frame
 
-from vidseg import model, sampling, synth, trainer
+from vidseg import formats, model, sampling, synth, trainer
 from vidseg import numerics as nm
 from vidseg.trainer import TrainConfig
 
@@ -186,6 +186,74 @@ def test_pretrain_writes_interval_checkpoints(tmp_path):
     # the final epoch is covered by the main checkpoint, not duplicated
     assert not (tmp_path / "checkpoint_epoch0004.ckpt").exists()
     assert state.epoch == 4
+    # the interval checkpoint holds the state the generator yielded after epoch 2;
+    # read_checkpoint widens the stored float32 values exactly to float64
+    yielded, train, _ = trainer.start(cfg)
+    for yielded in itertools.islice(trainer.epochs(cfg, train, yielded), 2):
+        pass
+    saved = formats.read_checkpoint(tmp_path / "checkpoint_epoch0002.ckpt")
+    per_epoch = trainer.steps_per_epoch(len(train), cfg.batch_size)
+    assert saved.rng_meta == {"seed": cfg.seed, "epoch": 2, "step": 2 * per_epoch}
+    for saved_side, side in ((saved.query, yielded.query), (saved.key, yielded.key)):
+        assert saved_side.keys() == side.keys()
+        for name, arr in side.items():
+            stored = saved_side[name].astype(np.float32)
+            assert stored.tobytes() == arr.astype(np.float32).tobytes(), name
+
+
+CRITERION_11 = TrainConfig(
+    dataset=synth.DatasetSpec(classes=4, videos_per_class=6, frames=16, seed=11), epochs=4,
+    batch_size=8, bank_capacity=256, hidden_dim=32, feature_dim=16, embed_dim=8, seed=3)
+
+
+@pytest.mark.parametrize("losses_on", [trainer.LOSS_NAMES, ("inter",)],
+                         ids=["criterion11", "inter_only"])
+def test_epochs_continue_from_a_stopped_generator(losses_on):
+    """Two epochs of one generator, then a new generator from the same state,
+    end in exactly the state of fit's straight run."""
+    cfg = trainer.with_losses(CRITERION_11, losses_on)
+    straight, train, test = trainer.fit(cfg)
+    state, _, _ = trainer.start(cfg, (train, test))
+    for _ in itertools.islice(trainer.epochs(cfg, train, state), 2):
+        pass
+    assert state.epoch == 2 and len(state.history) == 2
+    for _ in trainer.epochs(cfg, train, state):
+        pass
+    assert state.params.tobytes() == straight.params.tobytes()
+    for bank, want in ((state.bank_inter, straight.bank_inter),
+                       (state.bank_segment, straight.bank_segment)):
+        assert bank.storage.tobytes() == want.storage.tobytes()
+        assert (bank.cursor, bank.fill) == (want.cursor, want.fill)
+    assert state.step == straight.step
+    assert state.history == straight.history
+
+
+def test_every_step_assembles_its_batch_then_trains_on_it(tmp_path, monkeypatch):
+    """fit and pretrain call assemble_batch and train_step through the module
+    attributes, once per step each, each step's assembly directly before its
+    step: a timer that wraps both (perfbench/worker.py's StepClock) then
+    times whole steps."""
+    calls = []
+    assemble_batch, train_step = trainer.assemble_batch, trainer.train_step
+
+    def logged_assemble(*args, **kwargs):
+        batch = assemble_batch(*args, **kwargs)
+        calls.append(("assemble", batch))
+        return batch
+
+    def logged_step(state, batch, cfg):
+        calls.append(("step", batch))
+        return train_step(state, batch, cfg)
+
+    monkeypatch.setattr(trainer, "assemble_batch", logged_assemble)
+    monkeypatch.setattr(trainer, "train_step", logged_step)
+    cfg = tiny_config(epochs=3)
+    for run in (lambda: trainer.fit(cfg)[0], lambda: trainer.pretrain(cfg, tmp_path)[2]):
+        calls.clear()
+        state = run()
+        assert state.step == 3 * 3  # 12 train videos in batches of 4
+        assert [kind for kind, _ in calls] == ["assemble", "step"] * state.step
+        assert all(calls[i][1] is calls[i + 1][1] for i in range(0, len(calls), 2))
 
 
 def test_gradient_suite_passes_on_small_model():
