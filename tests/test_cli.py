@@ -234,11 +234,18 @@ def test_config_errors_name_the_file_and_line(tmp_path, capsys, monkeypatch, tex
     ("train.temperature=nan", "train.temperature must be finite and > 0"),
     ("dataset.noise=nan", "dataset.noise must be finite and >= 0"),
     ("probe.learning_rate=inf", "probe.learning_rate must be finite and > 0"),
+    ("train.key_momentum=nan", "train.key_momentum must be in [0, 1]"),
+    ("dataset.action_coverage=0", "dataset.action_coverage must be in (0, 1]"),
+    ("dataset.train_fraction=1", "dataset.train_fraction must be in (0, 1)"),
+    ("dataset.frames=0", "dataset.frames must be >= 1"),
+    ("train.epochs=0", "train.epochs must be >= 1"),
 ], ids=["probe_frames", "probe_iterations", "probe_learning_rate", "probe_l2_penalty",
         "retrieval_ks", "dataset_classes", "dataset_height", "dataset_videos_per_class",
         "train_hidden_dim", "train_segments_above_shuffle_bound", "dataset_seed", "train_seed",
         "train_learning_rate_nan", "train_sgd_momentum_nan", "train_weight_decay_inf",
-        "train_temperature_nan", "dataset_noise_nan", "probe_learning_rate_inf"])
+        "train_temperature_nan", "dataset_noise_nan", "probe_learning_rate_inf",
+        "train_key_momentum_nan", "dataset_action_coverage_zero", "dataset_train_fraction_one",
+        "dataset_frames_zero", "train_epochs_zero"])
 def test_config_values_checked_when_the_config_loads(tmp_path, capsys, monkeypatch, setting,
                                                      message):
     """A bad value in any section fails before the first fit, naming its key
