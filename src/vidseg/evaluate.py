@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
 
-from . import model, synth, trainer
+from . import formats, model, synth, trainer
 
 _EVAL_STREAM = 21
 # the float64 frame rows one encode block widens: 256 rows of 16x16 frames
@@ -21,19 +21,14 @@ _BLOCK_BYTES = 256 * 16 * 16 * 8
 @dataclass(frozen=True)
 class ProbeConfig:
     SECTION: ClassVar[str] = "probe"
-    iterations: int = 500
-    l2_penalty: float = 1e-3
-    learning_rate: float = 1.0
-    frames: int = 8  # capped at the video length during extraction
+    iterations: int = field(default=500, metadata={"min": 1})
+    l2_penalty: float = field(default=1e-3, metadata={"min": 0})
+    learning_rate: float = field(default=1.0, metadata={"above": 0})
+    # capped at the video length during extraction
+    frames: int = field(default=8, metadata={"min": 1})
 
     def __post_init__(self):
-        for name in ("iterations", "frames"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"probe.{name} must be >= 1")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("probe.learning_rate must be finite and > 0")
-        if not 0 <= self.l2_penalty < math.inf:
-            raise ValueError("probe.l2_penalty must be finite and >= 0")
+        formats.check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -224,9 +219,6 @@ class AblationEntry:
     def apply(self, cfg: trainer.TrainConfig):
         out = cfg
         if self.losses is not None:
-            unknown = set(self.losses) - set(trainer.LOSS_NAMES)
-            if unknown:
-                raise ValueError(f"unknown losses {sorted(unknown)}")
             out = trainer.with_losses(out, self.losses)
         if self.segments is not None:
             out = replace(out, segments=self.segments)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import os
 import tempfile
 from collections.abc import Iterator
@@ -60,6 +61,42 @@ def config_key(cfg, field):
     """The `section.key` of a config dataclass field: the class's SECTION and
     the field's name, or the name its metadata gives as `key`."""
     return f"{cfg.SECTION}.{field.metadata.get('key', field.name)}"
+
+
+# the comparison a value must pass against each declared end of its bound
+_HOLDS = {"min": operator.ge, "above": operator.gt, "max": operator.le, "below": operator.lt}
+_SIGNS = {"min": ">=", "above": ">", "max": "<=", "below": "<"}
+
+
+def check_bounds(cfg):
+    """Raise a ValueError naming the first field of cfg, in field order, whose
+    value is outside the bound its metadata declares: `min` and `max` are
+    inclusive ends, `above` and `below` exclusive ones. An int field's message
+    states the end it breaks (`>= 1`, `<= 20`). A float field, typed by its
+    default as the config parsers are, states its interval (`in (0, 1]`), or
+    `finite and > 0` when the interval has no upper end. NaN is outside every
+    bound."""
+    for field in fields(cfg):
+        bound = {end: b for end, b in field.metadata.items() if end in _HOLDS}
+        value = getattr(cfg, field.name)
+        if not isinstance(field.default, float):
+            for end, b in bound.items():
+                if not _HOLDS[end](value, b):
+                    raise ValueError(f"{config_key(cfg, field)} must be {_SIGNS[end]} {b}")
+        elif bound and not all(_HOLDS[end](value, b)
+                               for end, b in {"below": math.inf, **bound}.items()):
+            raise ValueError(f"{config_key(cfg, field)} must be {_interval(bound)}")
+
+
+def _interval(bound):
+    """A float bound as a message: `in [0, 1]`, or `finite and >= 0` when no
+    upper end is declared."""
+    low = f"[{bound['min']}" if "min" in bound else f"({bound['above']}"
+    if "max" in bound:
+        return f"in {low}, {bound['max']}]"
+    if "below" in bound:
+        return f"in {low}, {bound['below']})"
+    return f"finite and {'>=' if 'min' in bound else '>'} {low[1:]}"
 
 
 def flatten_config(cfg):

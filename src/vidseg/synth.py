@@ -7,10 +7,12 @@ a row per video: (T, H, W) frames, id, class label and action window."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
+
+from . import formats
 
 MIN_FRAME_SIDE = 8  # the smallest frame side that contains the blob
 
@@ -26,35 +28,22 @@ class DatasetSpec:
     """Generation parameters. Everything downstream is a pure function of these."""
 
     SECTION: ClassVar[str] = "dataset"
-    classes: int = 8
-    videos_per_class: int = 25
-    frames: int = 32
-    height: int = 16
+    classes: int = field(default=8, metadata={"min": 2})
+    # each class needs a train and a test video
+    videos_per_class: int = field(default=25, metadata={"min": 2})
+    frames: int = field(default=32, metadata={"min": 1})
+    height: int = 16  # height and width share one bound, checked in __post_init__
     width: int = 16
     untrimmed: bool = False
-    action_coverage: float = 0.5
-    noise: float = 0.05
-    seed: int = 1
-    train_fraction: float = 0.8
+    action_coverage: float = field(default=0.5, metadata={"above": 0, "max": 1})
+    noise: float = field(default=0.05, metadata={"min": 0})
+    seed: int = field(default=1, metadata={"min": 0})
+    train_fraction: float = field(default=0.8, metadata={"above": 0, "below": 1})
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise ValueError("dataset.classes must be >= 2")
-        if self.videos_per_class < 2:
-            # each class needs a train and a test video
-            raise ValueError("dataset.videos_per_class must be >= 2")
-        if self.frames < 1:
-            raise ValueError("dataset.frames must be >= 1")
+        formats.check_bounds(self)
         if min(self.height, self.width) < MIN_FRAME_SIDE:
             raise ValueError(f"dataset.height/width must be >= {MIN_FRAME_SIDE}")
-        if not 0.0 < self.action_coverage <= 1.0:
-            raise ValueError("dataset.action_coverage must be in (0, 1]")
-        if self.seed < 0:
-            raise ValueError("dataset.seed must be >= 0")
-        if not 0 <= self.noise < math.inf:  # written so that NaN fails too
-            raise ValueError("dataset.noise must be finite and >= 0")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("dataset.train_fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)

@@ -40,43 +40,34 @@ LOSS_NAMES = ("inter", "intra", "segment", "order")
 class TrainConfig:
     SECTION: ClassVar[str] = "train"
     dataset: synth.DatasetSpec  # flattens under its own section
-    epochs: int = 60
-    batch_size: int = 32
-    learning_rate: float = 0.05
-    sgd_momentum: float = 0.9
-    weight_decay: float = 1e-4
-    temperature: float = 0.07
-    segments: int = 3
-    key_momentum: float = 0.999
-    bank_capacity: int = 4096
-    seed: int = 0
+    epochs: int = field(default=60, metadata={"min": 1})
+    batch_size: int = field(default=32, metadata={"min": 1})
+    learning_rate: float = field(default=0.05, metadata={"min": 0})
+    sgd_momentum: float = field(default=0.9, metadata={"min": 0})
+    weight_decay: float = field(default=1e-4, metadata={"min": 0})
+    temperature: float = field(default=0.07, metadata={"above": 0})
+    segments: int = field(default=3, metadata={"min": 1, "max": sampling.MAX_SHUFFLED_FRAMES})
+    key_momentum: float = field(default=0.999, metadata={"min": 0, "max": 1})
+    bank_capacity: int = field(default=4096, metadata={"min": 1})
+    seed: int = field(default=0, metadata={"min": 0})
     use_inter: bool = field(default=True, metadata={"key": "loss_inter"})
     use_intra: bool = field(default=True, metadata={"key": "loss_intra"})
     use_segment: bool = field(default=True, metadata={"key": "loss_segment"})
     use_order: bool = field(default=True, metadata={"key": "loss_order"})
-    hidden_dim: int = 128
-    feature_dim: int = 64
-    embed_dim: int = 32
-    checkpoint_interval: int = 0  # epochs between mid-run checkpoints; 0 = final only
+    hidden_dim: int = field(default=128, metadata={"min": 1})
+    feature_dim: int = field(default=64, metadata={"min": 1})
+    embed_dim: int = field(default=32, metadata={"min": 1})
+    # epochs between mid-run checkpoints; 0 = final only
+    checkpoint_interval: int = field(default=0, metadata={"min": 0})
+
+    def __post_init__(self):
+        formats.check_bounds(self)
 
     def validate(self):
-        for name in ("epochs", "batch_size", "segments", "bank_capacity", "hidden_dim",
-                     "feature_dim", "embed_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"train.{name} must be >= 1")
-        if self.segments > sampling.MAX_SHUFFLED_FRAMES:
-            raise ValueError(f"train.segments must be <= {sampling.MAX_SHUFFLED_FRAMES}")
-        for name in ("seed", "checkpoint_interval"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"train.{name} must be >= 0")
-        # written so that NaN fails too
-        for name in ("learning_rate", "sgd_momentum", "weight_decay"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"train.{name} must be finite and >= 0")
-        if not 0 < self.temperature < math.inf:
-            raise ValueError("train.temperature must be finite and > 0")
-        if not 0.0 <= self.key_momentum <= 1.0:
-            raise ValueError("train.key_momentum must be in [0, 1]")
+        """Check the rules that span several fields, which construction does
+        not: at least one loss is on, and the intra loss is not on alone.
+        gradient_suite builds intra-only configs on purpose, so these wait
+        until a config is about to train."""
         toggles = [self.use_inter, self.use_intra, self.use_segment, self.use_order]
         if not any(toggles):
             raise ValueError("at least one loss must be enabled")
@@ -95,7 +86,11 @@ class TrainConfig:
 
 
 def with_losses(cfg: TrainConfig, names):
-    """cfg with exactly the named losses of LOSS_NAMES switched on."""
+    """cfg with exactly the named losses of LOSS_NAMES switched on; a name
+    outside LOSS_NAMES is an error."""
+    unknown = set(names) - set(LOSS_NAMES)
+    if unknown:
+        raise ValueError(f"unknown losses {sorted(unknown)}")
     return replace(cfg, **{f"use_{name}": name in names for name in LOSS_NAMES})
 
 
@@ -498,7 +493,6 @@ def gradient_suite(cfg: TrainConfig, n_seeds=10, probes_per_param=4, step=1e-5, 
     if n_seeds < 1:
         raise ValueError(f"gradient_suite: n_seeds must be >= 1, got {n_seeds}")
     everything = with_losses(cfg, LOSS_NAMES)
-    everything.validate()
     results = []
     single = {name: with_losses(cfg, (name,)) for name in LOSS_NAMES}
     for seed in range(n_seeds):

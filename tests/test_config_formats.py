@@ -72,6 +72,34 @@ def test_defaults_are_the_dataclass_fields():
     assert len(keys) == 33
 
 
+# a value just outside each kind of declared end of a bound
+PAST_END = {"min": lambda b: b - 1, "above": lambda b: b, "max": lambda b: b + 1,
+            "below": lambda b: b}
+
+
+def test_every_numeric_field_declares_a_bound_checked_when_built():
+    def build(cls, **kw):
+        return cls(dataset=synth.DatasetSpec(), **kw) if cls is trainer.TrainConfig else cls(**kw)
+
+    unbounded = set()
+    for cls in (synth.DatasetSpec, trainer.TrainConfig, evaluate.ProbeConfig):
+        for field in dataclasses.fields(cls):
+            if type(field.default) not in (int, float):
+                continue
+            ends = set(field.metadata) & set(PAST_END)
+            if not ends:
+                unbounded.add(f"{cls.SECTION}.{field.name}")
+            bad = [PAST_END[end](field.metadata[end]) for end in ends]
+            for value in bad + ([float("nan")] if type(field.default) is float else []):
+                with pytest.raises(ValueError, match=rf"^{cls.SECTION}\.{field.name} must be "):
+                    build(cls, **{field.name: value})
+    # these two share one bound, checked jointly by DatasetSpec
+    assert unbounded == {"dataset.height", "dataset.width"}
+    # refused when built, not only when a run starts
+    with pytest.raises(ValueError, match=r"^train\.epochs must be >= 1$"):
+        trainer.TrainConfig(dataset=synth.DatasetSpec(), epochs=0)
+
+
 def non_default(value):
     if isinstance(value, bool):
         return not value

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import types
 
 import numpy as np
@@ -68,6 +69,15 @@ def test_config_validation():
         tiny_config(use_inter=False, use_intra=True, use_segment=False,
                     use_order=False).validate()
     tiny_config().validate()
+
+
+def test_with_losses_refuses_unknown_names():
+    # a misspelt name would otherwise switch its loss off without a word
+    for names, unknown in [(("inter", "intar"), "['intar']"), (("segmnt",), "['segmnt']"),
+                           (("ordr", "inter", "x"), "['ordr', 'x']")]:
+        with pytest.raises(ValueError, match=rf"^unknown losses {re.escape(unknown)}$"):
+            trainer.with_losses(tiny_config(), names)
+    assert not trainer.with_losses(tiny_config(), ("inter",)).use_order
 
 
 def test_order_only_first_step_loss_is_ln4():
