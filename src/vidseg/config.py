@@ -1,5 +1,5 @@
-"""Flat key=value run configuration: defaults, parsing, validation, and the
-builders that turn a parsed config into the typed module configs.
+"""Flat key=value run configuration: defaults, parsing, and the builders
+that turn a parsed config into the typed module configs.
 
 Every key is a field of a config dataclass (DatasetSpec, TrainConfig,
 ProbeConfig, RetrievalConfig), spelled `section.field` as
@@ -7,6 +7,11 @@ formats.flatten_config names it; its default and its parser follow from the
 field's default value. Unknown keys are an error. The canonical rendering
 (sorted key=value lines) is what checkpoint headers embed, and re-parsing plus
 re-rendering the echo reproduces it byte for byte.
+
+Validation lives with the dataclasses, not here: each bounded field declares
+its bound in its metadata, and formats.check_bounds enforces it whenever the
+dataclass is built. build_configs adds only TrainConfig.validate, which holds
+the rules that span several fields.
 """
 
 from __future__ import annotations

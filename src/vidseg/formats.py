@@ -83,7 +83,7 @@ def check_bounds(cfg):
             for end, b in bound.items():
                 if not _HOLDS[end](value, b):
                     raise ValueError(f"{config_key(cfg, field)} must be {_SIGNS[end]} {b}")
-        elif bound and not all(_HOLDS[end](value, b)
+        elif bound and not all(_HOLDS[end](value, b)  # a float must be finite too
                                for end, b in {"below": math.inf, **bound}.items()):
             raise ValueError(f"{config_key(cfg, field)} must be {_interval(bound)}")
 
